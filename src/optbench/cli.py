@@ -1,6 +1,7 @@
 """Command-line entry points: generate, tune, run, report, oracle.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error or a run with no successful
+record, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _cmd_run(args) -> int:
     written = emit_report(records, out)
     ok = sum(1 for r in records if r.status == "ok")
     print(f"{ok}/{len(records)} runs ok; wrote {len(written)} files to {out}")
-    return 0
+    return 0 if ok else 1
 
 
 def _cmd_report(args) -> int:

@@ -39,7 +39,7 @@ from .instances import (
     write_edge_list,
 )
 from .metrics import MetricContext, approximation_ratio, bsf_relative, equal_frequency_bins, fob, tts, tts_oh
-from .model import SampleSet, SizeCapError, Stopwatch, Timing, merge
+from .model import BinaryPolynomial, SampleSet, SizeCapError, Stopwatch, Timing, merge
 from .qaoa import (
     GeneratorParams,
     expand_generator,
@@ -86,14 +86,17 @@ def instance_hash(inst: MaxCutInstance | TspInstance) -> str:
     return _stable_hash(body)[:16]
 
 
+def _instance_size(inst: MaxCutInstance | TspInstance) -> int:
+    return inst.num_nodes if isinstance(inst, MaxCutInstance) else inst.num_locations
+
+
 def instance_id(inst: MaxCutInstance | TspInstance) -> str:
     meta = inst.metadata
     label = meta.get("label")
     if label:
         return str(label)
     kind = meta.get("generator", "unknown")
-    size = inst.num_nodes if isinstance(inst, MaxCutInstance) else inst.num_locations
-    return f"{kind}-n{size}-{instance_hash(inst)[:8]}"
+    return f"{kind}-n{_instance_size(inst)}-{instance_hash(inst)[:8]}"
 
 
 def config_hash(params: dict) -> str:
@@ -228,7 +231,7 @@ def parse_experiment(parser: configparser.ConfigParser,
             continue
         body = dict(parser[name])
         kind = body.pop("kind", name.split(":", 1)[1])
-        params = {k: _parse_scalar(v) for k, v in body.items()}
+        params = {k: _parse_list(v) if "," in v else _parse_scalar(v) for k, v in body.items()}
         solvers.append(SolverSpec(name=name.split(":", 1)[1], kind=kind, params=params))
     if "instances" not in parser:
         raise ConfigError("config needs an [instances] section")
@@ -335,7 +338,9 @@ def load_records(path: str | Path) -> list[RunRecord]:
 # Solver invocation
 # ----------------------------------------------------------------------
 
-def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, seed: int) -> SampleSet:
+def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, poly: BinaryPolynomial,
+                         seed: int) -> SampleSet:
+    """One call of a sampling solver on ``poly``, the caller's ``maxcut_qubo(inst)``."""
     params = dict(spec.params)
     if spec.kind == "sa":
         cfg = SaConfig(
@@ -346,7 +351,7 @@ def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, seed: int) -> S
             kb=float(params.get("kb", 1.0)),
             seed=seed,
         )
-        return simulated_annealing(maxcut_qubo(inst), cfg)
+        return simulated_annealing(poly, cfg)
     if spec.kind == "ts":
         cfg = TsConfig(
             restarts=int(params.get("restarts", 100)),
@@ -354,9 +359,10 @@ def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, seed: int) -> S
             tenure=int(params["tenure"]) if "tenure" in params else None,
             seed=seed,
         )
-        return tabu_search(maxcut_qubo(inst), cfg)
+        return tabu_search(poly, cfg)
     if spec.kind in ("ls", "greedy"):
-        return local_search_maxcut(inst, restarts=int(params.get("restarts", 100)), seed=seed)
+        return local_search_maxcut(inst, restarts=int(params.get("restarts", 100)), seed=seed,
+                                   poly=poly)
     if spec.kind == "gw":
         return goemans_williamson(
             inst,
@@ -368,8 +374,6 @@ def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, seed: int) -> S
         )
     if spec.kind == "exhaustive":
         watch = Stopwatch()
-        poly = maxcut_qubo(inst)
-        watch.lap()
         x, cost = poly.argmin_exhaustive(cap=int(params.get("cap", 26)))
         t_solve = watch.lap()
         sample = SampleSet.from_draws(inst.num_nodes, [(x, cost)],
@@ -394,9 +398,21 @@ def _qaoa_schedule(params: dict) -> tuple[int, np.ndarray, np.ndarray]:
 # Scenario protocols
 # ----------------------------------------------------------------------
 
+def _objective(inst: MaxCutInstance | TspInstance) -> BinaryPolynomial:
+    """The objective both protocols sample: the negated cut of a Max-Cut graph."""
+    if not isinstance(inst, MaxCutInstance):
+        raise TypeError(f"the tts and bsf protocols take Max-Cut instances, "
+                        f"not {type(inst).__name__}")
+    return maxcut_qubo(inst)
+
+
+def _fail(record: RunRecord, exc: Exception) -> None:
+    record.status = "failed"
+    record.error = f"{type(exc).__name__}: {exc}"
+
+
 def _tts_task(args) -> RunRecord:
     inst, spec, master_seed, oracle_cap = args
-    poly = maxcut_qubo(inst)
     iid = instance_id(inst)
     record = RunRecord(
         instance_id=iid,
@@ -406,14 +422,18 @@ def _tts_task(args) -> RunRecord:
         config_hash=config_hash(spec.params),
         seed=derive_seed(master_seed, iid, spec.name),
         scenario="tts",
-        size=inst.num_nodes,
+        size=_instance_size(inst),
     )
     cpu_start = time.process_time()
     try:
+        poly = _objective(inst)
         x_star, c_star = poly.argmin_exhaustive(cap=oracle_cap)
     except SizeCapError as exc:
         record.status = "skipped"
         record.error = str(exc)
+        return record
+    except Exception as exc:  # recorded, not raised: one bad instance must not kill a sweep
+        _fail(record, exc)
         return record
     ctx = MetricContext(optimal_cost=c_star)
     try:
@@ -435,7 +455,7 @@ def _tts_task(args) -> RunRecord:
                 record.metrics["ar"] = approximation_ratio(dist, ctx)
             record.best_cost = c_star if dist.p_star > 0 else None
         else:
-            sample = run_classical_solver(spec, inst, record.seed)
+            sample = run_classical_solver(spec, inst, poly, record.seed)
             m = sample.total_draws
             hits = sum(
                 count for _, count, cost in sample.items() if cost <= c_star + 1e-9
@@ -455,8 +475,7 @@ def _tts_task(args) -> RunRecord:
                 record.metrics["c"] = bsf.c
                 record.metrics["relative_error"] = bsf.relative_error
     except Exception as exc:  # recorded, not raised: one bad run must not kill a sweep
-        record.status = "failed"
-        record.error = f"{type(exc).__name__}: {exc}"
+        _fail(record, exc)
     record.cpu_time = time.process_time() - cpu_start
     return record
 
@@ -480,6 +499,7 @@ def run_tts_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
 def _bsf_instance(args) -> list[RunRecord]:
     inst, solvers, master_seed, time_limit, max_calls = args
     iid = instance_id(inst)
+    poly = None
     records = []
     for spec in solvers:
         record = RunRecord(
@@ -490,19 +510,21 @@ def _bsf_instance(args) -> list[RunRecord]:
             config_hash=config_hash(spec.params),
             seed=derive_seed(master_seed, iid, spec.name),
             scenario="bsf",
-            size=inst.num_nodes,
+            size=_instance_size(inst),
         )
         cpu_start = time.process_time()
         merged: SampleSet | None = None
         calls = 0
         start = time.perf_counter()
         try:
+            if poly is None:
+                poly = _objective(inst)
             while calls == 0 or (
                 time.perf_counter() - start < time_limit
                 and (max_calls is None or calls < max_calls)
             ):
                 call_seed = derive_seed(master_seed, iid, spec.name, calls)
-                sample = run_classical_solver(spec, inst, call_seed)
+                sample = run_classical_solver(spec, inst, poly, call_seed)
                 merged = sample if merged is None else merge(merged, sample)
                 calls += 1
                 if spec.kind == "exhaustive":
@@ -511,8 +533,7 @@ def _bsf_instance(args) -> list[RunRecord]:
                     record.metrics["terminated_early"] = True
                     break
         except Exception as exc:
-            record.status = "failed"
-            record.error = f"{type(exc).__name__}: {exc}"
+            _fail(record, exc)
             records.append(record)
             continue
         record.calls = calls

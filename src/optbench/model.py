@@ -14,6 +14,7 @@ exhaustive oracle all follow this layout.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -119,22 +120,49 @@ class BinaryPolynomial:
                 total += coeff
         return total
 
+    def terms_by_degree(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Terms grouped by degree as ``{degree: (positions, variables, coeffs)}``.
+
+        ``positions`` are the terms' places in ``terms`` order, ``variables``
+        is a (count, degree) index array and ``coeffs`` holds the coefficients.
+        """
+        count = len(self.terms)
+        coeffs = np.fromiter(self.terms.values(), dtype=np.float64, count=count)
+        degrees = np.fromiter(map(len, self.terms), dtype=np.intp, count=count)
+        ends = np.cumsum(degrees)
+        flat = np.fromiter(itertools.chain.from_iterable(self.terms), dtype=np.intp,
+                           count=int(ends[-1]) if count else 0)
+        groups = {}
+        for degree in np.flatnonzero(np.bincount(degrees)).tolist():
+            positions = np.flatnonzero(degrees == degree)
+            variables = flat[(ends[positions] - degree)[:, None] + np.arange(degree)]
+            groups[degree] = (positions, variables, coeffs[positions])
+        return groups
+
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation of a (num_samples, num_vars) 0/1 array."""
+        """Vectorised evaluation of a (num_samples, num_vars) 0/1 array.
+
+        Each row's satisfied coefficients are summed in term order from 0.0,
+        exactly as :meth:`evaluate` sums them, so the costs agree bit for bit.
+        """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.num_vars:
             raise DimensionError(
                 f"batch shape {X.shape} does not match {self.num_vars} variables"
             )
-        costs = np.full(X.shape[0], 0.0)
-        for term, coeff in self.terms.items():
-            if term:
-                sel = X[:, term[0]].astype(np.float64)
-                for i in term[1:]:
-                    sel = sel * X[:, i]
-                costs += coeff * sel
-            else:
-                costs += coeff
+        groups = self.terms_by_degree().values()
+        width = len(self.terms) + 1
+        costs = np.empty(X.shape[0])
+        # Column 0 is the 0.0 that evaluate() starts from; rows are chunked
+        # to bound the (rows, terms) contribution matrix.
+        chunk = max(1, (1 << 20) // width)
+        for start in range(0, X.shape[0], chunk):
+            rows = X[start:start + chunk]
+            parts = np.zeros((rows.shape[0], width))
+            for positions, variables, coeffs in groups:
+                satisfied = rows[:, variables].all(axis=2)
+                parts[:, positions + 1] = np.where(satisfied, coeffs, 0.0)
+            costs[start:start + chunk] = np.add.accumulate(parts, axis=1)[:, -1]
         return costs
 
     def cost_vector(self, start: int = 0, stop: int | None = None) -> np.ndarray:

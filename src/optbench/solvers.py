@@ -1,15 +1,16 @@
 """Classical heuristics and exhaustive oracles.
 
-All samplers return a :class:`~optbench.model.SampleSet` whose per-sample
-costs are re-evaluated exactly against the input model before being
-recorded, and all are deterministic for a fixed seed.
+All samplers return a :class:`~optbench.model.SampleSet` and are
+deterministic for a fixed seed.  Simulated annealing, tabu search and local
+search re-evaluate the costs they record exactly against the input model,
+once per call: one ``evaluate_batch`` pass over all best states, timed as
+postprocess, so the recorded solve time covers the search alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -52,15 +53,15 @@ def _compile_quadratic(
     linear = np.zeros(n)
     coupling = np.zeros((n, n))
     constant = 0.0
-    for term, coeff in poly.terms.items():
-        if len(term) == 0:
-            constant = coeff
-        elif len(term) == 1:
-            linear[term[0]] = coeff
+    for degree, (_, variables, coeffs) in poly.terms_by_degree().items():
+        if degree == 0:
+            constant = float(coeffs[0])
+        elif degree == 1:
+            linear[variables[:, 0]] = coeffs
         else:
-            i, j = term
-            coupling[i, j] += coeff
-            coupling[j, i] += coeff
+            i, j = variables.T
+            coupling[i, j] = coeffs
+            coupling[j, i] = coeffs
     return poly, constant, linear, coupling
 
 
@@ -72,6 +73,27 @@ def _as_state(x: str, n: int) -> np.ndarray:
     if len(x) != n:
         raise ValueError(f"start {x!r} does not have {n} bits")
     return np.array([1.0 if c == "1" else 0.0 for c in x])
+
+
+def _neighbor_lists(coupling: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Per variable, the (neighbor, coupling) pairs of its nonzero couplings."""
+    return [list(zip(np.flatnonzero(row).tolist(), row[row != 0.0].tolist()))
+            for row in coupling]
+
+
+def _exact_draws(poly: BinaryPolynomial, states: np.ndarray) -> list[tuple[str, float]]:
+    """One (bitstring, exact cost) draw per row of a (draws, n) 0/1 matrix.
+
+    The costs come from one ``evaluate_batch`` call, so the recheck of a
+    whole solver call is a single vectorised pass.
+    """
+    bits = np.ascontiguousarray(states, dtype=np.uint8)
+    costs = poly.evaluate_batch(bits).tolist()
+    n = bits.shape[1]
+    if n == 0:
+        return [("", cost) for cost in costs]
+    strings = (bits + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
+    return list(zip(strings, costs))
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +155,9 @@ def simulated_annealing(
 
     A worse candidate (cost change delta > 0) is accepted with probability
     exp(-delta / (kb * T)); improving or equal moves are always accepted.
-    Returns the best assignment of each read as one sample.
+    Returns the best assignment of each read as one sample.  Reads run one
+    at a time over Python floats; an accepted flip updates the local fields
+    of the flipped variable's neighbours only.
     """
     cfg = cfg or SaConfig()
     watch = Stopwatch()
@@ -148,40 +172,44 @@ def simulated_annealing(
     else:
         alpha = 1e-3
     kb = cfg.kb
+    neighbors = _neighbor_lists(coupling)
+    exp = math.exp
     t_preprocess = watch.lap()
 
-    draws: list[tuple[str, float]] = []
     reads = cfg.reads if starts is None else len(starts)
+    best_states = np.empty((reads, n))
     for read in range(reads):
         x = _random_state(rng, n) if starts is None else _as_state(starts[read], n)
-        field = linear + coupling @ x
+        field = (linear + coupling @ x).tolist()
         cost = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
-        best_x = x.copy()
+        spin = (1.0 - 2.0 * x).tolist()
+        best_spin = spin[:]
         best_cost = cost
         temperature = t_start
         for _ in range(cfg.sweeps):
-            order = rng.permutation(n)
-            uniforms = rng.random(n)
-            for pos in range(n):
-                i = order[pos]
-                delta = (1.0 - 2.0 * x[i]) * field[i]
+            order = rng.permutation(n).tolist()
+            uniforms = rng.random(n).tolist()
+            kt = kb * temperature
+            for i, uniform in zip(order, uniforms):
+                sign = spin[i]
+                delta = sign * field[i]
                 if delta > 0.0:
-                    exponent = -delta / (kb * temperature)
-                    if exponent < -700.0 or uniforms[pos] >= math.exp(exponent):
+                    exponent = -delta / kt
+                    if exponent < -700.0 or uniform >= exp(exponent):
                         continue
-                sign = 1.0 - 2.0 * x[i]
-                x[i] = 1.0 - x[i]
-                field += sign * coupling[:, i]
+                spin[i] = -sign
+                for j, weight in neighbors[i]:
+                    field[j] += sign * weight
                 cost += delta
                 if cost < best_cost:
                     best_cost = cost
-                    best_x = x.copy()
+                    best_spin = spin[:]
             temperature *= alpha
-        bitstring = bits_to_string(best_x.astype(np.uint8))
-        draws.append((bitstring, poly.evaluate(bitstring)))
+        best_states[read] = best_spin
     t_solve = watch.lap()
     sample_set = SampleSet.from_draws(
-        n, draws, info={"solver": "sa", "sweeps": cfg.sweeps, "t0": t_start, "alpha": alpha}
+        n, _exact_draws(poly, best_states < 0.0),
+        info={"solver": "sa", "sweeps": cfg.sweeps, "t0": t_start, "alpha": alpha},
     )
     sample_set.timing = Timing(t_preprocess, t_solve, watch.lap())
     return sample_set
@@ -225,6 +253,11 @@ def tabu_search(
     is allowed when it improves the best solution of the restart
     (aspiration).  If every move is tabu and none aspires, the
     least-recently-forbidden variable is flipped.  One sample per restart.
+
+    All restarts step together as rows of one state matrix.  A variable is
+    tabu while its last flip is among the restart's last ``tenure`` moves.
+    The recorded moves name the least-recently-forbidden variable, and
+    after the loop they replay each restart's best state.
     """
     cfg = cfg or TsConfig()
     watch = Stopwatch()
@@ -235,42 +268,72 @@ def tabu_search(
     rng = make_rng(cfg.seed)
     t_preprocess = watch.lap()
 
-    draws: list[tuple[str, float]] = []
     restarts = cfg.restarts if starts is None else len(starts)
-    for restart in range(restarts):
-        x = _random_state(rng, n) if starts is None else _as_state(starts[restart], n)
-        field = linear + coupling @ x
-        cost = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
-        best_x = x.copy()
-        best_cost = cost
-        tabu: deque[int] = deque(maxlen=tenure) if tenure > 0 else deque(maxlen=1)
-        tabu_active = tenure > 0
-        for _ in range(iterations):
-            deltas = (1.0 - 2.0 * x) * field
-            candidates = cost + deltas
-            allowed = np.ones(n, dtype=bool)
-            if tabu_active:
-                for v in tabu:
-                    allowed[v] = False
-                allowed |= candidates < best_cost  # aspiration
-            if allowed.any():
-                move = int(np.argmin(np.where(allowed, candidates, np.inf)))
-            else:
-                move = tabu[0]
-            sign = 1.0 - 2.0 * x[move]
-            x[move] = 1.0 - x[move]
-            field += sign * coupling[:, move]
-            cost = float(candidates[move])
-            if tabu_active:
-                tabu.append(move)
-            if cost < best_cost:
-                best_cost = cost
-                best_x = x.copy()
-        bitstring = bits_to_string(best_x.astype(np.uint8))
-        draws.append((bitstring, poly.evaluate(bitstring)))
+    spin = np.empty((restarts, n))
+    field = np.empty((restarts, n))
+    cost = np.empty(restarts)
+    for r in range(restarts):
+        x = _random_state(rng, n) if starts is None else _as_state(starts[r], n)
+        spin[r] = 1.0 - 2.0 * x
+        field[r] = linear + coupling @ x
+        cost[r] = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
+    start_spin = spin.copy()
+    best_cost = cost.copy()
+    offsets = np.arange(restarts) * n
+    flat_spin = spin.reshape(-1)
+    flat_field = field.reshape(-1)
+    candidates = np.empty((restarts, n))
+    flat_candidates = candidates.reshape(-1)
+    cost_column = cost[:, None]
+    best_column = best_cost[:, None]
+    last_flip = np.full((restarts, n), -tenure - 1)
+    flat_last = last_flip.reshape(-1)
+    blocked = np.empty((restarts, n), dtype=bool)
+    no_aspiration = np.empty((restarts, n), dtype=bool)
+    # Flat index of each move, and the cost before the first and after each
+    # move; the best states are replayed from them after the loop.
+    moves = np.empty((iterations, restarts), dtype=np.intp)
+    costs = np.empty((iterations + 1, restarts))
+    costs[0] = cost
+    # Only a tabu list that can hold every variable leaves a restart with no
+    # allowed move; then the oldest of the last ``tenure`` moves is taken.
+    may_stall = 0 < tenure and n <= tenure
+    for t in range(iterations):
+        np.multiply(spin, field, out=candidates)
+        candidates += cost_column
+        if tenure:
+            np.greater_equal(last_flip, t - tenure, out=blocked)
+            np.greater_equal(candidates, best_column, out=no_aspiration)
+            blocked &= no_aspiration
+            np.putmask(candidates, blocked, np.inf)
+        move = candidates.argmin(axis=1)
+        index = moves[t]
+        np.add(offsets, move, out=index)
+        sign = flat_spin[index]
+        if may_stall:
+            stalled = blocked.reshape(-1)[index]
+            if stalled.any():
+                index[stalled] = moves[max(t - tenure, 0), stalled]
+                move = index - offsets
+                sign = flat_spin[index]
+                # the masked entry held inf; recompute the move's true cost
+                flat_candidates[index] = sign * flat_field[index] + cost
+        flat_spin[index] = -sign
+        field += sign[:, None] * coupling.take(move, axis=0)
+        flat_candidates.take(index, out=cost)
+        costs[t + 1] = cost
+        np.minimum(best_cost, cost, out=best_cost)
+        if tenure:
+            flat_last[index] = t
+    # Improvements are strict, so a restart's best state is the first one
+    # at its lowest cost: replay the moves that lead to it.
+    replayed = moves[np.arange(iterations)[:, None] < costs.argmin(axis=0)]
+    parity = np.bincount(replayed, minlength=restarts * n).reshape(restarts, n) % 2
+    best_spin = np.where(parity == 1, -start_spin, start_spin)
     t_solve = watch.lap()
     sample_set = SampleSet.from_draws(
-        n, draws, info={"solver": "ts", "tenure": tenure, "iterations": iterations}
+        n, _exact_draws(poly, best_spin < 0.0),
+        info={"solver": "ts", "tenure": tenure, "iterations": iterations},
     )
     sample_set.timing = Timing(t_preprocess, t_solve, watch.lap())
     return sample_set
@@ -285,50 +348,59 @@ def local_search_maxcut(
     restarts: int = 100,
     seed: int | None = None,
     starts: Sequence[str] | None = None,
+    poly: BinaryPolynomial | None = None,
 ) -> SampleSet:
     """Single-node improvement sweeps from random bipartitions.
 
     Sweeps the nodes in index order, moving any node whose switch strictly
     increases the cut weight, and repeats until a full sweep changes
     nothing.  The output is 1-flip stable.  One sample per restart.
+
+    All restarts sweep together; a restart that has converged is a fixed
+    point, so the sweeps that the others still need leave it unchanged.
+    Gains are kept as local fields updated per move: exact for integer
+    weights, and for real weights off by rounding only, which can matter
+    just for a gain within a few ulps of zero.
+    ``poly`` is the instance's compiled objective (``maxcut_qubo(inst)``),
+    used for the exact recheck; it is built here when not given.
     """
     watch = Stopwatch()
     n = inst.num_nodes
-    poly = maxcut_qubo(inst)
-    neighbors = [[] for _ in range(n)]
-    weights = [[] for _ in range(n)]
+    poly = poly if poly is not None else maxcut_qubo(inst)
+    adjacency = np.zeros((n, n))
     for u, v, w in inst.edges:
-        neighbors[u].append(v)
-        weights[u].append(w)
-        neighbors[v].append(u)
-        weights[v].append(w)
-    nbr = [np.array(a, dtype=np.int64) for a in neighbors]
-    wts = [np.array(a, dtype=np.float64) for a in weights]
+        adjacency[u, v] += w
+        adjacency[v, u] += w
     rng = make_rng(seed)
     t_preprocess = watch.lap()
 
-    draws: list[tuple[str, float]] = []
     total = restarts if starts is None else len(starts)
+    # Node-major spins: entry (u, r) is +1 / -1 when node u of restart r is on side 0 / 1.
+    spin = np.empty((n, total))
     for restart in range(total):
         if starts is None:
-            x = rng.integers(0, 2, n).astype(np.uint8)
+            x = rng.integers(0, 2, n)
         else:
-            x = np.array([1 if c == "1" else 0 for c in starts[restart]], dtype=np.uint8)
-        changed = True
-        while changed:
-            changed = False
-            for u in range(n):
-                if nbr[u].size == 0:
-                    continue
-                same = x[nbr[u]] == x[u]
-                gain = float(wts[u][same].sum() - wts[u][~same].sum())
-                if gain > 0.0:
-                    x[u] ^= 1
-                    changed = True
-        bitstring = bits_to_string(x)
-        draws.append((bitstring, poly.evaluate(bitstring)))
+            x = np.array([1 if c == "1" else 0 for c in starts[restart]])
+        spin[:, restart] = 1 - 2 * x
+    # gain[u, r]: same-side minus cross weight at u, the cut gained by moving u.
+    field = adjacency @ spin
+    gain = spin * field
+    while (gain > 0.0).any():
+        # One sweep in index order.  Nodes where no restart gains are skipped:
+        # a visit there changes nothing, and nothing changes until the next move.
+        u = -1
+        while True:
+            ahead = np.flatnonzero((gain[u + 1:] > 0.0).any(axis=1))
+            if ahead.size == 0:
+                break
+            u += 1 + int(ahead[0])
+            step = np.where(gain[u] > 0.0, 2.0 * spin[u], 0.0)
+            spin[u] -= step
+            field -= np.outer(adjacency[u], step)
+            np.multiply(spin, field, out=gain)
     t_solve = watch.lap()
-    sample_set = SampleSet.from_draws(n, draws, info={"solver": "ls"})
+    sample_set = SampleSet.from_draws(n, _exact_draws(poly, spin.T < 0.0), info={"solver": "ls"})
     sample_set.timing = Timing(t_preprocess, t_solve, watch.lap())
     return sample_set
 

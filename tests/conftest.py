@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from optbench import MaxCutInstance, TspInstance
+from optbench import MaxCutInstance, TspInstance, maxcut_qubo
 
 
 @pytest.fixture
@@ -108,3 +110,157 @@ def dense_xy_gate(beta: float) -> np.ndarray:
     gate[1, 2] = -1j * s2
     gate[2, 1] = -1j * s2
     return gate
+
+
+# ----------------------------------------------------------------------
+# Scalar reference kernels: one read or restart at a time, each best
+# state rechecked with BinaryPolynomial.evaluate.  The package kernels must
+# return exactly the same samples and costs for the same seed and starts.
+# ----------------------------------------------------------------------
+
+def _reference_quadratic(poly):
+    n = poly.num_vars
+    linear = np.zeros(n)
+    coupling = np.zeros((n, n))
+    constant = 0.0
+    for term, coeff in poly.terms.items():
+        if len(term) == 0:
+            constant = coeff
+        elif len(term) == 1:
+            linear[term[0]] = coeff
+        else:
+            i, j = term
+            coupling[i, j] += coeff
+            coupling[j, i] += coeff
+    return constant, linear, coupling
+
+
+def _reference_start(rng, starts, index, n):
+    if starts is None:
+        return rng.integers(0, 2, n).astype(np.float64)
+    return np.array([1.0 if c == "1" else 0.0 for c in starts[index]])
+
+
+def _reference_sample_set(n, draws):
+    samples, costs = {}, {}
+    for x, cost in draws:
+        samples[x] = samples.get(x, 0) + 1
+        costs[x] = float(cost)
+    return samples, costs
+
+
+def reference_sa(poly, reads=100, sweeps=20, t0=None, alpha=None, kb=1.0, seed=None,
+                 starts=None):
+    """Scalar simulated annealing; returns (samples, costs)."""
+    constant, linear, coupling = _reference_quadratic(poly)
+    n = poly.num_vars
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if t0 is None:
+        states = rng.integers(0, 2, (100, n)).astype(np.float64)
+        flips = rng.integers(0, n, 100)
+        fields = states @ coupling
+        rows = np.arange(100)
+        deltas = (1.0 - 2.0 * states[rows, flips]) * (linear[flips] + fields[rows, flips])
+        t0 = float(np.max(np.abs(deltas))) or 1.0
+    if alpha is None:
+        alpha = 1e-3 ** (1.0 / (sweeps - 1)) if sweeps > 1 else 1e-3
+    draws = []
+    for read in range(reads if starts is None else len(starts)):
+        x = _reference_start(rng, starts, read, n)
+        field = linear + coupling @ x
+        cost = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
+        best_x, best_cost = x.copy(), cost
+        temperature = t0
+        for _ in range(sweeps):
+            order = rng.permutation(n)
+            uniforms = rng.random(n)
+            for pos in range(n):
+                i = order[pos]
+                delta = (1.0 - 2.0 * x[i]) * field[i]
+                if delta > 0.0:
+                    exponent = -delta / (kb * temperature)
+                    if exponent < -700.0 or uniforms[pos] >= math.exp(exponent):
+                        continue
+                sign = 1.0 - 2.0 * x[i]
+                x[i] = 1.0 - x[i]
+                field += sign * coupling[:, i]
+                cost += delta
+                if cost < best_cost:
+                    best_cost, best_x = cost, x.copy()
+            temperature *= alpha
+        bitstring = "".join("1" if b else "0" for b in best_x)
+        draws.append((bitstring, poly.evaluate(bitstring)))
+    return _reference_sample_set(n, draws)
+
+
+def reference_ts(poly, restarts=100, iterations=None, tenure=None, seed=None, starts=None):
+    """Scalar tabu search with a FIFO tabu list; returns (samples, costs)."""
+    constant, linear, coupling = _reference_quadratic(poly)
+    n = poly.num_vars
+    tenure = min(20, n) if tenure is None else tenure
+    iterations = 5 * n if iterations is None else iterations
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = []
+    for restart in range(restarts if starts is None else len(starts)):
+        x = _reference_start(rng, starts, restart, n)
+        field = linear + coupling @ x
+        cost = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
+        best_x, best_cost = x.copy(), cost
+        tabu = deque(maxlen=max(tenure, 1))
+        for _ in range(iterations):
+            candidates = cost + (1.0 - 2.0 * x) * field
+            allowed = np.ones(n, dtype=bool)
+            if tenure > 0:
+                for v in tabu:
+                    allowed[v] = False
+                allowed |= candidates < best_cost
+            if allowed.any():
+                move = int(np.argmin(np.where(allowed, candidates, np.inf)))
+            else:
+                move = tabu[0]
+            sign = 1.0 - 2.0 * x[move]
+            x[move] = 1.0 - x[move]
+            field += sign * coupling[:, move]
+            cost = float(candidates[move])
+            if tenure > 0:
+                tabu.append(move)
+            if cost < best_cost:
+                best_cost, best_x = cost, x.copy()
+        bitstring = "".join("1" if b else "0" for b in best_x)
+        draws.append((bitstring, poly.evaluate(bitstring)))
+    return _reference_sample_set(n, draws)
+
+
+def reference_ls(inst, restarts=100, seed=None, starts=None):
+    """Scalar index-order improvement sweeps; returns (samples, costs)."""
+    n = inst.num_nodes
+    poly = maxcut_qubo(inst)
+    nbr = [[] for _ in range(n)]
+    wts = [[] for _ in range(n)]
+    for u, v, w in inst.edges:
+        nbr[u].append(v)
+        wts[u].append(w)
+        nbr[v].append(u)
+        wts[v].append(w)
+    nbr = [np.array(a, dtype=np.int64) for a in nbr]
+    wts = [np.array(a, dtype=np.float64) for a in wts]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = []
+    for restart in range(restarts if starts is None else len(starts)):
+        if starts is None:
+            x = rng.integers(0, 2, n).astype(np.uint8)
+        else:
+            x = np.array([1 if c == "1" else 0 for c in starts[restart]], dtype=np.uint8)
+        changed = True
+        while changed:
+            changed = False
+            for u in range(n):
+                if nbr[u].size == 0:
+                    continue
+                same = x[nbr[u]] == x[u]
+                if float(wts[u][same].sum() - wts[u][~same].sum()) > 0.0:
+                    x[u] ^= 1
+                    changed = True
+        bitstring = "".join("1" if b else "0" for b in x)
+        draws.append((bitstring, poly.evaluate(bitstring)))
+    return _reference_sample_set(n, draws)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from optbench.cli import main
 from optbench.harness import load_records
 
@@ -134,3 +136,88 @@ def test_jobs_flag_parallel_run(tmp_path):
 def test_runtime_failure_exits_two(tmp_path):
     missing = tmp_path / "missing.jsonl"
     assert main(["report", "--records", str(missing), "--out", str(tmp_path)]) == 2
+
+
+TSP_CONFIG = """
+[experiment]
+scenario = {scenario}
+seed = 5
+time_limit = 0.05
+output = {out}
+
+[instances]
+kind = tsp_planar
+sizes = 4
+count = 2
+
+[solver:sa]
+kind = sa
+reads = 5
+sweeps = 5
+
+[solver:exhaustive]
+kind = exhaustive
+"""
+
+FAILING_CONFIG = """
+[experiment]
+scenario = tts
+seed = 5
+output = {out}
+
+[instances]
+kind = regular
+sizes = 6
+count = 2
+degree = 3
+
+[solver:sa]
+kind = sa
+reads = 0
+"""
+
+TRAINED_QAOA_CONFIG = """
+[experiment]
+scenario = tts
+seed = 5
+output = {out}
+
+[instances]
+kind = regular
+sizes = 6
+count = 1
+degree = 3
+
+[solver:qaoa]
+kind = qaoa
+p = 3
+theta_beta = 1,-1,0,0,0
+theta_gamma = 0,1,0,0,0
+"""
+
+
+@pytest.mark.parametrize("scenario", ["tts", "bsf"])
+def test_tsp_instances_record_failures(tmp_path, capsys, scenario):
+    cfg, out = write_config(tmp_path, TSP_CONFIG.replace("{scenario}", scenario))
+    assert main(["run", "--config", str(cfg)]) == 1
+    records = load_records(out / "records.jsonl")
+    assert len(records) == 4  # 2 instances x 2 solvers
+    assert all(r.status == "failed" and "Max-Cut" in r.error for r in records)
+    assert all(r.size == 4 for r in records)  # locations
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "0/4 runs ok" in captured.out
+
+
+def test_run_with_no_ok_record_exits_one(tmp_path):
+    cfg, out = write_config(tmp_path, FAILING_CONFIG)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert {r.status for r in load_records(out / "records.jsonl")} == {"failed"}
+
+
+def test_trained_qaoa_schedule_from_config(tmp_path):
+    cfg, out = write_config(tmp_path, TRAINED_QAOA_CONFIG)
+    assert main(["run", "--config", str(cfg)]) == 0
+    (record,) = load_records(out / "records.jsonl")
+    assert record.status == "ok"
+    assert 0.0 < record.metrics["p_star"] <= 1.0
