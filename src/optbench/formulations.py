@@ -56,17 +56,40 @@ def tsp_default_penalties(inst: TspInstance) -> tuple[float, float]:
     return 1.0 / (1.0 + inst.max_distance()), 1.0
 
 
+def walk_lengths(distances: np.ndarray, locs):
+    """Lengths of the closed walks 0 -> locs[0] -> ... -> locs[-1] -> 0.
+
+    ``locs`` holds one entry per tour slot along its first axis: k
+    locations give one length, k index arrays (or a (k, ...) array) give
+    one length per element.  Legs are added in walk order, so a walk has
+    the same floating-point length wherever it is computed.
+    """
+    lengths = distances[0, locs[0]]
+    for a, b in zip(locs, locs[1:]):
+        lengths += distances[a, b]
+    return lengths + distances[locs[-1], 0]
+
+
+def tour_permutations(k: int) -> np.ndarray:
+    """All k! orders of the locations 1..k, one per row, in lexicographic order."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, k + 1):
+        # Orders of 0..m-1: each first value, then the orders of 0..m-2
+        # shifted past it (a monotone map, so each block stays sorted).
+        first = np.repeat(np.arange(m, dtype=np.int8), len(perms))
+        rest = np.tile(perms, (m, 1))
+        rest += rest >= first[:, None]
+        perms = np.column_stack([first, rest])
+    return perms + 1
+
+
 def tour_length(inst: TspInstance, sequence: Sequence[int]) -> float:
     """Length of the closed walk 0 -> sequence -> 0.
 
     ``sequence`` lists the locations of slots 1..k in order; entries may
     repeat (the walk is still defined, repeats contribute zero legs).
     """
-    d = inst.distances
-    length = d[0, sequence[0]]
-    for a, b in zip(sequence, sequence[1:]):
-        length += d[a, b]
-    return float(length + d[sequence[-1], 0])
+    return float(walk_lengths(inst.distances, sequence))
 
 
 def is_permutation(sequence: Sequence[int], k: int) -> bool:

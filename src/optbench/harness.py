@@ -164,7 +164,7 @@ def _parse_list(text: str) -> list:
 
 
 def load_config(path: str | Path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     loaded = parser.read(path)
     if not loaded:
         raise ConfigError(f"config file {path} not found")

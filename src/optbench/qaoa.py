@@ -15,13 +15,17 @@ mixing layer, for t = 1..p:
   projector mixer exp(-i * beta |s><s|) applied analytically, started from
   the uniform permutation state |s>.
 
+Each (problem, encoding) pair compiles once to a ``_CompiledProblem``, which
+every simulator and the generator trainer run through one state-evolution
+routine with one branch per mixer (transverse, xy, projector).
+
 Success probability p_star is the exact mass on optimal basis states
-(cost within 1e-9 of the optimum).
+(cost within 1e-9 of the optimum; for tours, feasible states within 1e-9
+of the optimal tour length).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,131 +84,6 @@ def _check_schedule(beta, gamma) -> tuple[np.ndarray, np.ndarray]:
     return beta, gamma
 
 
-def _p_star(probabilities: np.ndarray, costs: np.ndarray,
-            optimal_cost: float | None = None) -> float:
-    reference = float(costs.min()) if optimal_cost is None else optimal_cost
-    return float(probabilities[costs <= reference + 1e-9].sum())
-
-
-# ----------------------------------------------------------------------
-# Transverse-mixer circuits (qubo, hobo)
-# ----------------------------------------------------------------------
-
-def _transverse_circuit(costs: np.ndarray, num_qubits: int,
-                        beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    size = costs.size
-    psi = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-    for b, g in zip(beta, gamma):
-        psi *= np.exp(-1j * g * costs)
-        c, s = math.cos(b), math.sin(b)
-        for q in range(num_qubits):
-            view = psi.reshape(-1, 2, 1 << q)
-            a0 = view[:, 0, :].copy()
-            a1 = view[:, 1, :]
-            view[:, 0, :] = c * a0 + 1j * s * a1
-            view[:, 1, :] = 1j * s * a0 + c * a1
-    return psi
-
-
-def qaoa_qubo_simulate(
-    model: BinaryPolynomial,
-    beta,
-    gamma,
-    cap: int = 26,
-    optimal_cost: float | None = None,
-) -> OutputDistribution:
-    """Full-statevector run of a (possibly higher-order) diagonal cost model."""
-    beta, gamma = _check_schedule(beta, gamma)
-    n = model.num_vars
-    if n > cap:
-        raise SizeCapError(f"{n} qubits exceeds statevector cap {cap}")
-    costs = model.cost_vector()
-    psi = _transverse_circuit(costs, n, beta, gamma)
-    probs = np.abs(psi) ** 2
-    return OutputDistribution(
-        basis="full",
-        probabilities=probs,
-        amplitudes=psi,
-        costs=costs,
-        p_star=_p_star(probs, costs, optimal_cost),
-        num_qubits=n,
-    )
-
-
-def _hobo_tables(inst: TspInstance, a: float, b: float) -> tuple[np.ndarray, ...]:
-    """(costs, lengths, feasible) over all integer-encoded basis states."""
-    k = inst.k
-    m = forms.hobo_bits_per_slot(k)
-    n = k * m
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    mask = (1 << m) - 1
-    values = [(idx >> (t * m)) & mask for t in range(k)]
-    locs = [(v % k).astype(np.int16) + 1 for v in values]
-    d = inst.distances
-    lengths = d[0, locs[0]].copy()
-    for t in range(k - 1):
-        lengths += d[locs[t], locs[t + 1]]
-    lengths += d[locs[k - 1], 0]
-    range_viol = np.zeros(size, dtype=np.int16)
-    for v in values:
-        range_viol += (v >= k).astype(np.int16)
-    pair_viol = np.zeros(size, dtype=np.int16)
-    for t1 in range(k):
-        for t2 in range(t1 + 1, k):
-            pair_viol += (locs[t1] == locs[t2]).astype(np.int16)
-    costs = a * lengths + b * (range_viol + pair_viol)
-    feasible = (range_viol == 0) & (pair_viol == 0)
-    return costs, lengths, feasible
-
-
-def qaoa_hobo_tsp_simulate(
-    inst: TspInstance,
-    beta,
-    gamma,
-    a: float | None = None,
-    b: float | None = None,
-    cap: int = 26,
-    l_star: float | None = None,
-) -> OutputDistribution:
-    """Integer-encoded tour circuit over k * ceil(log2 k) qubits.
-
-    The diagonal cost of a basis state is A times the walk length of its
-    decoded slot sequence plus B per slot integer >= k and B per unordered
-    slot pair naming the same location (integers wrap modulo k for the
-    walk, see :mod:`optbench.formulations`).
-    """
-    beta, gamma = _check_schedule(beta, gamma)
-    k = inst.k
-    n = forms.hobo_num_vars(k)
-    if n > cap:
-        raise SizeCapError(f"{n} qubits exceeds statevector cap {cap}")
-    a_default, b_default = forms.tsp_default_penalties(inst)
-    a = a_default if a is None else a
-    b = b_default if b is None else b
-    costs, lengths, feasible = _hobo_tables(inst, a, b)
-    if l_star is None:
-        l_star = tsp_exhaustive(inst).optimal_length
-    psi = _transverse_circuit(costs, n, beta, gamma)
-    probs = np.abs(psi) ** 2
-    optimal = feasible & (lengths <= l_star + 1e-9)
-    return OutputDistribution(
-        basis="full",
-        probabilities=probs,
-        amplitudes=psi,
-        costs=costs,
-        p_star=float(probs[optimal].sum()),
-        num_qubits=n,
-        k=k,
-        feasible=feasible,
-        lengths=lengths,
-    )
-
-
-# ----------------------------------------------------------------------
-# One-hot subspace circuits (xy)
-# ----------------------------------------------------------------------
-
 def xy_pair_schedule(k: int) -> list[tuple[int, int]]:
     """Brick-wall pair order on 0-based one-hot positions within a block.
 
@@ -224,45 +103,230 @@ def xy_pair_rotation(beta: float) -> np.ndarray:
     return np.array([[c2, -1j * s2], [-1j * s2, c2]], dtype=np.complex128)
 
 
-def _onehot_digit_tables(inst: TspInstance, a: float, b: float) -> tuple[np.ndarray, ...]:
-    """(costs, lengths, feasible) over the k**k one-hot basis."""
-    k = inst.k
-    size = k ** k
-    idx = np.arange(size, dtype=np.int64)
-    digits = [((idx // (k ** t)) % k).astype(np.int16) for t in range(k)]
-    locs = [dig + 1 for dig in digits]
-    d = inst.distances
-    lengths = d[0, locs[0]].copy()
-    for t in range(k - 1):
-        lengths += d[locs[t], locs[t + 1]]
-    lengths += d[locs[k - 1], 0]
-    penalty = np.zeros(size)
-    for loc in range(k):
-        count = np.zeros(size, dtype=np.int16)
-        for dig in digits:
-            count += (dig == loc).astype(np.int16)
-        penalty += (1.0 - count) ** 2
-    costs = a * lengths + b * penalty
-    feasible = penalty == 0.0
-    return costs, lengths, feasible
+# ----------------------------------------------------------------------
+# Compiled problem: cost table, basis and mixer of one encoding
+# ----------------------------------------------------------------------
+
+# kind -> (basis, default cap).  The cap bounds the qubit count on the
+# full basis and the number of basis states otherwise.
+_ENCODINGS = {
+    "qubo": ("full", 26),
+    "hobo": ("full", 26),
+    "xy": ("onehot", 6 ** 6),
+    "perm": ("perm", math.factorial(9)),
+}
 
 
-def _xy_circuit(costs: np.ndarray, k: int,
-                beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    size = costs.size
-    psi = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-    pairs = xy_pair_schedule(k)
-    for b, g in zip(beta, gamma):
-        psi *= np.exp(-1j * g * costs)
-        c2, s2 = math.cos(2.0 * b), math.sin(2.0 * b)
-        for block in range(k):
-            view = psi.reshape(-1, k, k ** block)
-            for i, j in pairs:
-                ai = view[:, i, :].copy()
-                aj = view[:, j, :]
-                view[:, i, :] = c2 * ai - 1j * s2 * aj
-                view[:, j, :] = -1j * s2 * ai + c2 * aj
-    return psi
+def _slot_digits(k: int, base: int) -> list[np.ndarray]:
+    """Digit of each of k slots (least significant first) of every index below base**k."""
+    idx = np.arange(base ** k, dtype=np.int64)
+    return [(idx // base ** t % base).astype(np.int16) for t in range(k)]
+
+
+class _CompiledProblem:
+    """One problem compiled for the encoding ``kind`` (see the module docstring).
+
+    Holds the diagonal cost of every basis state and, for a tour, each
+    state's decoded walk length (NaN where undecodable) and feasibility.
+    A qubo problem is a polynomial, a Max-Cut instance (its cut polynomial)
+    or a tour (its one-hot QUBO); an xy problem is a tour or a polynomial
+    over k*k variables; hobo and perm problems are tours.  ``a``/``b``
+    override the tour penalties, ``cap`` the encoding's size cap and
+    ``l_star`` the optimal tour length behind p_star.
+    """
+
+    def __init__(self, kind: str, problem, a: float | None = None, b: float | None = None,
+                 k: int | None = None, cap: int | None = None,
+                 l_star: float | None = None) -> None:
+        if kind not in _ENCODINGS:
+            raise ValueError(f"unknown encoding kind {kind!r}")
+        if isinstance(problem, MaxCutInstance) and kind == "qubo":
+            problem = forms.maxcut_qubo(problem)
+        tour = isinstance(problem, TspInstance)
+        if tour:
+            k = problem.k
+        elif not isinstance(problem, BinaryPolynomial) or kind not in ("qubo", "xy"):
+            raise TypeError(f"cannot compile {type(problem).__name__} for kind {kind!r}")
+        elif kind == "xy" and (k is None or problem.num_vars != k * k):
+            raise ValueError(f"a polynomial over {problem.num_vars} variables needs"
+                             f" k with k*k variables for the xy encoding, got k = {k}")
+        self.kind, self.problem, self.k, self.l_star = kind, problem, k, l_star
+        self.basis, default_cap = _ENCODINGS[kind]
+        cap = default_cap if cap is None else cap
+        if kind == "perm":
+            self.num_qubits, extent = None, math.factorial(k)
+        elif kind == "xy":
+            self.num_qubits, extent = k * k, k ** k
+        else:
+            self.num_qubits = (forms.hobo_num_vars(k) if kind == "hobo"
+                               else k * k if tour else problem.num_vars)
+            extent = self.num_qubits
+        if extent > cap:
+            unit = "qubits" if self.basis == "full" else "basis states"
+            raise SizeCapError(f"{extent} {unit} exceed the {kind} encoding's cap {cap}")
+        self.lengths = self.feasible = None
+        if tour:
+            a_default, b_default = forms.tsp_default_penalties(problem)
+            self._compile_tour(a_default if a is None else a, b_default if b is None else b)
+        elif kind == "qubo":
+            self.costs = problem.cost_vector()
+        else:
+            digits = _slot_digits(k, k)
+            self.costs = np.full(extent, problem.constant)
+            for term, coeff in problem.terms.items():
+                if not term:
+                    continue
+                sel = np.ones(extent, dtype=bool)
+                for var in term:
+                    sel &= digits[var // k] == (var % k)
+                self.costs[sel] += coeff
+
+    def _compile_tour(self, a: float, b: float) -> None:
+        inst, k = self.problem, self.k
+        if self.kind == "perm":
+            locs = forms.tour_permutations(k).T
+        elif self.kind == "xy":
+            locs = [digit + 1 for digit in _slot_digits(k, k)]
+        elif self.kind == "hobo":
+            values = _slot_digits(k, 1 << forms.hobo_bits_per_slot(k))
+            locs = [value % k + 1 for value in values]
+        else:  # qubo: the hot bit of each one-hot block, -1 where a block is not one-hot
+            position = np.full(1 << k, -1, dtype=np.int16)
+            position[1 << np.arange(k)] = np.arange(k)
+            slots = [position[block] for block in _slot_digits(k, 1 << k)]
+            decodable = np.logical_and.reduce([slot >= 0 for slot in slots])
+            locs = [np.maximum(slot, 0) + 1 for slot in slots]
+        self.lengths = forms.walk_lengths(inst.distances, locs)
+        # A state is feasible when its slots visit every location once (and,
+        # per encoding, every slot integer is in range or every block one-hot).
+        uses = [sum((loc == v).astype(np.int16) for loc in locs) for v in range(1, k + 1)]
+        self.feasible = np.logical_and.reduce([count == 1 for count in uses])
+        if self.kind == "perm":
+            self.costs = a * self.lengths
+        elif self.kind == "xy":  # A * length + B * sum_loc (1 - uses)^2
+            self.costs = a * self.lengths + b * sum((1.0 - count) ** 2 for count in uses)
+        elif self.kind == "hobo":  # A * length + B per out-of-range slot and per repeated pair
+            range_viol = sum((value >= k).astype(np.int16) for value in values)
+            pair_viol = sum(count * (count - 1) // 2 for count in uses)
+            self.costs = a * self.lengths + b * (range_viol + pair_viol)
+            self.feasible &= range_viol == 0
+        else:
+            self.costs = forms.tsp_onehot_qubo(inst, a=a, b=b).cost_vector()
+            self.lengths[~decodable] = np.nan
+            self.feasible &= decodable
+
+    def evolve(self, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        """Statevector after p rounds of cost phase exp(-i gamma_t C) and mixer."""
+        costs = self.costs
+        size = costs.size
+        k = self.k
+        pairs = xy_pair_schedule(k) if self.basis == "onehot" else []
+        psi = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
+        for b, g in zip(beta, gamma):
+            psi *= np.exp(-1j * g * costs)
+            if self.basis == "full":
+                # Transverse mixer: cos(beta) I + i sin(beta) sigma_x on each qubit.
+                c, s = math.cos(b), math.sin(b)
+                for q in range(self.num_qubits):
+                    view = psi.reshape(-1, 2, 1 << q)
+                    a0 = view[:, 0, :].copy()
+                    a1 = view[:, 1, :]
+                    view[:, 0, :] = c * a0 + 1j * s * a1
+                    view[:, 1, :] = 1j * s * a0 + c * a1
+            elif self.basis == "onehot":
+                # XY mixer: the brick-wall pair rotations within each block.
+                c2, s2 = math.cos(2.0 * b), math.sin(2.0 * b)
+                for block in range(k):
+                    view = psi.reshape(-1, k, k ** block)
+                    for i, j in pairs:
+                        ai = view[:, i, :].copy()
+                        aj = view[:, j, :]
+                        view[:, i, :] = c2 * ai - 1j * s2 * aj
+                        view[:, j, :] = -1j * s2 * ai + c2 * aj
+            else:
+                # Projector mixer exp(-i beta |s><s|), s the uniform permutation state.
+                psi += (np.exp(-1j * b) - 1.0) * psi.sum() / size
+        return psi
+
+    def simulate(self, beta, gamma, optimal_cost: float | None = None) -> OutputDistribution:
+        """Run the circuit and return its exact output distribution.
+
+        p_star is the mass on optimal states: for a tour, feasible states
+        whose length is within 1e-9 of l* (the shortest tour of the perm
+        basis, else the exhaustive oracle's); otherwise states whose cost is
+        within 1e-9 of ``optimal_cost`` (by default the least cost).
+        """
+        beta, gamma = _check_schedule(beta, gamma)
+        psi = self.evolve(beta, gamma)
+        probs = np.abs(psi) ** 2
+        if self.lengths is None:
+            reference = float(self.costs.min()) if optimal_cost is None else optimal_cost
+            optimal = self.costs <= reference + 1e-9
+        else:
+            l_star = self.l_star
+            if l_star is None:
+                l_star = (float(self.lengths.min()) if self.basis == "perm"
+                          else tsp_exhaustive(self.problem).optimal_length)
+            optimal = self.feasible & (self.lengths <= l_star + 1e-9)
+        return OutputDistribution(
+            basis=self.basis,
+            probabilities=probs,
+            amplitudes=psi,
+            costs=self.costs,
+            p_star=float(probs[optimal].sum()),
+            num_qubits=self.num_qubits,
+            k=self.k,
+            feasible=self.feasible,
+            lengths=self.lengths,
+        )
+
+    def gap(self, beta: np.ndarray, gamma: np.ndarray) -> float:
+        """Normalized optimality gap of the expected cost; equals 1 - r for negative optima."""
+        reference = float(self.costs.min())
+        if reference == 0.0:
+            raise ValueError("problem has zero optimal cost; ratios are undefined")
+        probs = np.abs(self.evolve(beta, gamma)) ** 2
+        return (float(probs @ self.costs) - reference) / abs(reference)
+
+
+# ----------------------------------------------------------------------
+# Simulators of the four encodings
+# ----------------------------------------------------------------------
+
+def qaoa_qubo_simulate(
+    model: BinaryPolynomial,
+    beta,
+    gamma,
+    cap: int = _ENCODINGS["qubo"][1],
+    optimal_cost: float | None = None,
+) -> OutputDistribution:
+    """Full-statevector run of a (possibly higher-order) diagonal cost model.
+
+    ``model`` may also be a problem already compiled for the qubo encoding.
+    """
+    if not isinstance(model, _CompiledProblem):
+        model = _CompiledProblem("qubo", model, cap=cap)
+    return model.simulate(beta, gamma, optimal_cost)
+
+
+def qaoa_hobo_tsp_simulate(
+    inst: TspInstance,
+    beta,
+    gamma,
+    a: float | None = None,
+    b: float | None = None,
+    cap: int = _ENCODINGS["hobo"][1],
+    l_star: float | None = None,
+) -> OutputDistribution:
+    """Integer-encoded tour circuit over k * ceil(log2 k) qubits.
+
+    The diagonal cost of a basis state is A times the walk length of its
+    decoded slot sequence plus B per slot integer >= k and B per unordered
+    slot pair naming the same location (integers wrap modulo k for the
+    walk, see :mod:`optbench.formulations`).
+    """
+    compiled = _CompiledProblem("hobo", inst, a=a, b=b, cap=cap, l_star=l_star)
+    return compiled.simulate(beta, gamma)
 
 
 def qaoa_xy_simulate(
@@ -272,7 +336,7 @@ def qaoa_xy_simulate(
     k: int | None = None,
     a: float | None = None,
     b: float | None = None,
-    cap: int = 6 ** 6,
+    cap: int = _ENCODINGS["xy"][1],
     l_star: float | None = None,
 ) -> OutputDistribution:
     """One-hot-preserving circuit simulated in the k**k block subspace.
@@ -284,62 +348,8 @@ def qaoa_xy_simulate(
     one-hot basis states.  The initial state, a product of W states, is
     uniform over the subspace, and no mass ever leaves it.
     """
-    beta, gamma = _check_schedule(beta, gamma)
-    if isinstance(problem, TspInstance):
-        k = problem.k
-        size = k ** k
-        if size > cap:
-            raise SizeCapError(f"one-hot basis size {size} exceeds cap {cap}")
-        a_default, b_default = forms.tsp_default_penalties(problem)
-        a = a_default if a is None else a
-        b = b_default if b is None else b
-        costs, lengths, feasible = _onehot_digit_tables(problem, a, b)
-        if l_star is None:
-            l_star = tsp_exhaustive(problem).optimal_length
-        psi = _xy_circuit(costs, k, beta, gamma)
-        probs = np.abs(psi) ** 2
-        optimal = feasible & (lengths <= l_star + 1e-9)
-        return OutputDistribution(
-            basis="onehot",
-            probabilities=probs,
-            amplitudes=psi,
-            costs=costs,
-            p_star=float(probs[optimal].sum()),
-            num_qubits=k * k,
-            k=k,
-            feasible=feasible,
-            lengths=lengths,
-        )
-    if k is None:
-        raise ValueError("k (block count) is required for a generic polynomial")
-    if problem.num_vars != k * k:
-        raise ValueError(
-            f"polynomial has {problem.num_vars} variables, expected k*k = {k * k}"
-        )
-    size = k ** k
-    if size > cap:
-        raise SizeCapError(f"one-hot basis size {size} exceeds cap {cap}")
-    idx = np.arange(size, dtype=np.int64)
-    digits = [((idx // (k ** t)) % k).astype(np.int16) for t in range(k)]
-    costs = np.full(size, problem.constant)
-    for term, coeff in problem.terms.items():
-        if not term:
-            continue
-        sel = np.ones(size, dtype=bool)
-        for var in term:
-            sel &= digits[var // k] == (var % k)
-        costs[sel] += coeff
-    psi = _xy_circuit(costs, k, beta, gamma)
-    probs = np.abs(psi) ** 2
-    return OutputDistribution(
-        basis="onehot",
-        probabilities=probs,
-        amplitudes=psi,
-        costs=costs,
-        p_star=_p_star(probs, costs),
-        num_qubits=k * k,
-        k=k,
-    )
+    compiled = _CompiledProblem("xy", problem, a=a, b=b, k=k, cap=cap, l_star=l_star)
+    return compiled.simulate(beta, gamma)
 
 
 def onehot_state_index(sequence, k: int) -> int:
@@ -350,27 +360,17 @@ def onehot_state_index(sequence, k: int) -> int:
 def embed_onehot_state(amplitudes: np.ndarray, k: int) -> np.ndarray:
     """Lift a k**k subspace vector into the full 2**(k*k) statevector."""
     full = np.zeros(1 << (k * k), dtype=np.complex128)
-    for index in range(amplitudes.size):
-        bits = 0
-        rest = index
-        for slot in range(k):
-            digit = rest % k
-            rest //= k
-            bits |= 1 << (slot * k + digit)
-        full[bits] = amplitudes[index]
+    full[sum(np.int64(1) << (slot * k + digit)
+             for slot, digit in enumerate(_slot_digits(k, k)))] = amplitudes
     return full
 
-
-# ----------------------------------------------------------------------
-# Permutation-basis circuits (perm)
-# ----------------------------------------------------------------------
 
 def qaoa_perm_simulate(
     inst: TspInstance,
     beta,
     gamma,
     a: float | None = None,
-    cap: int = math.factorial(9),
+    cap: int = _ENCODINGS["perm"][1],
     l_star: float | None = None,
 ) -> OutputDistribution:
     """Projector-mixer circuit over the k! feasible permutations.
@@ -379,73 +379,8 @@ def qaoa_perm_simulate(
     psi <- psi + (exp(-i*beta) - 1) <s|psi> s with s the uniform
     permutation state, so no infeasible state can ever be reached.
     """
-    beta, gamma = _check_schedule(beta, gamma)
-    k = inst.k
-    size = math.factorial(k)
-    if size > cap:
-        raise SizeCapError(f"permutation basis size {size} exceeds cap {cap}")
-    if a is None:
-        a = forms.tsp_default_penalties(inst)[0]
-    perms = np.array(list(itertools.permutations(range(1, k + 1))), dtype=np.int16)
-    d = inst.distances
-    lengths = d[0, perms[:, 0]].copy()
-    for t in range(k - 1):
-        lengths += d[perms[:, t], perms[:, t + 1]]
-    lengths += d[perms[:, k - 1], 0]
-    costs = a * lengths
-    if l_star is None:
-        l_star = float(lengths.min())
-    psi = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-    for b, g in zip(beta, gamma):
-        psi *= np.exp(-1j * g * costs)
-        psi += (np.exp(-1j * b) - 1.0) * psi.sum() / size
-    probs = np.abs(psi) ** 2
-    return OutputDistribution(
-        basis="perm",
-        probabilities=probs,
-        amplitudes=psi,
-        costs=costs,
-        p_star=float(probs[lengths <= l_star + 1e-9].sum()),
-        k=k,
-        feasible=np.ones(size, dtype=bool),
-        lengths=lengths,
-    )
-
-
-# ----------------------------------------------------------------------
-# TSP dispatch and full-space one-hot decoding
-# ----------------------------------------------------------------------
-
-def _onehot_fullspace_tables(inst: TspInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(lengths, feasible) over all 2**(k*k) states of the one-hot encoding."""
-    k = inst.k
-    n = k * k
-    idx = np.arange(1 << n, dtype=np.int64)
-    block_mask = (1 << k) - 1
-    position = np.full(1 << k, -1, dtype=np.int16)
-    for i in range(k):
-        position[1 << i] = i
-    d = inst.distances
-    lengths = np.zeros(idx.size)
-    decodable = np.ones(idx.size, dtype=bool)
-    locs = []
-    for slot in range(k):
-        block = (idx >> (slot * k)) & block_mask
-        loc0 = position[block]
-        decodable &= loc0 >= 0
-        locs.append(np.where(loc0 >= 0, loc0, 0).astype(np.int16) + 1)
-    lengths += d[0, locs[0]]
-    for t in range(k - 1):
-        lengths += d[locs[t], locs[t + 1]]
-    lengths += d[locs[k - 1], 0]
-    lengths[~decodable] = np.nan
-    permutation = decodable.copy()
-    for loc in range(1, k + 1):
-        count = np.zeros(idx.size, dtype=np.int16)
-        for arr in locs:
-            count += (arr == loc).astype(np.int16)
-        permutation &= count == 1
-    return lengths, permutation
+    compiled = _CompiledProblem("perm", inst, a=a, cap=cap, l_star=l_star)
+    return compiled.simulate(beta, gamma)
 
 
 def qaoa_tsp_simulate(
@@ -458,25 +393,10 @@ def qaoa_tsp_simulate(
     l_star: float | None = None,
 ) -> OutputDistribution:
     """Run one of the four tour encodings: qubo, hobo, xy or perm."""
-    if kind == "hobo":
-        return qaoa_hobo_tsp_simulate(inst, beta, gamma, a=a, b=b, l_star=l_star)
-    if kind == "xy":
-        return qaoa_xy_simulate(inst, beta, gamma, a=a, b=b, l_star=l_star)
-    if kind == "perm":
-        return qaoa_perm_simulate(inst, beta, gamma, a=a, l_star=l_star)
-    if kind != "qubo":
-        raise ValueError(f"unknown encoding kind {kind!r}")
-    poly = forms.tsp_onehot_qubo(inst, a=a, b=b)
-    if l_star is None:
-        l_star = tsp_exhaustive(inst).optimal_length
-    dist = qaoa_qubo_simulate(poly, beta, gamma)
-    lengths, feasible = _onehot_fullspace_tables(inst)
-    dist.lengths = lengths
-    dist.feasible = feasible
-    dist.k = inst.k
-    optimal = feasible & (np.nan_to_num(lengths, nan=np.inf) <= l_star + 1e-9)
-    dist.p_star = float(dist.probabilities[optimal].sum())
-    return dist
+    compiled = _CompiledProblem(kind, inst, a=a, b=b, l_star=l_star)
+    if kind == "qubo":  # the plain qubo simulator runs the compiled one-hot QUBO
+        return qaoa_qubo_simulate(compiled, beta, gamma)
+    return compiled.simulate(beta, gamma)
 
 
 @dataclass
@@ -498,11 +418,9 @@ class QaoaAnsatz:
             raise ValueError("schedule lengths must equal the depth")
 
     def simulate(self) -> OutputDistribution:
-        if isinstance(self.problem, TspInstance):
-            return qaoa_tsp_simulate(self.problem, self.kind, self.beta, self.gamma)
-        if self.kind != "qubo":
+        if self.kind != "qubo" and not isinstance(self.problem, TspInstance):
             raise ValueError(f"kind {self.kind!r} requires a tour instance")
-        return qaoa_qubo_simulate(self.problem, self.beta, self.gamma)
+        return _CompiledProblem(self.kind, self.problem).simulate(self.beta, self.gamma)
 
 
 # ----------------------------------------------------------------------
@@ -559,61 +477,6 @@ class TrainResult:
     objective: float
     evaluations: int
     budget_exhausted: bool
-
-
-class _CompiledProblem:
-    """Static per-problem data so repeated schedule evaluations stay cheap."""
-
-    def __init__(self, kind: str, problem) -> None:
-        self.kind = kind
-        if kind == "qubo" and isinstance(problem, MaxCutInstance):
-            problem = forms.maxcut_qubo(problem)
-        if kind == "qubo" and isinstance(problem, BinaryPolynomial):
-            self.costs = problem.cost_vector()
-            self.num_qubits = problem.num_vars
-            self.k = None
-        elif isinstance(problem, TspInstance):
-            a, b = forms.tsp_default_penalties(problem)
-            self.k = problem.k
-            if kind == "qubo":
-                poly = forms.tsp_onehot_qubo(problem, a=a, b=b)
-                self.costs = poly.cost_vector()
-                self.num_qubits = poly.num_vars
-            elif kind == "hobo":
-                self.costs = _hobo_tables(problem, a, b)[0]
-                self.num_qubits = forms.hobo_num_vars(self.k)
-            elif kind == "xy":
-                self.costs = _onehot_digit_tables(problem, a, b)[0]
-                self.num_qubits = None
-            elif kind == "perm":
-                dist = qaoa_perm_simulate(problem, [0.0], [0.0], a=a)
-                self.costs = dist.costs
-                self.num_qubits = None
-            else:
-                raise ValueError(f"unknown encoding kind {kind!r}")
-        else:
-            raise TypeError(f"cannot compile {type(problem).__name__} for kind {kind!r}")
-        self.reference = float(self.costs.min())
-        if self.reference == 0.0:
-            raise ValueError("problem has zero optimal cost; ratios are undefined")
-
-    def expected_cost(self, beta: np.ndarray, gamma: np.ndarray) -> float:
-        if self.kind in ("qubo", "hobo"):
-            psi = _transverse_circuit(self.costs, self.num_qubits, beta, gamma)
-        elif self.kind == "xy":
-            psi = _xy_circuit(self.costs, self.k, beta, gamma)
-        else:
-            size = self.costs.size
-            psi = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-            for b, g in zip(beta, gamma):
-                psi *= np.exp(-1j * g * self.costs)
-                psi += (np.exp(-1j * b) - 1.0) * psi.sum() / size
-        probs = np.abs(psi) ** 2
-        return float(probs @ self.costs)
-
-    def gap(self, beta: np.ndarray, gamma: np.ndarray) -> float:
-        """Normalized optimality gap; equals 1 - r for negative optima."""
-        return (self.expected_cost(beta, gamma) - self.reference) / abs(self.reference)
 
 
 def train_generator(

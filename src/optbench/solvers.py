@@ -9,14 +9,13 @@ postprocess, so the recorded solve time covers the search alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .formulations import maxcut_qubo
+from .formulations import maxcut_qubo, tour_permutations, walk_lengths
 from .instances import MaxCutInstance, TspInstance, make_rng
 from .model import (
     BinaryPolynomial,
@@ -547,22 +546,8 @@ def tsp_exhaustive(inst: TspInstance, cap: int = 10) -> TspOracleResult:
     k = inst.k
     if k > cap:
         raise SizeCapError(f"k = {k} exceeds exhaustive tour cap {cap}")
-    d = inst.distances.tolist()
-    d0 = d[0]
-    best_tour: tuple[int, ...] | None = None
-    best = math.inf
-    worst = -math.inf
-    for perm in itertools.permutations(range(1, k + 1)):
-        length = d0[perm[0]]
-        prev = perm[0]
-        for loc in perm[1:]:
-            length += d[prev][loc]
-            prev = loc
-        length += d[prev][0]
-        if length < best:
-            best = length
-            best_tour = perm
-        if length > worst:
-            worst = length
-    assert best_tour is not None
-    return TspOracleResult(best_tour, float(best), float(worst))
+    perms = tour_permutations(k)
+    lengths = walk_lengths(inst.distances, perms.T)
+    best = int(np.argmin(lengths))  # first minimum: the lexicographically smallest
+    return TspOracleResult(tuple(int(loc) for loc in perms[best]),
+                           float(lengths[best]), float(lengths.max()))

@@ -264,3 +264,18 @@ def reference_ls(inst, restarts=100, seed=None, starts=None):
         bitstring = "".join("1" if b else "0" for b in x)
         draws.append((bitstring, poly.evaluate(bitstring)))
     return _reference_sample_set(n, draws)
+
+
+def reference_tsp_exhaustive(inst: TspInstance) -> tuple[tuple[int, ...], float, float]:
+    """Scalar k! loop of the tour oracle: legs added in walk order, first strict minimum."""
+    d = inst.distances.tolist()
+    best_tour, best, worst = None, math.inf, -math.inf
+    for perm in itertools.permutations(range(1, inst.num_locations)):
+        length = d[0][perm[0]]
+        for a, b in zip(perm, perm[1:]):
+            length += d[a][b]
+        length += d[perm[-1]][0]
+        if length < best:
+            best, best_tour = length, perm
+        worst = max(worst, length)
+    return best_tour, best, worst

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from optbench.cli import main
-from optbench.harness import load_records
+from optbench.harness import load_config, load_records, parse_experiment
 
 
 CONFIG = """
@@ -221,3 +222,19 @@ def test_trained_qaoa_schedule_from_config(tmp_path):
     (record,) = load_records(out / "records.jsonl")
     assert record.status == "ok"
     assert 0.0 < record.metrics["p_star"] <= 1.0
+
+
+def test_readme_config_block_parses(tmp_path):
+    # The README's CLI config puts "; ..." comments after values.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "bench.cfg"
+    path.write_text(block)
+    parser = load_config(path)
+    cfg = parse_experiment(parser)
+    assert cfg.scenario == "tts"
+    assert cfg.time_limit == 10
+    assert {inst.metadata["generator"] for inst in cfg.instances} == {"regular"}
+    assert [inst.num_nodes for inst in cfg.instances] == [10] * 10 + [12] * 10 + [14] * 10
+    assert [spec.name for spec in cfg.solvers] == ["sa", "qaoa8"]
+    assert dict(parser["grid:sa"]) == {"sweeps": "1, 20"}

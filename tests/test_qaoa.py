@@ -335,6 +335,15 @@ def test_train_generator_budget_flag():
     assert result.params is not None
 
 
+def test_zero_optimum_problem_simulates_but_does_not_train():
+    poly = maxcut_qubo(MaxCutInstance(4, ()))  # no edges: every cut costs 0
+    dist = qaoa_qubo_simulate(poly, [0.3, 0.2], [0.1, 0.4])
+    assert dist.norm() == pytest.approx(1.0, abs=1e-12)
+    assert dist.p_star == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="zero optimal cost"):
+        train_generator([poly], "qubo", p=2, budget=10, seed=0)
+
+
 def test_gradient_step_stability():
     # Central differences at 1e-4 agree with a Richardson-style smaller
     # step to within 1e-3 relative norm at random coefficient points.

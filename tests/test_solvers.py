@@ -11,9 +11,11 @@ from optbench import (
     SaConfig,
     SizeCapError,
     TsConfig,
+    TspInstance,
     cut_weight,
     gen_regular,
     gen_tsp_circular,
+    gen_tsp_planar,
     goemans_williamson,
     local_search_maxcut,
     maxcut_qubo,
@@ -23,7 +25,7 @@ from optbench import (
     tsp_exhaustive,
 )
 
-from conftest import brute_force_cut, brute_force_tours
+from conftest import brute_force_cut, brute_force_tours, reference_tsp_exhaustive
 
 
 def assert_costs_match_model(sample, poly):
@@ -317,3 +319,37 @@ def test_tsp_exhaustive_cap():
     inst = gen_tsp_circular(6, 1.0, seed=0)
     with pytest.raises(SizeCapError):
         tsp_exhaustive(inst, cap=4)
+
+
+def _tour_instances(k):
+    return [gen(k + 1, seed) for seed in range(3)
+            for gen in (lambda m, s: gen_tsp_circular(m, 1.0, seed=s), gen_tsp_planar)]
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_tsp_exhaustive_matches_scalar_loop_and_brute_force(k):
+    # Mirror-image tours sum the same legs in opposite orders, so they tie
+    # only up to rounding: the tie-break is pinned against the scalar loop
+    # (same leg order, first strict minimum), the lengths against the
+    # independent oracle.
+    for inst in _tour_instances(k):
+        result = tsp_exhaustive(inst)
+        assert tuple(result) == reference_tsp_exhaustive(inst)
+        tours = brute_force_tours(inst)
+        assert result.optimal_length == pytest.approx(min(tours.values()), abs=1e-12)
+        assert result.worst_length == pytest.approx(max(tours.values()), abs=1e-12)
+        assert tours[result.tour] == pytest.approx(result.optimal_length, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_tsp_exhaustive_returns_lexicographically_smallest_optimum(k):
+    # Integer distances make every walk length exact, so each tour ties its
+    # reverse exactly and the oracle must return the smaller of the two.
+    for inst in _tour_instances(k):
+        integral = TspInstance(distances=np.round(100 * inst.distances))
+        tours = brute_force_tours(integral)
+        best = min(tours.values())
+        result = tsp_exhaustive(integral)
+        assert result.tour == min(tour for tour, length in tours.items() if length == best)
+        assert result.optimal_length == best
+        assert result.worst_length == max(tours.values())
