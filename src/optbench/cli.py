@@ -14,8 +14,9 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     GridResult,
+    _config_instances,
+    _number,
     _parse_list,
-    build_instances,
     emit_report,
     grid_search,
     load_config,
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = commands.add_parser("generate", help="write an instance dataset to files")
     _add_common(gen)
 
-    oracle = commands.add_parser("oracle", help="cache exhaustive optima for a dataset")
+    oracle = commands.add_parser("oracle", help="write exhaustive optima to oracle.jsonl")
     _add_common(oracle)
 
     tune = commands.add_parser("tune", help="grid-search solver hyperparameters")
@@ -62,13 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    parser = load_config(args.config)
-    if "instances" not in parser:
-        raise ConfigError("config needs an [instances] section")
-    seed = args.seed if args.seed is not None else int(
-        parser.get("experiment", "seed", fallback="0")
-    )
-    instances = build_instances(dict(parser["instances"]), seed)
+    _, instances = _config_instances(load_config(args.config), args.seed)
     out = Path(args.out or "instances")
     written = write_instance_files(instances, out)
     print(f"wrote {len(written) - 1} instances to {out}")
@@ -77,11 +72,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     parser = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(
-        parser.get("experiment", "seed", fallback="0")
-    )
-    instances = build_instances(dict(parser["instances"]), seed)
-    cap = int(parser.get("experiment", "oracle_cap", fallback="26"))
+    _, instances = _config_instances(parser, args.seed)
+    cap = _number("oracle_cap", parser.get("experiment", "oracle_cap", fallback="26"))
     rows = oracle_table(instances, cap=cap)
     out = Path(args.out or ".") / "oracle.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)

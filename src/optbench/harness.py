@@ -22,6 +22,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -163,6 +164,15 @@ def _parse_list(text: str) -> list:
     return [_parse_scalar(part.strip()) for part in text.split(",") if part.strip()]
 
 
+def _number(key: str, value, cast=int):
+    """``cast(value)`` for the config key ``key``; a malformed value is a config error."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
+
+
 def load_config(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     loaded = parser.read(path)
@@ -193,29 +203,43 @@ def build_instances(section: dict, master_seed: int) -> list:
     if sizes is None:
         raise ConfigError("[instances] section needs a 'sizes' key")
     sizes = _parse_list(sizes) if isinstance(sizes, str) else list(sizes)
-    count = int(section.get("count", 10))
+    count = _number("count", section.get("count", 10))
     out = []
     for size in sizes:
+        n = _number("sizes", size)
         for index in range(count):
             seed = derive_seed(master_seed, "instance", kind, size, index)
             if kind == "regular":
-                inst = gen_regular(int(size), int(section.get("degree", 3)), seed)
+                inst = gen_regular(n, _number("degree", section.get("degree", 3)), seed)
             elif kind == "erdos_renyi":
                 inst = gen_erdos_renyi(
-                    int(size),
-                    float(section.get("density", 0.5)),
+                    n,
+                    _number("density", section.get("density", 0.5), float),
                     seed,
                     weights=section.get("weights", "unit"),
                 )
             elif kind == "tsp_circular":
-                inst = gen_tsp_circular(int(size), float(section.get("sigma", 1.0)), seed)
+                inst = gen_tsp_circular(n, _number("sigma", section.get("sigma", 1.0), float),
+                                        seed)
             elif kind == "tsp_planar":
-                inst = gen_tsp_planar(int(size), seed)
+                inst = gen_tsp_planar(n, seed)
             else:
                 raise ConfigError(f"unknown instance kind {kind!r}")
             inst.metadata["label"] = f"{kind}-n{size}-{index:03d}"
             out.append(inst)
     return out
+
+
+def _config_instances(parser: configparser.ConfigParser,
+                      seed: int | None = None) -> tuple[int, list]:
+    """The master seed (``seed``, else [experiment] seed, else 0) and the
+    dataset of the [instances] section."""
+    if "instances" not in parser:
+        raise ConfigError("config needs an [instances] section")
+    if seed is None:
+        seed = parser.get("experiment", "seed", fallback="0")
+    seed = _number("seed", seed)
+    return seed, build_instances(dict(parser["instances"]), seed)
 
 
 def parse_experiment(parser: configparser.ConfigParser,
@@ -233,21 +257,18 @@ def parse_experiment(parser: configparser.ConfigParser,
         kind = body.pop("kind", name.split(":", 1)[1])
         params = {k: _parse_list(v) if "," in v else _parse_scalar(v) for k, v in body.items()}
         solvers.append(SolverSpec(name=name.split(":", 1)[1], kind=kind, params=params))
-    if "instances" not in parser:
-        raise ConfigError("config needs an [instances] section")
-    seed = int(exp.get("seed", 0))
-    instances = build_instances(dict(parser["instances"]), seed)
+    seed, instances = _config_instances(parser, overrides.get("seed"))
     output = exp.get("output")
     return ExperimentConfig(
         scenario=str(exp.get("scenario", "tts")),
         solvers=solvers,
         instances=instances,
         seed=seed,
-        time_limit=float(exp.get("time_limit", 10.0)),
-        oracle_cap=int(exp.get("oracle_cap", 26)),
-        num_groups=int(exp["groups"]) if "groups" in exp else None,
+        time_limit=_number("time_limit", exp.get("time_limit", 10.0), float),
+        oracle_cap=_number("oracle_cap", exp.get("oracle_cap", 26)),
+        num_groups=_number("groups", exp["groups"]) if "groups" in exp else None,
         output_dir=Path(output) if output else None,
-        jobs=int(exp.get("jobs", 1)),
+        jobs=_number("jobs", exp.get("jobs", 1)),
     )
 
 
@@ -398,152 +419,154 @@ def _qaoa_schedule(params: dict) -> tuple[int, np.ndarray, np.ndarray]:
 # Scenario protocols
 # ----------------------------------------------------------------------
 
-def _objective(inst: MaxCutInstance | TspInstance) -> BinaryPolynomial:
-    """The objective both protocols sample: the negated cut of a Max-Cut graph."""
-    if not isinstance(inst, MaxCutInstance):
-        raise TypeError(f"the tts and bsf protocols take Max-Cut instances, "
-                        f"not {type(inst).__name__}")
-    return maxcut_qubo(inst)
-
-
 def _fail(record: RunRecord, exc: Exception) -> None:
     record.status = "failed"
     record.error = f"{type(exc).__name__}: {exc}"
 
 
-def _tts_task(args) -> RunRecord:
-    inst, spec, master_seed, oracle_cap = args
-    iid = instance_id(inst)
-    record = RunRecord(
-        instance_id=iid,
-        instance_hash=instance_hash(inst),
-        solver=spec.name,
-        solver_kind=spec.kind,
-        config_hash=config_hash(spec.params),
-        seed=derive_seed(master_seed, iid, spec.name),
-        scenario="tts",
-        size=_instance_size(inst),
-    )
-    cpu_start = time.process_time()
-    try:
-        poly = _objective(inst)
-        x_star, c_star = poly.argmin_exhaustive(cap=oracle_cap)
-    except SizeCapError as exc:
-        record.status = "skipped"
-        record.error = str(exc)
-        return record
-    except Exception as exc:  # recorded, not raised: one bad instance must not kill a sweep
-        _fail(record, exc)
-        return record
-    ctx = MetricContext(optimal_cost=c_star)
-    try:
-        if spec.kind == "qaoa":
-            p, beta, gamma = _qaoa_schedule(spec.params)
-            dist = qaoa_qubo_simulate(poly, beta, gamma, optimal_cost=c_star)
-            ledger = layer_ledger("maxcut", inst, p)
-            layers = tts_layers(dist, ledger)
-            seconds_per_layer = float(
-                spec.params.get("seconds_per_layer", SECONDS_PER_CNOT_LAYER)
-            )
-            record.metrics = {
-                "p_star": dist.p_star,
-                "tts": layers * seconds_per_layer,
-                "tts_layers": layers,
-                "qaoa_p": p,
-            }
-            if c_star != 0.0:
-                record.metrics["ar"] = approximation_ratio(dist, ctx)
-            record.best_cost = c_star if dist.p_star > 0 else None
-        else:
-            sample = run_classical_solver(spec, inst, poly, record.seed)
-            m = sample.total_draws
-            hits = sum(
-                count for _, count, cost in sample.items() if cost <= c_star + 1e-9
-            )
-            p_star = hits / m
-            record.best_cost = sample.best()[1]
-            record.total_draws = m
-            record.timing = asdict(sample.timing)
-            record.metrics = {
-                "p_star": p_star,
-                "tts": tts(sample, p_star),
-                "tts_oh": tts_oh(sample, p_star),
-            }
-            if c_star != 0.0:  # ratios are undefined on a zero optimum
-                bsf = bsf_relative(sample, ctx)
-                record.metrics["ar"] = approximation_ratio(sample, ctx)
-                record.metrics["c"] = bsf.c
-                record.metrics["relative_error"] = bsf.relative_error
-    except Exception as exc:  # recorded, not raised: one bad run must not kill a sweep
-        _fail(record, exc)
-    record.cpu_time = time.process_time() - cpu_start
-    return record
+def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
+                      solvers: Sequence[SolverSpec], master_seed: int, oracle_cap: int,
+                      time_limit: float = 0.0,
+                      max_calls: int | None = None) -> list[RunRecord]:
+    """Every record of one instance under the ``tts`` or ``bsf`` protocol.
 
-
-def run_tts_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
-    """Fixed-read protocol with oracle-based success probabilities."""
-    tasks = [
-        (inst, spec, cfg.seed, cfg.oracle_cap)
-        for inst in cfg.instances
-        for spec in cfg.solvers
+    The objective (the negated cut) is compiled once and, for ``tts``, the
+    exhaustive oracle runs once; every solver of the roster shares them,
+    and neither counts in any record's ``cpu_time``.  ``tts`` makes one
+    solver call at the record's seed; ``bsf`` repeats calls, each with its
+    own derived seed, until ``time_limit`` or ``max_calls``, then pools the
+    best costs of the roster.
+    """
+    iid, ihash = instance_id(inst), instance_hash(inst)
+    records = [
+        RunRecord(instance_id=iid, instance_hash=ihash, solver=spec.name,
+                  solver_kind=spec.kind, config_hash=config_hash(spec.params),
+                  seed=derive_seed(master_seed, iid, spec.name), scenario=scenario,
+                  size=_instance_size(inst))
+        for spec in solvers
     ]
+    try:
+        if not isinstance(inst, MaxCutInstance):
+            raise TypeError(f"the tts and bsf protocols take Max-Cut instances, "
+                            f"not {type(inst).__name__}")
+        poly = maxcut_qubo(inst)
+        c_star = poly.argmin_exhaustive(cap=oracle_cap)[1] if scenario == "tts" else None
+    except SizeCapError as exc:
+        for record in records:
+            record.status, record.error = "skipped", str(exc)
+        return records
+    except Exception as exc:  # recorded, not raised: one bad instance must not kill a sweep
+        for record in records:
+            _fail(record, exc)
+        return records
+    ctx = MetricContext(optimal_cost=c_star)
+    for spec, record in zip(solvers, records):
+        cpu_start = time.process_time()
+        try:
+            if scenario == "tts" and spec.kind == "qaoa":
+                p, beta, gamma = _qaoa_schedule(spec.params)
+                dist = qaoa_qubo_simulate(poly, beta, gamma, optimal_cost=c_star)
+                layers = tts_layers(dist, layer_ledger("maxcut", inst, p))
+                seconds_per_layer = float(
+                    spec.params.get("seconds_per_layer", SECONDS_PER_CNOT_LAYER)
+                )
+                record.metrics = {"p_star": dist.p_star, "tts": layers * seconds_per_layer,
+                                  "tts_layers": layers, "qaoa_p": p}
+                if c_star != 0.0:
+                    record.metrics["ar"] = approximation_ratio(dist, ctx)
+                record.best_cost = c_star if dist.p_star > 0 else None
+            else:
+                if scenario == "tts":
+                    sample, calls = run_classical_solver(spec, inst, poly, record.seed), 0
+                    record.metrics = _sample_tts_metrics(sample, ctx)
+                else:
+                    sample, calls = _bsf_calls(record, spec, inst, poly, master_seed,
+                                               time_limit, max_calls)
+                record.best_cost = sample.best()[1]
+                record.total_draws = sample.total_draws
+                record.calls = calls
+                record.timing = asdict(sample.timing)
+        except Exception as exc:  # recorded, not raised: one bad run must not kill a sweep
+            _fail(record, exc)
+        record.cpu_time = time.process_time() - cpu_start
+    if scenario == "bsf":
+        _attach_pooled_metrics(records)
+    return records
+
+
+def _sample_tts_metrics(sample: SampleSet, ctx: MetricContext) -> dict:
+    """Hit probability, TTS and, on a nonzero optimum, the quality ratios."""
+    c_star = ctx.optimal_cost
+    p_star = sum(count for _, count, cost in sample.items() if cost <= c_star + 1e-9)
+    p_star /= sample.total_draws
+    metrics = {"p_star": p_star, "tts": tts(sample, p_star), "tts_oh": tts_oh(sample, p_star)}
+    if c_star != 0.0:  # ratios are undefined on a zero optimum
+        bsf = bsf_relative(sample, ctx)
+        metrics["ar"] = approximation_ratio(sample, ctx)
+        metrics["c"] = bsf.c
+        metrics["relative_error"] = bsf.relative_error
+    return metrics
+
+
+def _bsf_calls(record: RunRecord, spec: SolverSpec, inst: MaxCutInstance,
+               poly: BinaryPolynomial, master_seed: int, time_limit: float,
+               max_calls: int | None) -> tuple[SampleSet, int]:
+    """The pooled sample of repeated calls until the budget, and the call count."""
+    merged: SampleSet | None = None
+    calls = 0
+    start = time.perf_counter()
+    while calls == 0 or (
+        time.perf_counter() - start < time_limit
+        and (max_calls is None or calls < max_calls)
+    ):
+        call_seed = derive_seed(master_seed, record.instance_id, spec.name, calls)
+        sample = run_classical_solver(spec, inst, poly, call_seed)
+        merged = sample if merged is None else merge(merged, sample)
+        calls += 1
+        if spec.kind == "exhaustive":
+            # proven optimal: terminate before the budget like a
+            # bound-certifying solver would
+            record.metrics["terminated_early"] = True
+            break
+    return merged, calls
+
+
+def _tts_task(args) -> RunRecord:
+    """One ``tts`` record: the per-instance worker with a one-solver roster."""
+    inst, spec, master_seed, oracle_cap = args
+    return _instance_records(inst, "tts", [spec], master_seed, oracle_cap)[0]
+
+
+def _run_protocol(cfg: ExperimentConfig, scenario: str,
+                  max_calls: int | None = None) -> list[RunRecord]:
+    """Run the per-instance worker over ``cfg.instances``, serially or in a pool."""
+    work = partial(_instance_records, scenario=scenario, solvers=cfg.solvers,
+                   master_seed=cfg.seed, oracle_cap=cfg.oracle_cap,
+                   time_limit=cfg.time_limit, max_calls=max_calls)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_tts_task, tasks))
+            grouped = list(pool.map(work, cfg.instances))
     else:
-        records = [_tts_task(task) for task in tasks]
+        grouped = [work(inst) for inst in cfg.instances]
+    records = [record for group in grouped for record in group]
     _assign_groups(records, cfg.num_groups)
     return records
 
 
-def _bsf_instance(args) -> list[RunRecord]:
-    inst, solvers, master_seed, time_limit, max_calls = args
-    iid = instance_id(inst)
-    poly = None
-    records = []
-    for spec in solvers:
-        record = RunRecord(
-            instance_id=iid,
-            instance_hash=instance_hash(inst),
-            solver=spec.name,
-            solver_kind=spec.kind,
-            config_hash=config_hash(spec.params),
-            seed=derive_seed(master_seed, iid, spec.name),
-            scenario="bsf",
-            size=_instance_size(inst),
-        )
-        cpu_start = time.process_time()
-        merged: SampleSet | None = None
-        calls = 0
-        start = time.perf_counter()
-        try:
-            if poly is None:
-                poly = _objective(inst)
-            while calls == 0 or (
-                time.perf_counter() - start < time_limit
-                and (max_calls is None or calls < max_calls)
-            ):
-                call_seed = derive_seed(master_seed, iid, spec.name, calls)
-                sample = run_classical_solver(spec, inst, poly, call_seed)
-                merged = sample if merged is None else merge(merged, sample)
-                calls += 1
-                if spec.kind == "exhaustive":
-                    # proven optimal: terminate before the budget like a
-                    # bound-certifying solver would
-                    record.metrics["terminated_early"] = True
-                    break
-        except Exception as exc:
-            _fail(record, exc)
-            records.append(record)
-            continue
-        record.calls = calls
-        record.total_draws = merged.total_draws
-        record.best_cost = merged.best()[1]
-        record.timing = asdict(merged.timing)
-        record.cpu_time = time.process_time() - cpu_start
-        records.append(record)
-    _attach_pooled_metrics(records)
-    return records
+def run_tts_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
+    """Fixed-read protocol with oracle-based success probabilities."""
+    return _run_protocol(cfg, "tts")
+
+
+def run_bsf_experiment(cfg: ExperimentConfig, max_calls: int | None = None) -> list[RunRecord]:
+    """Repeat-until-time-limit protocol with pooled best-found comparison.
+
+    The wall-clock budget is checked between calls, so an in-flight call
+    always completes and at least one call runs per solver.  ``max_calls``
+    optionally fixes the call count, which makes the non-timing outputs
+    deterministic for a fixed seed regardless of machine speed.
+    """
+    return _run_protocol(cfg, "bsf", max_calls)
 
 
 def _attach_pooled_metrics(records: list[RunRecord]) -> None:
@@ -563,28 +586,6 @@ def _attach_pooled_metrics(records: list[RunRecord]) -> None:
             c_hat = record.best_cost / reference
         record.metrics["c_hat"] = c_hat
         record.metrics["relative_error"] = abs(1.0 - c_hat)
-
-
-def run_bsf_experiment(cfg: ExperimentConfig, max_calls: int | None = None) -> list[RunRecord]:
-    """Repeat-until-time-limit protocol with pooled best-found comparison.
-
-    The wall-clock budget is checked between calls, so an in-flight call
-    always completes and at least one call runs per solver.  ``max_calls``
-    optionally fixes the call count, which makes the non-timing outputs
-    deterministic for a fixed seed regardless of machine speed.
-    """
-    tasks = [
-        (inst, cfg.solvers, cfg.seed, cfg.time_limit, max_calls)
-        for inst in cfg.instances
-    ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            grouped = list(pool.map(_bsf_instance, tasks))
-    else:
-        grouped = [_bsf_instance(task) for task in tasks]
-    records = [record for group in grouped for record in group]
-    _assign_groups(records, cfg.num_groups)
-    return records
 
 
 def _assign_groups(records: list[RunRecord], num_groups: int | None) -> None:
@@ -644,29 +645,25 @@ def grid_search(
                 f"tuning and benchmark sets overlap on {sorted(overlap)[:5]}"
             )
     keys = list(grid)
-    table: list[tuple[dict, float]] = []
-    best_params: dict | None = None
-    best_value = math.inf
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        cell = dict(zip(keys, combo))
-        cell_spec = SolverSpec(spec.name, spec.kind, {**spec.params, **cell})
-        values = []
-        for inst in tuning_instances:
-            record = _tts_task((inst, cell_spec, master_seed, oracle_cap))
+    cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    # every cell keeps the solver's name, so it draws the solver's seeds
+    roster = [SolverSpec(spec.name, spec.kind, {**spec.params, **cell}) for cell in cells]
+    values: list[list[float]] = [[] for _ in cells]
+    for inst in tuning_instances:
+        records = _instance_records(inst, "tts", roster, master_seed, oracle_cap)
+        for column, record in zip(values, records):
             if record.status != "ok":
-                values.append(math.inf)
-                continue
-            if objective == "ar_gap":
-                values.append(1.0 - record.metrics.get("ar", 0.0))
+                column.append(math.inf)
+            elif objective == "ar_gap":
+                column.append(1.0 - record.metrics.get("ar", 0.0))
             else:
-                values.append(record.metrics.get(objective, math.inf))
-        mean_value = float(np.mean(values)) if values else math.inf
-        table.append((cell, mean_value))
+                column.append(record.metrics.get(objective, math.inf))
+    table = [(cell, float(np.mean(column)) if column else math.inf)
+             for cell, column in zip(cells, values)]
+    best_params, best_value = cells[0], math.inf
+    for cell, mean_value in table:
         if mean_value < best_value:
-            best_value = mean_value
-            best_params = cell
-    if best_params is None:
-        best_params = table[0][0]
+            best_params, best_value = cell, mean_value
     return GridResult(solver=spec.name, objective=objective,
                       best_params=best_params, table=table)
 

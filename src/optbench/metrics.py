@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import SampleSet
-from .qaoa import OutputDistribution
+from .qaoa import OutputDistribution, _repetitions
 
 
 class UndefinedMetricError(ValueError):
@@ -42,10 +42,6 @@ class MetricContext:
         if self.l_star is not None and self.l_worst is not None:
             if self.l_worst < self.l_star:
                 raise ValueError("l_worst must be >= l_star")
-
-
-def _repetitions(p: float, target: float) -> int:
-    return max(1, math.ceil(math.log(1.0 - target) / math.log1p(-p)))
 
 
 def tts(sample: SampleSet, p_star: float, target: float = 0.99) -> float:

@@ -637,8 +637,12 @@ def tts_layers(dist: OutputDistribution, ledger: LayerLedger,
         return math.inf
     if p >= 1.0:
         return float(total)
-    repetitions = math.ceil(math.log(1.0 - target) / math.log1p(-p))
-    return float(total * max(1, repetitions))
+    return float(total * _repetitions(p, target))
+
+
+def _repetitions(p: float, target: float) -> int:
+    """Independent tries until a hit of probability ``p`` at the target confidence."""
+    return max(1, math.ceil(math.log(1.0 - target) / math.log1p(-p)))
 
 
 # ----------------------------------------------------------------------

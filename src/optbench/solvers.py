@@ -540,14 +540,18 @@ class TspOracleResult(NamedTuple):
 def tsp_exhaustive(inst: TspInstance, cap: int = 10) -> TspOracleResult:
     """Best and worst closed tours by enumerating all k! slot sequences.
 
-    Location 0 is fixed as the start.  Among equal-length optima the
-    lexicographically smallest sequence is returned.
+    Location 0 is fixed as the start.  The first minimum of the computed
+    lengths, in lexicographic order of the sequences, is returned, so only
+    exact ties go to the lexicographically smallest sequence.  A tour and
+    its mirror image add the same legs in opposite orders and can differ by
+    an ulp, so rounding decides which of the two is returned; its length is
+    optimal either way.
     """
     k = inst.k
     if k > cap:
         raise SizeCapError(f"k = {k} exceeds exhaustive tour cap {cap}")
     perms = tour_permutations(k)
     lengths = walk_lengths(inst.distances, perms.T)
-    best = int(np.argmin(lengths))  # first minimum: the lexicographically smallest
+    best = int(np.argmin(lengths))
     return TspOracleResult(tuple(int(loc) for loc in perms[best]),
                            float(lengths[best]), float(lengths.max()))

@@ -238,3 +238,28 @@ def test_readme_config_block_parses(tmp_path):
     assert [inst.num_nodes for inst in cfg.instances] == [10] * 10 + [12] * 10 + [14] * 10
     assert [spec.name for spec in cfg.solvers] == ["sa", "qaoa8"]
     assert dict(parser["grid:sa"]) == {"sweeps": "1, 20"}
+
+
+NO_INSTANCES_CONFIG = """
+[experiment]
+seed = 5
+"""
+
+
+@pytest.mark.parametrize("command", ["generate", "oracle"])
+def test_config_without_instances_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "bench.cfg"
+    path.write_text(NO_INSTANCES_CONFIG)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, old, new", [
+    ("seed", "seed = 5", "seed = abc"),
+    ("sizes", "sizes = 6", "sizes = six"),
+], ids=["experiment", "instances"])
+def test_malformed_number_is_config_error(tmp_path, capsys, key, old, new):
+    cfg, _ = write_config(tmp_path, CONFIG.replace(old, new))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err

@@ -146,6 +146,38 @@ def test_tts_deterministic_modulo_timing():
         assert a.seed == b.seed
 
 
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Count BinaryPolynomial.argmin_exhaustive calls."""
+    from optbench.model import BinaryPolynomial
+
+    calls = []
+    original = BinaryPolynomial.argmin_exhaustive
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BinaryPolynomial, "argmin_exhaustive", counted)
+    return calls
+
+
+def test_tts_runs_oracle_once_per_instance(oracle_calls):
+    cfg = ExperimentConfig(
+        scenario="tts",
+        solvers=[
+            SolverSpec("sa", "sa", {"reads": 5, "sweeps": 2}),
+            SolverSpec("ts", "ts", {"restarts": 2}),
+            SolverSpec("ls", "ls", {"restarts": 2}),
+        ],
+        instances=small_instances(count=3),
+        seed=4,
+    )
+    records = run_tts_experiment(cfg)
+    assert len(records) == 9 and all(r.status == "ok" for r in records)
+    assert len(oracle_calls) == 3
+
+
 # ----------------------------------------------------------------------
 # BSF protocol
 # ----------------------------------------------------------------------
@@ -259,6 +291,23 @@ def test_bsf_failed_solver_excluded_from_pool():
     assert by_solver["sa"].metrics["c_hat"] == 1.0
 
 
+def test_bsf_empty_sample_set_is_a_failed_record():
+    cfg = ExperimentConfig(
+        scenario="bsf",
+        solvers=[
+            SolverSpec("ls0", "ls", {"restarts": 0}),
+            SolverSpec("sa", "sa", {"reads": 3, "sweeps": 3}),
+        ],
+        instances=small_instances(count=1),
+        seed=8,
+        time_limit=1e-9,
+    )
+    empty, sa = run_bsf_experiment(cfg)
+    assert empty.status == "failed" and "empty sample set" in empty.error
+    assert empty.calls == 0 and empty.best_cost is None
+    assert sa.status == "ok" and sa.metrics["c_hat"] == 1.0
+
+
 # ----------------------------------------------------------------------
 # Grid search
 # ----------------------------------------------------------------------
@@ -268,6 +317,13 @@ def test_grid_single_cell_returned():
     result = grid_search(spec, {"sweeps": [5]}, small_instances(count=2), master_seed=0)
     assert result.best_params == {"sweeps": 5}
     assert len(result.table) == 1
+
+
+def test_grid_runs_oracle_once_per_tuning_instance(oracle_calls):
+    spec = SolverSpec("sa", "sa", {"reads": 5})
+    result = grid_search(spec, {"sweeps": [1, 2]}, small_instances(count=2), master_seed=0)
+    assert len(result.table) == 2
+    assert len(oracle_calls) == 2
 
 
 def test_grid_empty_rejected():
