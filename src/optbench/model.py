@@ -168,18 +168,24 @@ class BinaryPolynomial:
     def cost_vector(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Costs of all basis states in [start, stop), indexed canonically.
 
-        Memory scales with the range; the full vector holds 2**num_vars
-        float64 entries.
+        Filled by aligned power-of-two blocks: each term whose bits above the
+        block are set adds its coefficient, in term order, to the strided view
+        where its bits within the block are 1, so any range gives the same sums.
         """
         if stop is None:
             stop = 1 << self.num_vars
-        idx = np.arange(start, stop, dtype=np.uint64)
-        costs = np.full(idx.size, self.terms.get((), 0.0))
-        for term, coeff in self.terms.items():
-            if not term:
-                continue
-            mask = np.uint64(sum(1 << i for i in term))
-            costs[(idx & mask) == mask] += coeff
+        costs = np.full(max(stop - start, 0), self.constant)
+        pos = start
+        while pos < stop:
+            width = (stop - pos).bit_length() - 1
+            while pos % (1 << width):
+                width -= 1
+            bits = costs[pos - start:pos - start + (1 << width)].reshape((2,) * width).T
+            for term, coeff in self.terms.items():  # axis i of ``bits`` is bit i
+                if term and all(pos >> i & 1 for i in term if i >= width):
+                    view = bits[(*(1 if i in term else slice(None) for i in range(width)), ...)]
+                    view += coeff
+            pos += 1 << width
         return costs
 
     def argmin_exhaustive(self, cap: int = 26) -> tuple[str, float]:

@@ -279,3 +279,37 @@ def reference_tsp_exhaustive(inst: TspInstance) -> tuple[tuple[int, ...], float,
             best, best_tour = length, perm
         worst = max(worst, length)
     return best_tour, best, worst
+
+
+# ----------------------------------------------------------------------
+# Exact-state reference kernels: the transverse circuit one qubit per pass
+# and the cost table one index mask per term.
+# ----------------------------------------------------------------------
+
+def reference_transverse_evolve(costs: np.ndarray, num_qubits: int, beta, gamma) -> np.ndarray:
+    """Phase exp(-i gamma C), then cos(beta) I + i sin(beta) sigma_x on each qubit in turn."""
+    psi = np.full(costs.size, 1.0 / math.sqrt(costs.size), dtype=np.complex128)
+    for b, g in zip(beta, gamma):
+        psi *= np.exp(-1j * g * costs)
+        c, s = math.cos(b), math.sin(b)
+        for q in range(num_qubits):
+            view = psi.reshape(-1, 2, 1 << q)
+            a0 = view[:, 0, :].copy()
+            a1 = view[:, 1, :]
+            view[:, 0, :] = c * a0 + 1j * s * a1
+            view[:, 1, :] = 1j * s * a0 + c * a1
+    return psi
+
+
+def reference_cost_vector(poly, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Costs of [start, stop): the constant, then each term added where its mask is set."""
+    if stop is None:
+        stop = 1 << poly.num_vars
+    idx = np.arange(start, stop, dtype=np.uint64)
+    costs = np.full(idx.size, poly.terms.get((), 0.0))
+    for term, coeff in poly.terms.items():
+        if not term:
+            continue
+        mask = np.uint64(sum(1 << i for i in term))
+        costs[(idx & mask) == mask] += coeff
+    return costs

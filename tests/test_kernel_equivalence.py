@@ -1,8 +1,10 @@
-"""The vectorised SA, TS and LS kernels against the scalar references.
+"""The vectorised kernels against the scalar references in conftest.py.
 
-Same seed and starts must give exactly the same samples and costs as the
-one-read-at-a-time loops in conftest.py, and the exact recheck must go
-through BinaryPolynomial.evaluate_batch.
+Same seed and starts must give SA, TS and LS exactly the same samples and
+costs as the one-read-at-a-time loops, and the exact recheck must go
+through BinaryPolynomial.evaluate_batch.  The blocked transverse circuit
+must match the one-qubit-per-pass loop to 1e-12 in every amplitude, and
+the strided cost table the one-mask-per-term loop bit for bit.
 """
 
 import numpy as np
@@ -15,13 +17,23 @@ from optbench import (
     cut_weight,
     gen_erdos_renyi,
     gen_regular,
+    gen_tsp_planar,
     local_search_maxcut,
     maxcut_qubo,
+    qaoa_hobo_tsp_simulate,
+    qaoa_qubo_simulate,
     simulated_annealing,
     tabu_search,
 )
+from optbench.qaoa import _CompiledProblem, embed_onehot_state
 
-from conftest import reference_ls, reference_sa, reference_ts
+from conftest import (
+    reference_cost_vector,
+    reference_ls,
+    reference_sa,
+    reference_transverse_evolve,
+    reference_ts,
+)
 
 GRAPHS = {
     "regular-8": lambda seed: gen_regular(8, 3, seed),
@@ -110,3 +122,104 @@ def test_evaluate_batch_is_bitwise_evaluate():
     assert [float(c).hex() for c in batch] == [poly.evaluate(x).hex() for x in X]
     assert poly.evaluate_batch(np.zeros((0, 6))).shape == (0,)
     assert BinaryPolynomial(2).evaluate_batch(np.ones((3, 2))).tolist() == [0.0] * 3
+
+
+def random_polynomial(n, degree, terms, rng, integer=False):
+    """Up to ``terms`` random terms of degree 1..``degree`` over n variables, plus a constant."""
+    poly = {(): float(rng.integers(-3, 4)) if integer else rng.normal()}
+    for _ in range(terms if n else 0):
+        term = tuple(rng.choice(n, int(rng.integers(1, min(degree, n) + 1)), replace=False))
+        poly[term] = float(rng.integers(-5, 6)) if integer else rng.normal()
+    return BinaryPolynomial(n, poly)
+
+
+def assert_transverse_matches_reference(dist, beta, gamma):
+    expected = reference_transverse_evolve(dist.costs, dist.num_qubits, beta, gamma)
+    assert np.max(np.abs(dist.amplitudes - expected), initial=0.0) <= 1e-12
+    assert np.max(np.abs(dist.probabilities - np.abs(expected) ** 2), initial=0.0) <= 1e-12
+
+
+# n = 0..13 covers one block (n <= 6), two and three blocks, and odd widths
+# (n = 7 splits 4 + 3, n = 13 splits 5 + 4 + 4); float costs at n >= 9 have
+# more than 256 distinct levels.
+@pytest.mark.parametrize("n", range(14))
+@pytest.mark.parametrize("integer", (True, False))
+def test_transverse_circuit_matches_per_qubit_reference(n, integer):
+    rng = np.random.default_rng(100 + n)
+    poly = random_polynomial(n, 2, 3 * n, rng, integer=integer)
+    beta, gamma = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
+    assert_transverse_matches_reference(qaoa_qubo_simulate(poly, beta, gamma), beta, gamma)
+
+
+def test_transverse_circuit_with_more_levels_than_uint16_holds():
+    rng = np.random.default_rng(7)
+    poly = BinaryPolynomial(17, {(i,): rng.normal() for i in range(17)})
+    beta, gamma = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+    dist = qaoa_qubo_simulate(poly, beta, gamma)
+    assert np.unique(dist.costs).size > 1 << 16
+    assert_transverse_matches_reference(dist, beta, gamma)
+
+
+@pytest.mark.parametrize("k", (3, 4, 5))
+def test_hobo_tour_circuit_matches_per_qubit_reference(k):
+    rng = np.random.default_rng(k)
+    beta, gamma = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+    dist = qaoa_hobo_tsp_simulate(gen_tsp_planar(k + 1, seed=k), beta, gamma)
+    assert_transverse_matches_reference(dist, beta, gamma)
+
+
+@pytest.mark.parametrize("kind", ("qubo", "hobo", "xy", "perm"))
+def test_level_phase_is_bitwise_cost_phase(kind):
+    problem = gen_tsp_planar(5, seed=3)
+    if kind == "qubo":
+        problem = random_polynomial(12, 3, 40, np.random.default_rng(3))
+    compiled = _CompiledProblem(kind, problem)
+    levels, index = compiled._levels
+    for gamma in (0.37, -1.9):
+        phase = np.take(np.exp(-1j * gamma * levels), index, mode="clip")
+        assert phase.tobytes() == np.exp(-1j * gamma * compiled.costs).tobytes()
+
+
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("seed", range(4))
+def test_cost_vector_is_bitwise_mask_reference(degree, seed):
+    rng = np.random.default_rng(10 * degree + seed)
+    n = int(rng.integers(max(degree, 1), 13))
+    poly = random_polynomial(n, degree, 0 if degree == 0 else 25, rng)
+    full = poly.cost_vector()
+    assert full.view(np.uint64).tolist() == reference_cost_vector(poly).view(np.uint64).tolist()
+    for _ in range(6):
+        start = int(rng.integers(0, 1 << n))
+        stop = int(rng.integers(start, (1 << n) + 1))
+        part = poly.cost_vector(start, stop)
+        expected = reference_cost_vector(poly, start, stop)
+        assert part.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_xy_cost_table_is_bitwise_embedded_cost_vector(k):
+    # Both tables add the constant, then each satisfied term in term order.
+    poly = random_polynomial(k * k, 4, 40, np.random.default_rng(k))
+    full = embed_onehot_state(np.arange(1.0, k ** k + 1), k)
+    support = np.flatnonzero(full)  # full index of each one-hot state, in embedding order
+    expected = poly.cost_vector()[support[np.argsort(full[support].real)]]
+    costs = _CompiledProblem("xy", poly, k=k).costs
+    assert costs.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_argmin_exhaustive_across_chunks_matches_enumeration():
+    # 21 variables span two 2**20 chunks.  x0 and x20 tie at (1, 0) and
+    # (0, 1); the lexicographically smallest optimum has x0 = 0, so it lies
+    # in the second chunk.
+    n = 21
+    rng = np.random.default_rng(21)
+    terms = {(0, 20): 2.0, (0,): -1.0, (20,): -1.0}
+    for _ in range(30):
+        pair = tuple(rng.choice(np.arange(1, 20), 2, replace=False))
+        terms[pair] = float(rng.integers(-3, 4))
+    poly = BinaryPolynomial(n, terms)
+    costs = reference_cost_vector(poly)
+    best = costs.min()
+    optima = sorted(format(int(i), f"0{n}b")[::-1] for i in np.flatnonzero(costs == best))
+    assert poly.argmin_exhaustive() == (optima[0], float(best))
+    assert optima[0][0] == "0" and optima[0][-1] == "1"

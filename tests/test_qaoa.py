@@ -29,6 +29,7 @@ from optbench.formulations import hobo_cost, tsp_onehot_qubo
 from optbench.instances import make_rng
 from optbench.qaoa import (
     QaoaAnsatz,
+    _CompiledProblem,
     embed_onehot_state,
     onehot_state_index,
     xy_pair_rotation,
@@ -342,6 +343,32 @@ def test_zero_optimum_problem_simulates_but_does_not_train():
     assert dist.p_star == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="zero optimal cost"):
         train_generator([poly], "qubo", p=2, budget=10, seed=0)
+
+
+def test_zero_and_one_qubit_problems_simulate():
+    empty = qaoa_qubo_simulate(BinaryPolynomial(0, {(): 2.5}), [0.3, -0.7], [0.2, 0.4])
+    assert empty.num_qubits == 0
+    assert empty.amplitudes == pytest.approx([np.exp(-1j * 0.6 * 2.5)], abs=1e-15)
+    assert empty.p_star == pytest.approx(1.0, abs=1e-15)
+    beta, gamma = [0.3, -0.7], [0.2, 0.4]
+    one = qaoa_qubo_simulate(BinaryPolynomial(1, {(0,): -1.0}), beta, gamma)
+    psi = dense_uniform(1)
+    for b, g in zip(beta, gamma):
+        psi = dense_phase(psi, np.array([0.0, -1.0]), g)
+        gate = np.array([[np.cos(b), 1j * np.sin(b)], [1j * np.sin(b), np.cos(b)]])
+        psi = dense_single_qubit(psi, 1, 0, gate)
+    assert np.allclose(one.amplitudes, psi, atol=1e-12)
+    assert one.p_star == pytest.approx(abs(psi[1]) ** 2, abs=1e-12)
+
+
+def test_gap_rejects_zero_optimum_before_running_a_circuit(monkeypatch):
+    def refuse(self, beta, gamma):
+        raise AssertionError("circuit run")
+
+    compiled = _CompiledProblem("qubo", maxcut_qubo(MaxCutInstance(3, ())))
+    monkeypatch.setattr(_CompiledProblem, "evolve", refuse)
+    with pytest.raises(ValueError, match="zero optimal cost"):
+        compiled.gap(np.array([0.1]), np.array([0.2]))
 
 
 def test_gradient_step_stability():
