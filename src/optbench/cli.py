@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
-    GridResult,
+    SolverSpec,
     _config_instances,
     _number,
     _parse_list,
@@ -27,6 +27,7 @@ from .harness import (
     run_tts_experiment,
     write_instance_files,
 )
+from .model import ORACLE_CAP
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -73,7 +74,7 @@ def _cmd_generate(args) -> int:
 def _cmd_oracle(args) -> int:
     parser = load_config(args.config)
     _, instances = _config_instances(parser, args.seed)
-    cap = _number("oracle_cap", parser.get("experiment", "oracle_cap", fallback="26"))
+    cap = _number("oracle_cap", parser.get("experiment", "oracle_cap", fallback=ORACLE_CAP))
     rows = oracle_table(instances, cap=cap)
     out = Path(args.out or ".") / "oracle.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -88,17 +89,24 @@ def _cmd_oracle(args) -> int:
 def _cmd_tune(args) -> int:
     parser = load_config(args.config)
     cfg = parse_experiment(parser, {"seed": args.seed})
+    specs = {spec.name: spec for spec in cfg.solvers}
     grids = {}
-    for name in parser.sections():
-        if name.startswith("grid:"):
-            solver = name.split(":", 1)[1]
-            grids[solver] = {k: _parse_list(v) for k, v in parser[name].items()}
+    for section in parser.sections():
+        if section.startswith("grid:"):
+            solver = section.split(":", 1)[1]
+            if solver not in specs:
+                raise ConfigError(f"[{section}] names no solver of the roster")
+            grids[solver] = {k: _parse_list(v) for k, v in parser[section].items()}
+            # check every grid setting before any solver runs
+            for key, values in grids[solver].items():
+                for value in values:
+                    SolverSpec(solver, specs[solver].kind, {key: value})
     if not grids:
         raise ConfigError("config defines no [grid:<solver>] section")
     tuning = cfg.instances
     out = Path(args.out or "tuning")
     out.mkdir(parents=True, exist_ok=True)
-    results: list[GridResult] = []
+    best = {}
     for spec in cfg.solvers:
         if spec.name not in grids:
             continue
@@ -106,15 +114,14 @@ def _cmd_tune(args) -> int:
             spec, grids[spec.name], tuning, master_seed=cfg.seed,
             objective=args.objective, oracle_cap=cfg.oracle_cap,
         )
-        results.append(result)
+        best[result.solver] = result.best_params
         lines = [f"# solver={result.solver} objective={result.objective}"]
         for cell, value in result.table:
             lines.append(f"{json.dumps(cell)}\t{value}")
         lines.append(f"# best={json.dumps(result.best_params)}")
         (out / f"grid_{result.solver}.txt").write_text("\n".join(lines) + "\n")
-    best = {r.solver: r.best_params for r in results}
     (out / "best_params.json").write_text(json.dumps(best, indent=2))
-    print(f"tuned {len(results)} solvers -> {out}")
+    print(f"tuned {len(best)} solvers -> {out}")
     return 0
 
 

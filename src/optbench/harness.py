@@ -32,6 +32,7 @@ from .formulations import maxcut_qubo
 from .instances import (
     MaxCutInstance,
     TspInstance,
+    _euclidean,
     gen_erdos_renyi,
     gen_regular,
     gen_tsp_circular,
@@ -39,8 +40,9 @@ from .instances import (
     read_edge_list,
     write_edge_list,
 )
-from .metrics import MetricContext, approximation_ratio, bsf_relative, equal_frequency_bins, fob, tts, tts_oh
-from .model import BinaryPolynomial, SampleSet, SizeCapError, Stopwatch, Timing, merge
+from .metrics import (MetricContext, approximation_ratio, bsf_relative, equal_frequency_bins,
+                      fob, pareto_front, tts, tts_oh)
+from .model import ORACLE_CAP, BinaryPolynomial, SampleSet, SizeCapError, Stopwatch, Timing, merge
 from .qaoa import (
     GeneratorParams,
     expand_generator,
@@ -60,11 +62,24 @@ from .solvers import (
 
 SECONDS_PER_CNOT_LAYER = 1e-6
 
-SOLVER_KINDS = ("sa", "ts", "ls", "greedy", "gw", "exhaustive", "qaoa")
-
 
 class ConfigError(ValueError):
     """Bad experiment configuration (maps to CLI exit code 1)."""
+
+
+_floats = partial(np.asarray, dtype=np.float64)
+
+# Every parameter of each solver kind and its type.  The defaults live in
+# the solvers, and for qaoa in ``_qaoa_metrics``.
+SOLVER_PARAMS = {
+    "sa": {"reads": int, "sweeps": int, "t0": float, "alpha": float, "kb": float},
+    "ts": {"restarts": int, "iterations": int, "tenure": int},
+    "ls": {"restarts": int},
+    "gw": {"hyperplanes": int, "tol": float, "patience": int, "max_sweeps": int},
+    "exhaustive": {"cap": int},
+    "qaoa": {"p": int, "theta_beta": _floats, "theta_gamma": _floats,
+             "seconds_per_layer": float},
+}
 
 
 # ----------------------------------------------------------------------
@@ -116,13 +131,24 @@ def derive_seed(master_seed: int, *keys) -> int:
 
 @dataclass
 class SolverSpec:
+    """A roster entry.  ``params`` stay as given (they define the records'
+    ``config_hash``); ``kwargs`` holds them cast by ``SOLVER_PARAMS``."""
+
     name: str
     kind: str
     params: dict = field(default_factory=dict)
+    kwargs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in SOLVER_KINDS:
+        types = SOLVER_PARAMS.get(self.kind)
+        if types is None:
             raise ConfigError(f"unknown solver kind {self.kind!r}")
+        for key in self.params:
+            if key not in types:
+                raise ConfigError(f"solver {self.name!r} of kind {self.kind} has no parameter "
+                                  f"{key!r} (it takes {', '.join(types)})")
+        self.kwargs = {key: _number(f"{key} of solver {self.name!r}", value, types[key])
+                       for key, value in self.params.items()}
 
 
 @dataclass
@@ -132,7 +158,7 @@ class ExperimentConfig:
     instances: list
     seed: int = 0
     time_limit: float = 10.0
-    oracle_cap: int = 26
+    oracle_cap: int = ORACLE_CAP
     num_groups: int | None = None
     output_dir: Path | None = None
     jobs: int = 1
@@ -169,7 +195,7 @@ def _number(key: str, value, cast=int):
     try:
         return cast(value)
     except (TypeError, ValueError):
-        kind = "an integer" if cast is int else "a number"
+        kind = {int: "an integer", float: "a number"}.get(cast, "a list of numbers")
         raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
 
 
@@ -265,7 +291,7 @@ def parse_experiment(parser: configparser.ConfigParser,
         instances=instances,
         seed=seed,
         time_limit=_number("time_limit", exp.get("time_limit", 10.0), float),
-        oracle_cap=_number("oracle_cap", exp.get("oracle_cap", 26)),
+        oracle_cap=_number("oracle_cap", exp.get("oracle_cap", ORACLE_CAP)),
         num_groups=_number("groups", exp["groups"]) if "groups" in exp else None,
         output_dir=Path(output) if output else None,
         jobs=_number("jobs", exp.get("jobs", 1)),
@@ -362,40 +388,18 @@ def load_records(path: str | Path) -> list[RunRecord]:
 def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, poly: BinaryPolynomial,
                          seed: int) -> SampleSet:
     """One call of a sampling solver on ``poly``, the caller's ``maxcut_qubo(inst)``."""
-    params = dict(spec.params)
+    kw = spec.kwargs
     if spec.kind == "sa":
-        cfg = SaConfig(
-            reads=int(params.get("reads", 100)),
-            sweeps=int(params.get("sweeps", 20)),
-            t0=params.get("t0"),
-            alpha=params.get("alpha"),
-            kb=float(params.get("kb", 1.0)),
-            seed=seed,
-        )
-        return simulated_annealing(poly, cfg)
+        return simulated_annealing(poly, SaConfig(**kw, seed=seed))
     if spec.kind == "ts":
-        cfg = TsConfig(
-            restarts=int(params.get("restarts", 100)),
-            iterations=int(params["iterations"]) if "iterations" in params else None,
-            tenure=int(params["tenure"]) if "tenure" in params else None,
-            seed=seed,
-        )
-        return tabu_search(poly, cfg)
-    if spec.kind in ("ls", "greedy"):
-        return local_search_maxcut(inst, restarts=int(params.get("restarts", 100)), seed=seed,
-                                   poly=poly)
+        return tabu_search(poly, TsConfig(**kw, seed=seed))
+    if spec.kind == "ls":
+        return local_search_maxcut(inst, seed=seed, poly=poly, **kw)
     if spec.kind == "gw":
-        return goemans_williamson(
-            inst,
-            hyperplanes=int(params.get("hyperplanes", 1000)),
-            seed=seed,
-            tol=float(params.get("tol", 1e-7)),
-            patience=int(params.get("patience", 50)),
-            max_sweeps=int(params.get("max_sweeps", 20_000)),
-        )
+        return goemans_williamson(inst, seed=seed, **kw)
     if spec.kind == "exhaustive":
         watch = Stopwatch()
-        x, cost = poly.argmin_exhaustive(cap=int(params.get("cap", 26)))
+        x, cost = poly.argmin_exhaustive(**kw)
         t_solve = watch.lap()
         sample = SampleSet.from_draws(inst.num_nodes, [(x, cost)],
                                       info={"solver": "exhaustive"})
@@ -404,15 +408,23 @@ def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, poly: BinaryPol
     raise ConfigError(f"solver kind {spec.kind!r} is not a sampling solver")
 
 
-def _qaoa_schedule(params: dict) -> tuple[int, np.ndarray, np.ndarray]:
-    p = int(params.get("p", 8))
-    if "theta_beta" in params and "theta_gamma" in params:
-        gp = GeneratorParams(np.asarray(params["theta_beta"], dtype=float),
-                             np.asarray(params["theta_gamma"], dtype=float))
-    else:
-        gp = GeneratorParams.ramp()
+def _qaoa_metrics(inst: MaxCutInstance, poly: BinaryPolynomial, ctx: MetricContext, p: int = 8,
+                  theta_beta: np.ndarray | None = None, theta_gamma: np.ndarray | None = None,
+                  seconds_per_layer: float = SECONDS_PER_CNOT_LAYER) -> dict:
+    """Exact p*, layer-denominated TTS and, on a nonzero optimum, the
+    approximation ratio of the depth-``p`` circuit.  Its schedule comes from
+    the generator coefficients; a missing ``theta_*`` is the ramp's."""
+    ramp = GeneratorParams.ramp()
+    gp = GeneratorParams(ramp.theta_beta if theta_beta is None else theta_beta,
+                         ramp.theta_gamma if theta_gamma is None else theta_gamma)
     beta, gamma = expand_generator(gp, p)
-    return p, beta, gamma
+    dist = qaoa_qubo_simulate(poly, beta, gamma, optimal_cost=ctx.optimal_cost)
+    layers = tts_layers(dist, layer_ledger("maxcut", inst, p))
+    metrics = {"p_star": dist.p_star, "tts": layers * seconds_per_layer,
+               "tts_layers": layers, "qaoa_p": p}
+    if ctx.optimal_cost != 0.0:  # ratios are undefined on a zero optimum
+        metrics["ar"] = approximation_ratio(dist, ctx)
+    return metrics
 
 
 # ----------------------------------------------------------------------
@@ -464,17 +476,8 @@ def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
         cpu_start = time.process_time()
         try:
             if scenario == "tts" and spec.kind == "qaoa":
-                p, beta, gamma = _qaoa_schedule(spec.params)
-                dist = qaoa_qubo_simulate(poly, beta, gamma, optimal_cost=c_star)
-                layers = tts_layers(dist, layer_ledger("maxcut", inst, p))
-                seconds_per_layer = float(
-                    spec.params.get("seconds_per_layer", SECONDS_PER_CNOT_LAYER)
-                )
-                record.metrics = {"p_star": dist.p_star, "tts": layers * seconds_per_layer,
-                                  "tts_layers": layers, "qaoa_p": p}
-                if c_star != 0.0:
-                    record.metrics["ar"] = approximation_ratio(dist, ctx)
-                record.best_cost = c_star if dist.p_star > 0 else None
+                record.metrics = _qaoa_metrics(inst, poly, ctx, **spec.kwargs)
+                record.best_cost = c_star if record.metrics["p_star"] > 0 else None
             else:
                 if scenario == "tts":
                     sample, calls = run_classical_solver(spec, inst, poly, record.seed), 0
@@ -622,7 +625,7 @@ def grid_search(
     tuning_instances: Sequence,
     master_seed: int = 0,
     objective: str = "tts",
-    oracle_cap: int = 26,
+    oracle_cap: int = ORACLE_CAP,
     benchmark_ids: Iterable[str] | None = None,
 ) -> GridResult:
     """Exhaustive sweep of a parameter grid, scored by a mean TTS-style metric.
@@ -820,8 +823,6 @@ def _emit_pareto(records: Sequence[RunRecord], solvers: list[str],
                  out: Path) -> Path | None:
     """Per-solver (median runtime, median relative error) points, marking
     the non-dominated ones."""
-    from .metrics import pareto_front
-
     points = {}
     for solver in solvers:
         runtimes, errors = [], []
@@ -885,9 +886,7 @@ def instance_from_dict(payload: dict):
     if payload["type"] == "tsp":
         if "coordinates" in payload:
             coords = np.asarray(payload["coordinates"], dtype=np.float64)
-            diff = coords[:, None, :] - coords[None, :, :]
-            distances = np.sqrt((diff ** 2).sum(axis=-1))
-            return TspInstance(distances=distances, coordinates=coords,
+            return TspInstance(distances=_euclidean(coords), coordinates=coords,
                                metadata=dict(payload.get("metadata", {})))
         return TspInstance(
             distances=np.asarray(payload["distances"], dtype=np.float64),
@@ -919,7 +918,7 @@ def write_instance_files(instances: Sequence, out_dir: str | Path) -> list[Path]
     return written
 
 
-def oracle_table(instances: Sequence, cap: int = 26, tour_cap: int = 10) -> list[dict]:
+def oracle_table(instances: Sequence, cap: int = ORACLE_CAP) -> list[dict]:
     """Exhaustive optima for a dataset (skips instances over the caps)."""
     rows = []
     for inst in instances:
@@ -930,7 +929,7 @@ def oracle_table(instances: Sequence, cap: int = 26, tour_cap: int = 10) -> list
                 x, cost = maxcut_qubo(inst).argmin_exhaustive(cap=cap)
                 row.update({"optimal_bitstring": x, "optimal_cost": cost})
             else:
-                result = tsp_exhaustive(inst, cap=tour_cap)
+                result = tsp_exhaustive(inst)
                 row.update(
                     {
                         "optimal_tour": list(result.tour),

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import SampleSet
-from .qaoa import OutputDistribution, _repetitions
+from .qaoa import OutputDistribution, _time_to_target
 
 
 class UndefinedMetricError(ValueError):
@@ -36,7 +36,6 @@ class MetricContext:
     l_star: float | None = None
     l_worst: float | None = None
     worst_cost: float | None = None
-    feasible: Callable[[str], bool] | None = None
 
     def __post_init__(self) -> None:
         if self.l_star is not None and self.l_worst is not None:
@@ -55,12 +54,7 @@ def tts(sample: SampleSet, p_star: float, target: float = 0.99) -> float:
     m = sample.total_draws
     if m < 1:
         raise ValueError("sample set is empty")
-    per_draw = sample.timing.solve / m
-    if p_star == 0.0:
-        return math.inf
-    if p_star == 1.0:
-        return per_draw
-    return per_draw * _repetitions(p_star, target)
+    return _time_to_target(sample.timing.solve / m, p_star, target)
 
 
 def tts_oh(sample: SampleSet, p_star: float, target: float = 0.99) -> float:
@@ -92,11 +86,7 @@ def ttt(
         hits = sum(c for x, c, cost in sample.items() if cost <= threshold_cost)
         p = hits / m
         per_draw = sample.timing.solve / m
-    if p <= 0.0:
-        return math.inf
-    if p >= 1.0:
-        return per_draw
-    return per_draw * _repetitions(p, target)
+    return _time_to_target(per_draw, p, target)
 
 
 @dataclass(frozen=True)

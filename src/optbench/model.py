@@ -21,6 +21,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+# Default largest variable count that ``argmin_exhaustive`` enumerates.
+ORACLE_CAP = 26
+
 
 class DimensionError(ValueError):
     """Assignment or sample-set length does not match the model."""
@@ -62,10 +65,6 @@ def bits_to_string(bits: Sequence[int] | np.ndarray) -> str:
 def index_to_bitstring(index: int, num_vars: int) -> str:
     """Bitstring of a canonical basis index (variable 0 = least significant bit)."""
     return "".join("1" if (index >> i) & 1 else "0" for i in range(num_vars))
-
-
-def bitstring_to_index(x: str) -> int:
-    return int(x[::-1], 2) if x else 0
 
 
 class BinaryPolynomial:
@@ -188,7 +187,7 @@ class BinaryPolynomial:
             pos += 1 << width
         return costs
 
-    def argmin_exhaustive(self, cap: int = 26) -> tuple[str, float]:
+    def argmin_exhaustive(self, cap: int = ORACLE_CAP) -> tuple[str, float]:
         """Globally minimal assignment by full enumeration.
 
         Ties are broken by lexicographically smallest bitstring (exact float

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import formulations as forms
 from .instances import MaxCutInstance, TspInstance, make_rng
@@ -532,6 +531,8 @@ def train_generator(
     objective evaluations; exhausting it stops the search and flags the
     result.
     """
+    from scipy.optimize import minimize  # imported here: its import dominates startup
+
     if init is None:
         init = GeneratorParams.ramp()
     degree_len = init.theta_beta.size
@@ -665,18 +666,17 @@ def tts_layers(dist: OutputDistribution, ledger: LayerLedger,
     total_layers * ceil(log(1 - target) / log(1 - p_star)); a certain hit
     costs exactly one shot, a zero hit probability costs infinity.
     """
-    total = ledger.total_layers
-    p = dist.p_star
+    return float(_time_to_target(ledger.total_layers, dist.p_star, target))
+
+
+def _time_to_target(per_try, p: float, target: float):
+    """``per_try`` times the independent tries until a hit of probability ``p``
+    at the target confidence: one try if ``p >= 1``, infinity if ``p <= 0``."""
     if p <= 0.0:
         return math.inf
     if p >= 1.0:
-        return float(total)
-    return float(total * _repetitions(p, target))
-
-
-def _repetitions(p: float, target: float) -> int:
-    """Independent tries until a hit of probability ``p`` at the target confidence."""
-    return max(1, math.ceil(math.log(1.0 - target) / math.log1p(-p)))
+        return per_try
+    return per_try * max(1, math.ceil(math.log(1.0 - target) / math.log1p(-p)))
 
 
 # ----------------------------------------------------------------------

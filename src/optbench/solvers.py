@@ -74,6 +74,15 @@ def _as_state(x: str, n: int) -> np.ndarray:
     return np.array([1.0 if c == "1" else 0.0 for c in x])
 
 
+def _adjacency(inst: MaxCutInstance) -> np.ndarray:
+    """Dense symmetric weight matrix of a graph; parallel edges add up."""
+    adjacency = np.zeros((inst.num_nodes, inst.num_nodes))
+    for u, v, w in inst.edges:
+        adjacency[u, v] += w
+        adjacency[v, u] += w
+    return adjacency
+
+
 def _neighbor_lists(coupling: np.ndarray) -> list[list[tuple[int, float]]]:
     """Per variable, the (neighbor, coupling) pairs of its nonzero couplings."""
     return [list(zip(np.flatnonzero(row).tolist(), row[row != 0.0].tolist()))
@@ -366,10 +375,7 @@ def local_search_maxcut(
     watch = Stopwatch()
     n = inst.num_nodes
     poly = poly if poly is not None else maxcut_qubo(inst)
-    adjacency = np.zeros((n, n))
-    for u, v, w in inst.edges:
-        adjacency[u, v] += w
-        adjacency[v, u] += w
+    adjacency = _adjacency(inst)
     rng = make_rng(seed)
     t_preprocess = watch.lap()
 
@@ -430,10 +436,7 @@ def goemans_williamson(
     watch = Stopwatch()
     n = inst.num_nodes
     rng = make_rng(seed)
-    adjacency = np.zeros((n, n))
-    for u, v, w in inst.edges:
-        adjacency[u, v] += w
-        adjacency[v, u] += w
+    adjacency = _adjacency(inst)
     rank = min(n, math.ceil(math.sqrt(2.0 * n)) + 1)
     vectors = rng.normal(size=(n, rank))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)

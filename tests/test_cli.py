@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -263,3 +265,105 @@ def test_malformed_number_is_config_error(tmp_path, capsys, key, old, new):
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+# ----------------------------------------------------------------------
+# Solver settings: an unknown or malformed one is a config error
+# ----------------------------------------------------------------------
+
+def test_run_unknown_solver_parameter_is_config_error(tmp_path, capsys):
+    cfg, out = write_config(tmp_path, CONFIG.replace("sweeps = 5", "sweep = 1"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'sweep'" in err
+    assert not out.exists()  # nothing ran
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("reads = 10", "reads = ten", "reads"),
+    ("reads = 10", "reads = 1, 2", "reads"),
+    ("kind = sa", "kind = greedy", "greedy"),
+], ids=["malformed", "list", "unknown-kind"])
+def test_run_bad_solver_setting_is_config_error(tmp_path, capsys, old, new, key):
+    cfg, out = write_config(tmp_path, CONFIG.replace(old, new))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+TWO_GRID_CONFIG = GRID_CONFIG + """
+[solver:ls]
+kind = ls
+restarts = 2
+
+[grid:ls]
+restarts = 1, 2
+"""
+
+
+def test_tune_unknown_grid_key_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bench.cfg"
+    # the [grid:ls] section is valid, and listed first; neither grid runs
+    path.write_text(TWO_GRID_CONFIG.replace("[grid:sa]\nsweeps = 2, 5\n", "")
+                    + "\n[grid:sa]\nsweep = 1, 50\n")
+    out = tmp_path / "tuned"
+    assert main(["tune", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'sweep'" in err
+    assert not (out / "best_params.json").exists()
+    assert not (out / "grid_ls.txt").exists()
+
+
+def test_tune_malformed_grid_value_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bench.cfg"
+    path.write_text(GRID_CONFIG.replace("sweeps = 2, 5", "sweeps = 2, five"))
+    out = tmp_path / "tuned"
+    assert main(["tune", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "sweeps" in err
+    assert not (out / "best_params.json").exists()
+
+
+def test_tune_grid_naming_no_solver_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bench.cfg"
+    path.write_text(GRID_CONFIG.replace("[grid:sa]", "[grid:annealer]"))
+    out = tmp_path / "tuned"
+    assert main(["tune", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid:annealer" in err
+    assert not (out / "best_params.json").exists()
+
+
+def test_tune_grid_cells_run_their_settings(tmp_path):
+    path = tmp_path / "bench.cfg"
+    path.write_text(TWO_GRID_CONFIG)
+    out = tmp_path / "tuned"
+    assert main(["tune", "--config", str(path), "--out", str(out)]) == 0
+    best = json.loads((out / "best_params.json").read_text())
+    assert list(best) == ["sa", "ls"]
+    assert best["ls"]["restarts"] in (1, 2)
+
+
+# ----------------------------------------------------------------------
+# Documentation and startup
+# ----------------------------------------------------------------------
+
+def test_readme_parameter_table_matches_solver_params():
+    from optbench.harness import SOLVER_PARAMS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Kind | Parameter |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    documented = [(kind.strip(" `"), name.strip(" `")) for kind, name in rows]
+    assert documented == [(kind, name) for kind, types in SOLVER_PARAMS.items()
+                          for name in types]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # a fresh process, started in src/: other tests import scipy themselves
+    code = "import sys, optbench.cli; print('scipy.optimize' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -454,3 +454,61 @@ def test_bsf_exhaustive_terminates_early():
     records = run_bsf_experiment(cfg)
     assert records[0].calls == 1
     assert records[0].metrics["terminated_early"] is True
+
+
+# ----------------------------------------------------------------------
+# Solver settings
+# ----------------------------------------------------------------------
+
+def test_solver_spec_rejects_unknown_parameter_by_name():
+    with pytest.raises(ConfigError, match="'sweep'"):
+        SolverSpec("sa", "sa", {"sweep": 1})
+    with pytest.raises(ConfigError, match="'reads'"):
+        SolverSpec("q", "qaoa", {"reads": 5})
+    with pytest.raises(ConfigError, match="greedy"):
+        SolverSpec("g", "greedy", {"restarts": 5})
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sa", {"reads": "ten"}),
+    ("sa", {"t0": [1, 2]}),
+    ("gw", {"tol": "tight"}),
+    ("qaoa", {"theta_beta": "1,x"}),
+])
+def test_solver_spec_rejects_malformed_value(kind, params):
+    (key,) = params
+    with pytest.raises(ConfigError, match=key):
+        SolverSpec("s", kind, params)
+
+
+def test_solver_spec_casts_once_and_hashes_raw_params():
+    spec = SolverSpec("sa", "sa", {"reads": "7", "t0": 2, "kb": 1})
+    assert spec.kwargs == {"reads": 7, "t0": 2.0, "kb": 1.0}
+    assert type(spec.kwargs["t0"]) is float
+    assert spec.params == {"reads": "7", "t0": 2, "kb": 1}
+    inst = small_instances(count=1)[0]
+    record = _tts_task((inst, spec, 3, 26))
+    assert record.config_hash == config_hash({"reads": "7", "t0": 2, "kb": 1})
+    assert record.status == "ok" and record.total_draws == 7
+
+
+def test_grid_search_rejects_unknown_key_before_running(oracle_calls):
+    with pytest.raises(ConfigError, match="'sweep'"):
+        grid_search(SolverSpec("sa", "sa"), {"sweep": [1, 50]}, small_instances(count=1))
+    assert oracle_calls == []
+
+
+def _qaoa_record(params):
+    spec = SolverSpec("q", "qaoa", {"p": 3, **params})
+    return _tts_task((small_instances(count=1)[0], spec, 0, 26))
+
+
+def test_qaoa_lone_theta_is_used_and_the_other_is_the_ramp():
+    beta = [1.0, -1.0, 0.5, 0.0, 0.0]
+    lone = _qaoa_record({"theta_beta": beta})
+    both = _qaoa_record({"theta_beta": beta, "theta_gamma": [0, 1, 0, 0, 0]})
+    ramp = _qaoa_record({})
+    assert lone.metrics == both.metrics
+    assert lone.metrics["p_star"] != ramp.metrics["p_star"]
+    gamma_only = _qaoa_record({"theta_gamma": [0, 1, 0.5, 0, 0]})
+    assert gamma_only.metrics["p_star"] != ramp.metrics["p_star"]

@@ -283,3 +283,28 @@ def test_equal_frequency_bins():
     bins = equal_frequency_bins([5, 5, 5, 9], 2)
     assert bins[0] == bins[1] == bins[2]
     assert bins[3] == 1
+
+
+def test_time_to_target_bracket_shared_by_tts_ttt_and_layers():
+    from optbench import LayerLedger, OutputDistribution, tts_layers
+
+    ledger = LayerLedger("qubo", 4, 0, 3, 2, 2)
+    for hits in (0, 1, 300, 500, 999, 1000):
+        sample = make_sample([("00", 0.0)] * hits + [("11", 1.0)] * (1000 - hits), t_solve=3.0)
+        p = hits / 1000
+        reps = max(1, math.ceil(math.log(0.01) / math.log1p(-p))) if 0 < p < 1 else None
+        per_draw = 3.0 / 1000
+        expected = math.inf if p == 0 else per_draw if p == 1 else per_draw * reps
+        assert tts(sample, p) == expected
+        assert ttt(sample, 0.5) == expected
+        dist = OutputDistribution("full", np.ones(1), np.ones(1), np.zeros(1), p_star=p)
+        total = ledger.total_layers
+        assert tts_layers(dist, ledger) == (math.inf if p == 0 else float(total) if p == 1
+                                            else float(total * reps))
+
+
+def test_zero_solve_time_and_zero_probability_is_infinite_not_nan():
+    sample = make_sample([("11", 1.0)] * 4, t_solve=0.0)
+    assert tts(sample, 0.0) == math.inf
+    assert ttt(sample, 0.5) == math.inf
+    assert tts_oh(sample, 0.0) == math.inf
