@@ -1,7 +1,7 @@
 """Command-line entry points: generate, tune, run, report, oracle.
 
-Exit codes: 0 success, 1 configuration error or a run with no successful
-record, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error, a run with no successful
+record or a tuned solver none of whose grid cells succeeded, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -103,26 +103,30 @@ def _cmd_tune(args) -> int:
                     SolverSpec(solver, specs[solver].kind, {key: value})
     if not grids:
         raise ConfigError("config defines no [grid:<solver>] section")
-    tuning = cfg.instances
     out = Path(args.out or "tuning")
     out.mkdir(parents=True, exist_ok=True)
-    best = {}
+    tuned = {}
     for spec in cfg.solvers:
         if spec.name not in grids:
             continue
         result = grid_search(
-            spec, grids[spec.name], tuning, master_seed=cfg.seed,
+            spec, grids[spec.name], cfg.instances, master_seed=cfg.seed,
             objective=args.objective, oracle_cap=cfg.oracle_cap,
         )
-        best[result.solver] = result.best_params
+        tuned[result.solver] = result.best_params
         lines = [f"# solver={result.solver} objective={result.objective}"]
         for cell, value in result.table:
             lines.append(f"{json.dumps(cell)}\t{value}")
         lines.append(f"# best={json.dumps(result.best_params)}")
         (out / f"grid_{result.solver}.txt").write_text("\n".join(lines) + "\n")
+    best = {solver: cell for solver, cell in tuned.items() if cell is not None}
     (out / "best_params.json").write_text(json.dumps(best, indent=2))
     print(f"tuned {len(best)} solvers -> {out}")
-    return 0
+    for solver in tuned:
+        if solver not in best:
+            print(f"error: no grid cell of {solver} succeeded on any tuning instance",
+                  file=sys.stderr)
+    return 0 if best == tuned else 1
 
 
 def _cmd_run(args) -> int:

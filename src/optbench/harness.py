@@ -170,6 +170,10 @@ class ExperimentConfig:
             raise ConfigError("solver roster is empty")
         if self.scenario == "bsf" and self.time_limit <= 0.0:
             raise ConfigError("bsf scenarios need time_limit > 0")
+        circuits = [s.name for s in self.solvers if s.kind == "qaoa"]
+        if self.scenario == "bsf" and circuits:
+            raise ConfigError(f"solver {circuits[0]!r} of kind qaoa is not a sampling solver, "
+                              "and bsf rosters repeat sampling solver calls")
         names = [s.name for s in self.solvers]
         if len(set(names)) != len(names):
             raise ConfigError("solver names must be unique")
@@ -515,23 +519,19 @@ def _bsf_calls(record: RunRecord, spec: SolverSpec, inst: MaxCutInstance,
                poly: BinaryPolynomial, master_seed: int, time_limit: float,
                max_calls: int | None) -> tuple[SampleSet, int]:
     """The pooled sample of repeated calls until the budget, and the call count."""
-    merged: SampleSet | None = None
-    calls = 0
+    samples = []
     start = time.perf_counter()
-    while calls == 0 or (
+    # an exhaustive call proves its answer optimal, so no second call is made
+    while not samples or (
         time.perf_counter() - start < time_limit
-        and (max_calls is None or calls < max_calls)
+        and (max_calls is None or len(samples) < max_calls)
+        and spec.kind != "exhaustive"
     ):
-        call_seed = derive_seed(master_seed, record.instance_id, spec.name, calls)
-        sample = run_classical_solver(spec, inst, poly, call_seed)
-        merged = sample if merged is None else merge(merged, sample)
-        calls += 1
-        if spec.kind == "exhaustive":
-            # proven optimal: terminate before the budget like a
-            # bound-certifying solver would
-            record.metrics["terminated_early"] = True
-            break
-    return merged, calls
+        call_seed = derive_seed(master_seed, record.instance_id, spec.name, len(samples))
+        samples.append(run_classical_solver(spec, inst, poly, call_seed))
+    if spec.kind == "exhaustive":
+        record.metrics["terminated_early"] = True
+    return merge(*samples), len(samples)
 
 
 def _tts_task(args) -> RunRecord:
@@ -565,9 +565,11 @@ def run_bsf_experiment(cfg: ExperimentConfig, max_calls: int | None = None) -> l
     """Repeat-until-time-limit protocol with pooled best-found comparison.
 
     The wall-clock budget is checked between calls, so an in-flight call
-    always completes and at least one call runs per solver.  ``max_calls``
-    optionally fixes the call count, which makes the non-timing outputs
-    deterministic for a fixed seed regardless of machine speed.
+    always completes and at least one call runs per solver.  The budget
+    covers the solver calls only: each record pools its calls' samples once,
+    after the budget, and its ``timing`` sums all phases of every call.
+    ``max_calls`` optionally fixes the call count, which makes the non-timing
+    outputs deterministic for a fixed seed regardless of machine speed.
     """
     return _run_protocol(cfg, "bsf", max_calls)
 
@@ -615,7 +617,7 @@ def _assign_groups(records: list[RunRecord], num_groups: int | None) -> None:
 class GridResult:
     solver: str
     objective: str
-    best_params: dict
+    best_params: dict | None
     table: list[tuple[dict, float]]
 
 
@@ -632,9 +634,10 @@ def grid_search(
 
     Evaluates every cell of the Cartesian product on the tuning set and
     returns the cell with the smallest mean objective; ties keep the
-    first-listed cell.  When ``benchmark_ids`` is given, any overlap with
-    the tuning instances is a hard error (tuning and benchmarking must use
-    separate datasets).
+    first-listed cell.  ``best_params`` is None when no cell produced an
+    ``ok`` record on any tuning instance.  When ``benchmark_ids`` is given,
+    any overlap with the tuning instances is a hard error (tuning and
+    benchmarking must use separate datasets).
     """
     if not grid:
         raise ConfigError("parameter grid is empty")
@@ -652,9 +655,11 @@ def grid_search(
     # every cell keeps the solver's name, so it draws the solver's seeds
     roster = [SolverSpec(spec.name, spec.kind, {**spec.params, **cell}) for cell in cells]
     values: list[list[float]] = [[] for _ in cells]
+    ran = False
     for inst in tuning_instances:
         records = _instance_records(inst, "tts", roster, master_seed, oracle_cap)
         for column, record in zip(values, records):
+            ran = ran or record.status == "ok"
             if record.status != "ok":
                 column.append(math.inf)
             elif objective == "ar_gap":
@@ -663,7 +668,7 @@ def grid_search(
                 column.append(record.metrics.get(objective, math.inf))
     table = [(cell, float(np.mean(column)) if column else math.inf)
              for cell, column in zip(cells, values)]
-    best_params, best_value = cells[0], math.inf
+    best_params, best_value = cells[0] if ran else None, math.inf
     for cell, mean_value in table:
         if mean_value < best_value:
             best_params, best_value = cell, mean_value

@@ -311,19 +311,14 @@ class Timing:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"timing component {name} must be >= 0")
 
-    @property
-    def total(self) -> float:
-        return self.preprocess + self.solve + self.postprocess
-
 
 @dataclass
 class SampleSet:
     """Multiset of sampled bitstrings with per-string costs and timing.
 
     ``samples`` maps each distinct bitstring to its draw count; ``costs``
-    carries the model cost of each distinct bitstring.  Solver outputs
-    always hold at least one draw; the empty set exists solely as the
-    identity for merge loops.
+    carries the model cost of each distinct bitstring.  The empty set is
+    the identity of ``merge``.
     """
 
     num_vars: int
@@ -382,33 +377,29 @@ class SampleSet:
         return sum(count * self.costs[x] for x, count in self.samples.items()) / m
 
 
-def merge(a: SampleSet, b: SampleSet) -> SampleSet:
-    """Combine two sample sets of the same model.
+def merge(first: SampleSet, *others: SampleSet) -> SampleSet:
+    """Pool sample sets of the same model in one pass.
 
-    Counts add per bitstring and solve/postprocess times add; preprocessing
-    time is taken from ``a`` alone, matching repeat-until-limit loops that
-    cache preprocessing in the first call and reuse it afterwards.
+    As in merging them two at a time from the left, counts add per bitstring
+    in order of first appearance, each bitstring keeps the first cost seen (a
+    later one more than 1e-9 away is an error) and the earliest set wins a
+    clashing ``info`` key.  All three timing phases add up: no call's work is
+    cached for another.
     """
-    if a.num_vars != b.num_vars:
-        raise DimensionError(
-            f"cannot merge sample sets over {a.num_vars} and {b.num_vars} variables"
-        )
-    samples = dict(a.samples)
-    costs = dict(a.costs)
-    for x, count in b.samples.items():
-        samples[x] = samples.get(x, 0) + count
-        if x in costs and abs(costs[x] - b.costs[x]) > 1e-9:
-            raise ValueError(
-                f"cost mismatch for {x!r}: {costs[x]} vs {b.costs[x]}"
-            )
-        costs.setdefault(x, b.costs[x])
-    timing = Timing(
-        preprocess=a.timing.preprocess,
-        solve=a.timing.solve + b.timing.solve,
-        postprocess=a.timing.postprocess + b.timing.postprocess,
-    )
-    info = {**b.info, **a.info}
-    return SampleSet(num_vars=a.num_vars, samples=samples, costs=costs,
+    sets = (first, *others)
+    samples, costs = dict(first.samples), dict(first.costs)
+    for other in others:
+        if other.num_vars != first.num_vars:
+            raise DimensionError(f"cannot merge sample sets over {first.num_vars} and "
+                                 f"{other.num_vars} variables")
+        for x, count in other.samples.items():
+            samples[x] = samples.get(x, 0) + count
+            if abs(costs.setdefault(x, other.costs[x]) - other.costs[x]) > 1e-9:
+                raise ValueError(f"cost mismatch for {x!r}: {costs[x]} vs {other.costs[x]}")
+    info = {key: value for sample in reversed(sets) for key, value in sample.info.items()}
+    timing = Timing(*(sum(getattr(s.timing, phase) for s in sets)
+                      for phase in ("preprocess", "solve", "postprocess")))
+    return SampleSet(num_vars=first.num_vars, samples=samples, costs=costs,
                      timing=timing, info=info)
 
 

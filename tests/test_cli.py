@@ -292,6 +292,14 @@ def test_run_bad_solver_setting_is_config_error(tmp_path, capsys, old, new, key)
     assert not out.exists()
 
 
+def test_run_bsf_roster_with_a_circuit_solver_is_config_error(tmp_path, capsys):
+    cfg, out = write_config(tmp_path, BSF_CONFIG + "\n[solver:qaoa8]\nkind = qaoa\np = 8\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'qaoa8'" in err
+    assert not out.exists()  # nothing ran
+
+
 TWO_GRID_CONFIG = GRID_CONFIG + """
 [solver:ls]
 kind = ls
@@ -343,6 +351,21 @@ def test_tune_grid_cells_run_their_settings(tmp_path):
     best = json.loads((out / "best_params.json").read_text())
     assert list(best) == ["sa", "ls"]
     assert best["ls"]["restarts"] in (1, 2)
+
+
+def test_tune_writes_no_best_cell_for_a_solver_whose_cells_all_failed(tmp_path, capsys):
+    path = tmp_path / "bench.cfg"
+    # a one-term theta_beta against the ramp's five-term theta_gamma fails every record
+    path.write_text(GRID_CONFIG + "\n[solver:qaoa]\np = 2\n\n[grid:qaoa]\ntheta_beta = 1, 2\n")
+    out = tmp_path / "tuned"
+    assert main(["tune", "--config", str(path), "--out", str(out)]) == 1
+    assert "qaoa" in capsys.readouterr().err
+    best = json.loads((out / "best_params.json").read_text())
+    assert list(best) == ["sa"]
+    rows = [line.split("\t") for line in (out / "grid_qaoa.txt").read_text().splitlines()
+            if not line.startswith("#")]
+    assert [(json.loads(cell), value) for cell, value in rows] == [
+        ({"theta_beta": 1}, "inf"), ({"theta_beta": 2}, "inf")]
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from optbench import gen_erdos_renyi, gen_regular, maxcut_qubo
+from optbench import SampleSet, Timing, gen_erdos_renyi, gen_regular, harness, maxcut_qubo, merge
 from optbench.harness import (
     ConfigError,
     ExperimentConfig,
@@ -306,6 +306,56 @@ def test_bsf_empty_sample_set_is_a_failed_record():
     assert empty.status == "failed" and "empty sample set" in empty.error
     assert empty.calls == 0 and empty.best_cost is None
     assert sa.status == "ok" and sa.metrics["c_hat"] == 1.0
+
+
+def test_bsf_record_timing_sums_every_calls_phases(monkeypatch):
+    phases = iter([Timing(0.5, 0.25, 0.125), Timing(0.25, 1.0, 0.0), Timing(2.0, 0.5, 0.375)])
+
+    def fixed_call(spec, inst, poly, seed):
+        return SampleSet.from_draws(inst.num_nodes, [("0" * inst.num_nodes, 0.0)],
+                                    timing=next(phases))
+
+    monkeypatch.setattr(harness, "run_classical_solver", fixed_call)
+    cfg = ExperimentConfig(scenario="bsf", solvers=[SolverSpec("sa", "sa")],
+                           instances=small_instances(count=1), time_limit=1e9)
+    (record,) = run_bsf_experiment(cfg, max_calls=3)
+    assert record.status == "ok" and record.calls == 3
+    assert record.timing == {"preprocess": 2.75, "solve": 1.75, "postprocess": 0.5}
+
+
+@pytest.mark.parametrize("spec", [
+    SolverSpec("ls0", "ls", {"restarts": 0}),
+    SolverSpec("ls", "ls", {"restarts": 1}),
+    SolverSpec("sa", "sa", {"reads": 2, "sweeps": 2}),
+], ids=["empty", "ls", "sa"])
+@pytest.mark.parametrize("time_limit, max_calls", [(1e9, 3), (0.02, None)],
+                         ids=["max_calls", "budget"])
+def test_bsf_merges_once_per_record(monkeypatch, spec, time_limit, max_calls):
+    merged = []
+
+    def counting_merge(*sets):
+        merged.append(len(sets))
+        return merge(*sets)
+
+    monkeypatch.setattr(harness, "merge", counting_merge)
+    cfg = ExperimentConfig(scenario="bsf", solvers=[spec], instances=small_instances(count=2),
+                           seed=3, time_limit=time_limit)
+    records = run_bsf_experiment(cfg, max_calls=max_calls)
+    assert len(merged) == len(records) == 2
+    for record, pooled in zip(records, merged):
+        if spec.name == "ls0":  # an empty pool has no best cost
+            assert record.status == "failed" and record.calls == 0
+        else:
+            assert record.status == "ok" and record.calls == pooled
+    if max_calls is not None:
+        assert merged == [max_calls] * 2
+
+
+def test_bsf_roster_rejects_a_circuit_solver_by_name():
+    roster = [SolverSpec("sa", "sa"), SolverSpec("qaoa8", "qaoa")]
+    with pytest.raises(ConfigError, match="'qaoa8'"):
+        ExperimentConfig(scenario="bsf", solvers=roster, instances=[])
+    ExperimentConfig(scenario="tts", solvers=roster, instances=[])
 
 
 # ----------------------------------------------------------------------

@@ -238,7 +238,7 @@ def test_merge_timing_semantics():
     b = SampleSet.from_draws(1, [("1", 1.0)], timing=Timing(0.9, 0.4, 0.02))
     merged = merge(a, b)
     assert merged.timing.solve == pytest.approx(0.7)
-    assert merged.timing.preprocess == pytest.approx(0.2)  # cached from a
+    assert merged.timing.preprocess == pytest.approx(1.1)
     assert merged.timing.postprocess == pytest.approx(0.03)
 
 
@@ -252,6 +252,43 @@ def test_merge_cost_mismatch_rejected():
     b = SampleSet.from_draws(1, [("1", 2.0)])
     with pytest.raises(ValueError):
         merge(a, b)
+
+
+def _pooled_sets():
+    """Four sets of one model: repeated and new bitstrings, clashing info keys."""
+    return [
+        SampleSet.from_draws(2, [("01", -1.0), ("11", 0.0)], timing=Timing(0.5, 0.25, 0.125),
+                             info={"solver": "a", "x": 1}),
+        SampleSet.from_draws(2, [("10", -1.0), ("01", -1.0), ("01", -1.0)],
+                             timing=Timing(0.25, 1.0, 0.0), info={"y": 2, "solver": "b"}),
+        SampleSet.from_draws(2, [("00", 0.0), ("10", -1.0)], timing=Timing(2.0, 0.5, 0.375),
+                             info={"z": 3, "x": 4}),
+        SampleSet.empty(2),
+    ]
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_merge_of_many_sets_equals_pairwise_merges(count):
+    sets = _pooled_sets()[:count]
+    pooled = merge(*sets)
+    pairwise = sets[0]
+    for sample in sets[1:]:
+        pairwise = merge(pairwise, sample)
+    for field in ("samples", "costs", "info"):
+        assert list(getattr(pooled, field).items()) == list(getattr(pairwise, field).items())
+    assert pooled.timing == pairwise.timing
+    assert list(pooled.samples.items()) == [("01", 3), ("11", 1), ("10", 2), ("00", 1)]
+    assert list(pooled.info.items()) == [("z", 3), ("x", 1), ("y", 2), ("solver", "a")]
+    assert pooled.timing == Timing(2.75, 1.75, 0.5)  # every set's phases, preprocess too
+
+
+@pytest.mark.parametrize("last, error", [
+    (SampleSet.empty(3), DimensionError),
+    (SampleSet.from_draws(2, [("11", 5.0)]), ValueError),
+], ids=["dimension", "cost"])
+def test_merge_checks_every_set(last, error):
+    with pytest.raises(error):
+        merge(*_pooled_sets()[:2], last)
 
 
 def test_best_and_expected_cost():
