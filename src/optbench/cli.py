@@ -16,7 +16,7 @@ from .harness import (
     SolverSpec,
     _config_instances,
     _number,
-    _parse_list,
+    _parse_grid,
     emit_report,
     grid_search,
     load_config,
@@ -96,7 +96,8 @@ def _cmd_tune(args) -> int:
             solver = section.split(":", 1)[1]
             if solver not in specs:
                 raise ConfigError(f"[{section}] names no solver of the roster")
-            grids[solver] = {k: _parse_list(v) for k, v in parser[section].items()}
+            grids[solver] = {key: _parse_grid(specs[solver].kind, key, value)
+                             for key, value in parser[section].items()}
             # check every grid setting before any solver runs
             for key, values in grids[solver].items():
                 for value in values:

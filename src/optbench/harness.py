@@ -194,6 +194,14 @@ def _parse_list(text: str) -> list:
     return [_parse_scalar(part.strip()) for part in text.split(",") if part.strip()]
 
 
+def _parse_grid(kind: str, key: str, text: str) -> list:
+    """The cells of a ``[grid:*]`` value: comma lists separated by ``|`` for a
+    list-of-floats parameter (``;`` starts a comment), else comma-separated."""
+    if SOLVER_PARAMS.get(kind, {}).get(key) is _floats:
+        return [_parse_list(cell) for cell in text.split("|") if cell.strip()]
+    return _parse_list(text)
+
+
 def _number(key: str, value, cast=int):
     """``cast(value)`` for the config key ``key``; a malformed value is a config error."""
     try:

@@ -17,10 +17,12 @@ mixing layer, for t = 1..p:
 
 Each (problem, encoding) pair compiles once to a ``_CompiledProblem``, which
 every simulator and the generator trainer run through one state-evolution
-routine with one branch per mixer (transverse, xy, projector).  The cost
-phase is computed per distinct cost level and gathered through a level index
-built at first use; the transverse mixer applies each of ceil(n / 6)
-near-equal qubit blocks as one matmul by its dense Kronecker factor.
+routine with one mixer method per basis (transverse, xy, projector).  The
+trainer's adjoint gradient un-applies the same mixer methods on its backward
+pass.  The cost phase is computed per distinct cost level and gathered
+through a level index built at first use; the transverse mixer applies each
+of ceil(n / 6) near-equal qubit blocks as one matmul by its dense Kronecker
+factor.
 
 Success probability p_star is the exact mass on optimal basis states
 (cost within 1e-9 of the optimum; for tours, feasible states within 1e-9
@@ -235,50 +237,131 @@ class _CompiledProblem:
     def evolve(self, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         """Statevector after p rounds of cost phase exp(-i gamma_t C) and mixer."""
         levels, index = self._levels
-        size = index.size
-        k = self.k
-        pairs = xy_pair_schedule(k) if self.basis == "onehot" else []
-        n = self.num_qubits if self.basis == "full" else 0
-        count = max(1, -(-n // 6))  # ceil(n / 6) near-equal blocks, lowest first
-        widths = [n // count + (i < n % count) for i in range(count)]
-        psi = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
+        psi = np.full(index.size, 1.0 / math.sqrt(index.size), dtype=np.complex128)
         spare = np.empty_like(psi)
         for b, g in zip(beta, gamma):
             # Bit for bit np.exp(-1j * g * costs); mode="clip" does not buffer ``out``.
             np.take(np.exp(-1j * g * levels), index, out=spare, mode="clip")
             psi *= spare
-            if self.basis == "full":
-                # Transverse mixer: cos(beta) I + i sin(beta) sigma_x on every qubit,
-                # one matmul from psi into spare per block by its Kronecker factor
-                # pw[popcount(i ^ j)].  The lowest block runs as 256-row products:
-                # one tall product makes OpenBLAS touch ~16 MiB more at n = 20.
-                c, s = math.cos(b), math.sin(b)
-                low = 0
-                for width in widths:
-                    pw = np.array([c ** (width - d) * (1j * s) ** d for d in range(width + 1)])
-                    gate = pw[_HAMMING[width]]
-                    if low == 0:
-                        shape = (-1, min(256, size >> width), 1 << width)
-                        np.matmul(psi.reshape(shape), gate, out=spare.reshape(shape))
-                    else:
-                        shape = (-1, 1 << width, 1 << low)
-                        np.matmul(gate, psi.reshape(shape), out=spare.reshape(shape))
-                    psi, spare = spare, psi
-                    low += width
-            elif self.basis == "onehot":
-                # XY mixer: the brick-wall pair rotations within each block.
-                c2, s2 = math.cos(2.0 * b), math.sin(2.0 * b)
-                for block in range(k):
-                    view = psi.reshape(-1, k, k ** block)
-                    for i, j in pairs:
-                        ai = view[:, i, :].copy()
-                        aj = view[:, j, :]
-                        view[:, i, :] = c2 * ai - 1j * s2 * aj
-                        view[:, j, :] = -1j * s2 * ai + c2 * aj
-            else:
-                # Projector mixer exp(-i beta |s><s|), s the uniform permutation state.
-                psi += (np.exp(-1j * b) - 1.0) * psi.sum() / size
+            psi, spare, _ = self._mix(psi, spare, b)
         return psi
+
+    # Each mixer method applies its mixer of angle beta to ``psi`` (one state,
+    # or a stack of states along the first axis), with ``spare`` as scratch,
+    # and returns (psi, spare, derivative).  With ``adjoint``, psi stacks a
+    # state and its costate lam taken after the mixer: the mixer's gates
+    # exp(-i beta h) are un-applied from both in reverse order, and the
+    # derivative is the sum over gates of 2 Re<lam| -i h |state>, the mixer's
+    # term of the gradient by beta (0.0 on the forward run).
+
+    def _transverse(self, psi: np.ndarray, spare: np.ndarray, beta: float,
+                    adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+        """Transverse mixer: cos(beta) I + i sin(beta) sigma_x on every qubit.
+
+        One matmul from psi into spare per block by its Kronecker factor
+        pw[popcount(i ^ j)].  The lowest block runs as 256-row products: one
+        tall product makes OpenBLAS touch ~16 MiB more at n = 20.  A block's
+        generator is -sum of its sigma_x, so its derivative term is
+        -2 Im<lam| sum sigma_x |state>.
+        """
+        n, size = self.num_qubits, psi.shape[-1]
+        count = max(1, -(-n // 6))  # ceil(n / 6) near-equal blocks, lowest first
+        widths = [n // count + (i < n % count) for i in range(count)]
+        c, s = math.cos(beta), math.sin(-beta if adjoint else beta)
+        derivative = 0.0
+
+        def product(gate, source, target, width, low):
+            if low == 0:
+                shape = (-1, min(256, size >> width), 1 << width)
+                np.matmul(source.reshape(shape), gate, out=target.reshape(shape))
+            else:
+                shape = (-1, 1 << width, 1 << low)
+                np.matmul(gate, source.reshape(shape), out=target.reshape(shape))
+
+        low = 0
+        for width in widths:
+            pw = np.array([c ** (width - d) * (1j * s) ** d for d in range(width + 1)])
+            product(pw[_HAMMING[width]], psi, spare, width, low)
+            psi, spare = spare, psi
+            if adjoint:  # blocks commute, so the term reads the same on either side
+                product((_HAMMING[width] == 1).astype(np.complex128), psi[0], spare[0],
+                        width, low)
+                derivative -= 2.0 * np.vdot(psi[1], spare[0]).imag
+            low += width
+        return psi, spare, derivative
+
+    def _xy(self, psi: np.ndarray, spare: np.ndarray, beta: float,
+            adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+        """XY mixer: the brick-wall pair rotations within each block.
+
+        A pair's generator XX + YY acts as 2 sigma_x on its two one-hot
+        states, so its derivative term is 4 Im(<lam_i|state_j> + <lam_j|state_i>).
+        Blocks commute; the pairs of one block are un-applied in reverse order.
+        """
+        k = self.k
+        pairs = xy_pair_schedule(k)
+        c2, s2 = math.cos(2.0 * beta), math.sin(-2.0 * beta if adjoint else 2.0 * beta)
+        derivative = 0.0
+        for block in range(k):
+            view = psi.reshape(*psi.shape[:-1], -1, k, k ** block)
+            for i, j in reversed(pairs) if adjoint else pairs:
+                ai = view[..., i, :].copy()
+                aj = view[..., j, :]
+                view[..., i, :] = c2 * ai - 1j * s2 * aj
+                view[..., j, :] = -1j * s2 * ai + c2 * aj
+                if adjoint:
+                    state, lam = view
+                    derivative += 4.0 * (np.vdot(lam[:, i], state[:, j])
+                                         + np.vdot(lam[:, j], state[:, i])).imag
+        return psi, spare, derivative
+
+    def _projector(self, psi: np.ndarray, spare: np.ndarray, beta: float,
+                   adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+        """Projector mixer exp(-i beta |s><s|), s the uniform permutation state.
+
+        Its derivative term is 2 Im(conj(sum lam) * sum state) / k!.
+        """
+        size = psi.shape[-1]
+        rows = psi.reshape(-1, size)
+        sums = [row.sum() for row in rows]
+        phase = np.exp(1j * beta) if adjoint else np.exp(-1j * beta)
+        for row, total in zip(rows, sums):
+            row += (phase - 1.0) * total / size
+        derivative = 2.0 * (np.conj(sums[1]) * sums[0]).imag / size if adjoint else 0.0
+        return psi, spare, derivative
+
+    # The mixer method of each basis.  A bound method kept on the instance
+    # would make a reference cycle that holds the cost table until the next
+    # garbage collection.
+    _MIXERS = {"full": _transverse, "onehot": _xy, "perm": _projector}
+
+    def _mix(self, psi: np.ndarray, spare: np.ndarray, beta: float,
+             adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+        return self._MIXERS[self.basis](self, psi, spare, beta, adjoint)
+
+    def _adjoint(self, psi: np.ndarray, beta: np.ndarray,
+                 gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives of <psi|C|psi> by beta and gamma, psi the circuit's output.
+
+        Walks back from lam = C psi through the rounds, un-applying each mixer
+        and cost phase from psi and lam (Jones & Gacon, arXiv:2009.02823); the
+        gamma_t term is 2 Im<lam|C|state> between the two.  Holds five state
+        vectors, whatever the depth.
+        """
+        levels, index = self._levels
+        states = np.empty((2, psi.size), dtype=np.complex128)  # state and costate
+        states[0] = psi
+        np.multiply(psi, self.costs, out=states[1])
+        spare = np.empty_like(states)
+        work = np.empty_like(psi)
+        d_beta, d_gamma = np.empty(len(beta)), np.empty(len(gamma))
+        for t in reversed(range(len(beta))):
+            states, spare, d_beta[t] = self._mix(states, spare, beta[t], adjoint=True)
+            np.multiply(states[0], self.costs, out=work)
+            d_gamma[t] = 2.0 * np.vdot(states[1], work).imag
+            np.take(np.exp(1j * gamma[t] * levels), index, out=work, mode="clip")
+            states *= work
+        return d_beta, d_gamma
 
     def simulate(self, beta, gamma, optimal_cost: float | None = None) -> OutputDistribution:
         """Run the circuit and return its exact output distribution.
@@ -313,13 +396,22 @@ class _CompiledProblem:
             lengths=self.lengths,
         )
 
-    def gap(self, beta: np.ndarray, gamma: np.ndarray) -> float:
-        """Normalized optimality gap of the expected cost; equals 1 - r for negative optima."""
+    def gap(self, beta: np.ndarray, gamma: np.ndarray, gradient: bool = False):
+        """Normalized optimality gap of the expected cost; equals 1 - r for negative optima.
+
+        With ``gradient``, returns (gap, d gap / d beta, d gap / d gamma), the
+        derivatives exact from one backward pass after the forward run.
+        """
         reference = float(self._levels[0][0])
         if reference == 0.0:
             raise ValueError("problem has zero optimal cost; ratios are undefined")
-        probs = np.abs(self.evolve(beta, gamma)) ** 2
-        return (float(probs @ self.costs) - reference) / abs(reference)
+        psi = self.evolve(beta, gamma)
+        probs = np.abs(psi) ** 2
+        value = (float(probs @ self.costs) - reference) / abs(reference)
+        if not gradient:
+            return value
+        d_beta, d_gamma = self._adjoint(psi, beta, gamma)
+        return value, d_beta / abs(reference), d_gamma / abs(reference)
 
 
 # ----------------------------------------------------------------------
@@ -491,9 +583,13 @@ def expand_generator(gp: GeneratorParams, p: int) -> tuple[np.ndarray, np.ndarra
     """
     if p < 1:
         raise ValueError(f"depth must be >= 1, got {p}")
-    x = np.arange(1, p + 1) / p
-    powers = np.vander(x, gp.theta_beta.size, increasing=True)
+    powers = _powers(p, gp.theta_beta.size)
     return powers @ gp.theta_beta, powers @ gp.theta_gamma
+
+
+def _powers(p: int, terms: int) -> np.ndarray:
+    """The generator's Vandermonde matrix: row i - 1 holds (i/p)**d for d < terms."""
+    return np.vander(np.arange(1, p + 1) / p, terms, increasing=True)
 
 
 # ----------------------------------------------------------------------
@@ -520,48 +616,55 @@ def train_generator(
     budget: int = 5000,
     seed: int | None = 0,
     random_restarts: int = 4,
-    fd_step: float = 1e-4,
 ) -> TrainResult:
     """Fit generator coefficients by minimizing the mean optimality gap.
 
-    Runs a quasi-Newton (L-BFGS-B) search with central-difference gradients
-    from the given start (the linear ramp by default) plus
-    ``random_restarts`` seeded random starts, and returns the best
-    coefficients seen anywhere.  ``budget`` caps the total number of
-    objective evaluations; exhausting it stops the search and flags the
-    result.
+    Runs a quasi-Newton (L-BFGS-B) search from the given start (the linear
+    ramp by default) plus ``random_restarts`` seeded random starts, and
+    returns the best coefficients seen anywhere.  Each point runs one
+    forward circuit per problem for the gap and one adjoint (backward) pass
+    for its exact gradient, chained to the coefficients through the
+    generator's Vandermonde matrix.  ``budget`` caps the objective
+    evaluations: a point counts one, its gradient 2 * len(theta), as many
+    as central differences would spend.  A point whose gradient does not
+    fit what is left uses up the budget; exhausting it stops the search and
+    flags the result.
     """
     from scipy.optimize import minimize  # imported here: its import dominates startup
 
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if init is None:
         init = GeneratorParams.ramp()
     degree_len = init.theta_beta.size
     compiled = [_CompiledProblem(kind, problem) for problem in train_set]
     if not compiled:
         raise ValueError("training set is empty")
+    powers = _powers(p, degree_len)
 
     state = {"evals": 0, "best_value": np.inf, "best_theta": None, "exhausted": False}
 
-    def objective(theta: np.ndarray) -> float:
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         if state["evals"] >= budget:
             state["exhausted"] = True
             raise _BudgetExhausted
-        state["evals"] += 1
+        with_gradient = state["evals"] + 1 + 2 * theta.size <= budget
         gp = GeneratorParams(theta[:degree_len], theta[degree_len:])
         beta, gamma = expand_generator(gp, p)
-        value = float(np.mean([prob.gap(beta, gamma) for prob in compiled]))
+        runs = [prob.gap(beta, gamma, gradient=with_gradient) for prob in compiled]
+        value = float(np.mean([run[0] for run in runs] if with_gradient else runs))
+        state["evals"] += 1
         if value < state["best_value"]:
             state["best_value"] = value
             state["best_theta"] = theta.copy()
-        return value
-
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        grad = np.zeros_like(theta)
-        for i in range(theta.size):
-            shift = np.zeros_like(theta)
-            shift[i] = fd_step
-            grad[i] = (objective(theta + shift) - objective(theta - shift)) / (2 * fd_step)
-        return grad
+        if not with_gradient:
+            state["evals"] = budget
+            state["exhausted"] = True
+            raise _BudgetExhausted
+        state["evals"] += 2 * theta.size
+        d_beta = np.mean([run[1] for run in runs], axis=0)
+        d_gamma = np.mean([run[2] for run in runs], axis=0)
+        return value, np.concatenate([powers.T @ d_beta, powers.T @ d_gamma])
 
     rng = make_rng(seed)
     starts = [np.concatenate([init.theta_beta, init.theta_gamma])]
@@ -569,8 +672,7 @@ def train_generator(
         starts.append(rng.uniform(-1.0, 1.0, 2 * degree_len))
     for theta0 in starts:
         try:
-            minimize(objective, theta0, jac=gradient, method="L-BFGS-B",
-                     options={"maxiter": 200})
+            minimize(objective, theta0, jac=True, method="L-BFGS-B", options={"maxiter": 200})
         except _BudgetExhausted:
             break
     theta = state["best_theta"]

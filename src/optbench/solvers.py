@@ -372,6 +372,8 @@ def local_search_maxcut(
     ``poly`` is the instance's compiled objective (``maxcut_qubo(inst)``),
     used for the exact recheck; it is built here when not given.
     """
+    if starts is None and restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     watch = Stopwatch()
     n = inst.num_nodes
     poly = poly if poly is not None else maxcut_qubo(inst)

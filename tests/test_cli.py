@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -356,7 +357,7 @@ def test_tune_grid_cells_run_their_settings(tmp_path):
 def test_tune_writes_no_best_cell_for_a_solver_whose_cells_all_failed(tmp_path, capsys):
     path = tmp_path / "bench.cfg"
     # a one-term theta_beta against the ramp's five-term theta_gamma fails every record
-    path.write_text(GRID_CONFIG + "\n[solver:qaoa]\np = 2\n\n[grid:qaoa]\ntheta_beta = 1, 2\n")
+    path.write_text(GRID_CONFIG + "\n[solver:qaoa]\np = 2\n\n[grid:qaoa]\ntheta_beta = 1 | 2\n")
     out = tmp_path / "tuned"
     assert main(["tune", "--config", str(path), "--out", str(out)]) == 1
     assert "qaoa" in capsys.readouterr().err
@@ -365,7 +366,26 @@ def test_tune_writes_no_best_cell_for_a_solver_whose_cells_all_failed(tmp_path, 
     rows = [line.split("\t") for line in (out / "grid_qaoa.txt").read_text().splitlines()
             if not line.startswith("#")]
     assert [(json.loads(cell), value) for cell, value in rows] == [
-        ({"theta_beta": 1}, "inf"), ({"theta_beta": 2}, "inf")]
+        ({"theta_beta": [1]}, "inf"), ({"theta_beta": [2]}, "inf")]
+
+
+def test_tune_grid_lists_vector_theta_cells(tmp_path):
+    path = tmp_path / "bench.cfg"
+    # list parameters take "|"-separated comma lists; scalar keys keep comma cells
+    path.write_text(GRID_CONFIG + "\n[solver:qaoa]\np = 2\n\n[grid:qaoa]\np = 1, 2\n"
+                    "theta_beta = 1,-1,0,0,0 | 0.5, -0.25, 0, 0, 0 ; two schedules\n")
+    out = tmp_path / "tuned"
+    assert main(["tune", "--config", str(path), "--out", str(out), "--objective", "ar_gap"]) == 0
+    rows = [line.split("\t") for line in (out / "grid_qaoa.txt").read_text().splitlines()
+            if not line.startswith("#")]
+    cells = [json.loads(cell) for cell, _ in rows]
+    assert cells == [{"p": p, "theta_beta": theta} for p in (1, 2)
+                     for theta in ([1, -1, 0, 0, 0], [0.5, -0.25, 0, 0, 0])]
+    values = [float(value) for _, value in rows]
+    assert all(math.isfinite(value) for value in values)
+    assert values[0] != values[1] and values[2] != values[3]  # each cell ran its schedule
+    best = json.loads((out / "best_params.json").read_text())
+    assert best["qaoa"] == cells[values.index(min(values))]
 
 
 # ----------------------------------------------------------------------

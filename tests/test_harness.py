@@ -291,11 +291,24 @@ def test_bsf_failed_solver_excluded_from_pool():
     assert by_solver["sa"].metrics["c_hat"] == 1.0
 
 
-def test_bsf_empty_sample_set_is_a_failed_record():
+def _empty_ls(monkeypatch):
+    """Make every call of the solver named ``empty`` return an empty sample set."""
+    solver = harness.run_classical_solver
+
+    def call(spec, inst, poly, seed):
+        if spec.name == "empty":
+            return SampleSet.empty(inst.num_nodes)
+        return solver(spec, inst, poly, seed)
+
+    monkeypatch.setattr(harness, "run_classical_solver", call)
+
+
+def test_bsf_empty_sample_set_is_a_failed_record(monkeypatch):
+    _empty_ls(monkeypatch)
     cfg = ExperimentConfig(
         scenario="bsf",
         solvers=[
-            SolverSpec("ls0", "ls", {"restarts": 0}),
+            SolverSpec("empty", "ls"),
             SolverSpec("sa", "sa", {"reads": 3, "sweeps": 3}),
         ],
         instances=small_instances(count=1),
@@ -306,6 +319,22 @@ def test_bsf_empty_sample_set_is_a_failed_record():
     assert empty.status == "failed" and "empty sample set" in empty.error
     assert empty.calls == 0 and empty.best_cost is None
     assert sa.status == "ok" and sa.metrics["c_hat"] == 1.0
+
+
+def test_bsf_ls_without_restarts_fails_at_its_first_call(monkeypatch):
+    calls = []
+    solver = harness.run_classical_solver
+
+    def counting_call(*args):
+        calls.append(args)
+        return solver(*args)
+
+    monkeypatch.setattr(harness, "run_classical_solver", counting_call)
+    cfg = ExperimentConfig(scenario="bsf", solvers=[SolverSpec("ls0", "ls", {"restarts": 0})],
+                           instances=[gen_regular(8, 3, seed=0)], time_limit=0.2)
+    (record,) = run_bsf_experiment(cfg)
+    assert record.status == "failed" and "restarts must be >= 1, got 0" in record.error
+    assert len(calls) == 1
 
 
 def test_bsf_record_timing_sums_every_calls_phases(monkeypatch):
@@ -324,7 +353,7 @@ def test_bsf_record_timing_sums_every_calls_phases(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", [
-    SolverSpec("ls0", "ls", {"restarts": 0}),
+    SolverSpec("empty", "ls"),
     SolverSpec("ls", "ls", {"restarts": 1}),
     SolverSpec("sa", "sa", {"reads": 2, "sweeps": 2}),
 ], ids=["empty", "ls", "sa"])
@@ -338,12 +367,13 @@ def test_bsf_merges_once_per_record(monkeypatch, spec, time_limit, max_calls):
         return merge(*sets)
 
     monkeypatch.setattr(harness, "merge", counting_merge)
+    _empty_ls(monkeypatch)
     cfg = ExperimentConfig(scenario="bsf", solvers=[spec], instances=small_instances(count=2),
                            seed=3, time_limit=time_limit)
     records = run_bsf_experiment(cfg, max_calls=max_calls)
     assert len(merged) == len(records) == 2
     for record, pooled in zip(records, merged):
-        if spec.name == "ls0":  # an empty pool has no best cost
+        if spec.name == "empty":  # an empty pool has no best cost
             assert record.status == "failed" and record.calls == 0
         else:
             assert record.status == "ok" and record.calls == pooled

@@ -401,6 +401,70 @@ def test_gradient_step_stability():
         assert np.linalg.norm(g_coarse - g_fine) / scale < 1e-3
 
 
+def central_differences(compiled, beta, gamma, h=1e-5):
+    """Central-difference gradient of the gap by beta and by gamma."""
+    def diff(shift_beta, shift_gamma):
+        return (compiled.gap(beta + shift_beta, gamma + shift_gamma)
+                - compiled.gap(beta - shift_beta, gamma - shift_gamma)) / (2 * h)
+
+    zero, step = np.zeros(beta.size), h * np.eye(beta.size)
+    return (np.array([diff(e, zero) for e in step]), np.array([diff(zero, e) for e in step]))
+
+
+@pytest.mark.parametrize("kind, problem", [
+    ("qubo", maxcut_qubo(gen_regular(8, 3, seed=2))),
+    ("qubo", BinaryPolynomial(1, {(0,): -1.0})),
+    ("hobo", gen_tsp_planar(4, seed=1)),
+    ("xy", gen_tsp_planar(4, seed=1)),  # k = 3: the brick wall closes with a wrap pair
+    ("xy", gen_tsp_planar(5, seed=1)),
+    ("perm", gen_tsp_planar(4, seed=1)),
+], ids=["qubo", "qubo-1-qubit", "hobo", "xy-k3", "xy-k4", "perm"])
+@pytest.mark.parametrize("p", [1, 3])
+def test_adjoint_gradient_matches_central_differences(kind, problem, p):
+    compiled = _CompiledProblem(kind, problem)
+    rng = make_rng(p)
+    beta, gamma = rng.uniform(-1, 1, p), rng.uniform(-1, 1, p)
+    value, d_beta, d_gamma = compiled.gap(beta, gamma, gradient=True)
+    assert value == compiled.gap(beta, gamma)  # the forward run is the plain gap, bit for bit
+    fd_beta, fd_gamma = central_differences(compiled, beta, gamma)
+    assert np.abs(d_beta - fd_beta).max() < 1e-6
+    assert np.abs(d_gamma - fd_gamma).max() < 1e-6
+
+
+@pytest.mark.parametrize("budget, gradients", [(5, 0), (21, 1), (30, 1), (68, 3)])
+def test_train_generator_charges_each_gradient_as_central_differences(monkeypatch, budget,
+                                                                      gradients):
+    # a point costs 1 evaluation and its gradient 2 * len(theta) = 20; a point
+    # whose gradient does not fit is evaluated, fills the budget and stops the search
+    runs = []
+    gap = _CompiledProblem.gap
+
+    def counting_gap(self, beta, gamma, gradient=False):
+        runs.append(gradient)
+        return gap(self, beta, gamma, gradient)
+
+    monkeypatch.setattr(_CompiledProblem, "gap", counting_gap)
+    problems = [maxcut_qubo(gen_regular(6, 3, seed=0))]
+    result = train_generator(problems, "qubo", p=2, budget=budget, seed=0)
+    assert result.evaluations == budget and result.budget_exhausted
+    points = gradients + (budget % 21 != 0)
+    assert runs == [True] * gradients + [False] * (points - gradients)
+
+
+def test_train_generator_counts_21_evaluations_per_point_when_not_exhausted():
+    result = train_generator([BinaryPolynomial(1, {(0,): -1.0})], "qubo", p=1, budget=5000,
+                             seed=0, random_restarts=1)
+    assert not result.budget_exhausted
+    assert result.evaluations % 21 == 0 and 0 < result.evaluations < 5000
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_train_generator_rejects_a_budget_below_one(budget):
+    problems = [maxcut_qubo(gen_regular(6, 3, seed=0))]
+    with pytest.raises(ValueError, match="budget"):
+        train_generator(problems, "qubo", p=2, budget=budget, seed=0)
+
+
 # ----------------------------------------------------------------------
 # Layer ledger and layer-denominated time to solution
 # ----------------------------------------------------------------------

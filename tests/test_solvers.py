@@ -207,6 +207,15 @@ def test_ls_costs_match_model(four_cycle):
     assert_costs_match_model(sample, poly)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_ls_rejects_fewer_than_one_restart_like_ts(four_cycle, restarts):
+    with pytest.raises(ValueError) as ls_error:
+        local_search_maxcut(four_cycle, restarts=restarts, seed=0)
+    with pytest.raises(ValueError) as ts_error:
+        TsConfig(restarts=restarts)
+    assert str(ls_error.value) == str(ts_error.value) == f"restarts must be >= 1, got {restarts}"
+
+
 # ----------------------------------------------------------------------
 # Goemans-Williamson
 # ----------------------------------------------------------------------
