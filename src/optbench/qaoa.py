@@ -19,10 +19,12 @@ Each (problem, encoding) pair compiles once to a ``_CompiledProblem``, which
 every simulator and the generator trainer run through one state-evolution
 routine with one mixer method per basis (transverse, xy, projector).  The
 trainer's adjoint gradient un-applies the same mixer methods on its backward
-pass.  The cost phase is computed per distinct cost level and gathered
-through a level index built at first use; the transverse mixer applies each
-of ceil(n / 6) near-equal qubit blocks as one matmul by its dense Kronecker
-factor.
+pass.  The cost phase is computed per distinct cost level and gathered, in
+slices, through a level index built at first use; the transverse mixer
+applies each of ceil(n / 6) near-equal qubit blocks as one matmul by its
+dense Kronecker factor.  The trainer stacks the problems of one state size
+into one compiled problem, whose rows run through the same gates in one
+pass.
 
 Success probability p_star is the exact mass on optimal basis states
 (cost within 1e-9 of the optimum; for tours, feasible states within 1e-9
@@ -125,6 +127,22 @@ _ENCODINGS = {
 # popcount(i ^ j) over the 2**w basis states of a block of w <= 6 qubits, by w.
 _HAMMING = [sum((np.arange(1 << w)[:, None] ^ np.arange(1 << w)) >> b & 1 for b in range(6))
             for w in range(7)]
+# The sum of sigma_x over a block of w qubits, by w: 1 where two states differ in one qubit.
+_FLIPS = [(hamming == 1).astype(np.complex128) for hamming in _HAMMING]
+
+# Entries per slice of a pass over a level index: bounds the intp copy of
+# the index that np.searchsorted returns and np.take makes.
+_SLICE = 1 << 16
+# train_generator's cap on the amplitudes of one stack of problems.
+_STACK_AMPLITUDES = 1 << 20
+
+
+def _gather(phase: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """out[...] = phase[index], in slices of the index; mode="clip" does not buffer ``out``."""
+    flat_index, flat_out = index.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_index.size, _SLICE):
+        np.take(phase, flat_index[start:start + _SLICE], out=flat_out[start:start + _SLICE],
+                mode="clip")
 
 
 def _slot_digits(k: int, base: int) -> list[np.ndarray]:
@@ -143,6 +161,11 @@ class _CompiledProblem:
     over k*k variables; hobo and perm problems are tours.  ``a``/``b``
     override the tour penalties, ``cap`` the encoding's size cap and
     ``l_star`` the optimal tour length behind p_star.
+
+    ``costs`` has shape (*stack, size): the stack shape is () for one
+    problem and (G,) for G problems of one kind and state size built by
+    :meth:`stack`.  The circuit methods run every row of a stack through
+    the same gates, row by row along the leading axes.
     """
 
     def __init__(self, kind: str, problem, a: float | None = None, b: float | None = None,
@@ -223,46 +246,74 @@ class _CompiledProblem:
             self.lengths[~decodable] = np.nan
             self.feasible &= decodable
 
+    @classmethod
+    def stack(cls, parts: list[_CompiledProblem]) -> _CompiledProblem:
+        """The problems ``parts``, of one kind and state size, as the rows of one stack.
+
+        The stack keeps what ``gap`` reads, not the tours behind ``simulate``.
+        """
+        first = parts[0]
+        if any(part.kind != first.kind or part.costs.shape != first.costs.shape
+               for part in parts):
+            raise ValueError("stacked problems need one encoding kind and one state size")
+        stacked = cls.__new__(cls)
+        stacked.kind, stacked.basis, stacked.k = first.kind, first.basis, first.k
+        stacked.num_qubits = first.num_qubits
+        stacked.problem = stacked.l_star = stacked.lengths = stacked.feasible = None
+        stacked.costs = np.stack([part.costs for part in parts])
+        return stacked
+
     @functools.cached_property
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct costs, ascending, and each state's level in the smallest index dtype."""
+        """Distinct costs of all rows, ascending, and each state's level in the least dtype."""
         levels = np.unique(self.costs)
-        index = np.empty(self.costs.size, np.uint8 if levels.size <= 1 << 8 else
+        index = np.empty(self.costs.shape, np.uint8 if levels.size <= 1 << 8 else
                          np.uint16 if levels.size <= 1 << 16 else np.intp)
-        chunk = 1 << 16  # bounds searchsorted's intp output
-        for start in range(0, index.size, chunk):
-            index[start:start + chunk] = np.searchsorted(levels, self.costs[start:start + chunk])
+        flat_index, flat_costs = index.reshape(-1), self.costs.reshape(-1)
+        for start in range(0, flat_index.size, _SLICE):
+            flat_index[start:start + _SLICE] = np.searchsorted(levels,
+                                                               flat_costs[start:start + _SLICE])
         return levels, index
 
     def evolve(self, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-        """Statevector after p rounds of cost phase exp(-i gamma_t C) and mixer."""
+        """Statevector of each row after p rounds of cost phase exp(-i gamma_t C) and mixer."""
         levels, index = self._levels
-        psi = np.full(index.size, 1.0 / math.sqrt(index.size), dtype=np.complex128)
+        psi = np.full(index.shape, 1.0 / math.sqrt(index.shape[-1]), dtype=np.complex128)
         spare = np.empty_like(psi)
         for b, g in zip(beta, gamma):
-            # Bit for bit np.exp(-1j * g * costs); mode="clip" does not buffer ``out``.
-            np.take(np.exp(-1j * g * levels), index, out=spare, mode="clip")
+            _gather(np.exp(-1j * g * levels), index, spare)  # bit for bit np.exp(-1j * g * costs)
             psi *= spare
             psi, spare, _ = self._mix(psi, spare, b)
         return psi
 
-    # Each mixer method applies its mixer of angle beta to ``psi`` (one state,
-    # or a stack of states along the first axis), with ``spare`` as scratch,
-    # and returns (psi, spare, derivative).  With ``adjoint``, psi stacks a
-    # state and its costate lam taken after the mixer: the mixer's gates
-    # exp(-i beta h) are un-applied from both in reverse order, and the
-    # derivative is the sum over gates of 2 Re<lam| -i h |state>, the mixer's
-    # term of the gradient by beta (0.0 on the forward run).
+    def _vdots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """np.vdot of a and b row by row along the stack axes, in the stack's shape."""
+        stack = self.costs.shape[:-1]
+        out = np.empty(stack, dtype=np.complex128)
+        for row in np.ndindex(stack):
+            out[row] = np.vdot(a[row], b[row])
+        return out
+
+    # Each mixer method applies its mixer of angle beta to ``psi`` (the
+    # states of the stack's rows, shape (*stack, size)), with ``spare`` as
+    # scratch, and returns (psi, spare, derivative).  With ``adjoint``, psi
+    # has shape (2, *stack, size): the states and their costates lam taken
+    # after the mixer.  The mixer's gates exp(-i beta h) are un-applied from
+    # both in reverse order, and the derivative holds per row the sum over
+    # gates of 2 Re<lam| -i h |state>, the mixer's term of the gradient by
+    # beta (0.0 on the forward run).
 
     def _transverse(self, psi: np.ndarray, spare: np.ndarray, beta: float,
-                    adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+                    adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
         """Transverse mixer: cos(beta) I + i sin(beta) sigma_x on every qubit.
 
         One matmul from psi into spare per block by its Kronecker factor
-        pw[popcount(i ^ j)].  The lowest block runs as 256-row products: one
-        tall product makes OpenBLAS touch ~16 MiB more at n = 20.  A block's
-        generator is -sum of its sigma_x, so its derivative term is
-        -2 Im<lam| sum sigma_x |state>.
+        pw[popcount(i ^ j)], each product the shape it has for one row: the
+        lowest block as 256-row products, the others as (2**w, 2**low)
+        columns; a stack only adds products to the batch.  One tall
+        product makes OpenBLAS touch ~16 MiB more at n = 20 and, over a
+        stack, start its threads.  A block's generator is -sum of its
+        sigma_x, so its derivative term is -2 Im<lam| sum sigma_x |state>.
         """
         n, size = self.num_qubits, psi.shape[-1]
         count = max(1, -(-n // 6))  # ceil(n / 6) near-equal blocks, lowest first
@@ -284,14 +335,13 @@ class _CompiledProblem:
             product(pw[_HAMMING[width]], psi, spare, width, low)
             psi, spare = spare, psi
             if adjoint:  # blocks commute, so the term reads the same on either side
-                product((_HAMMING[width] == 1).astype(np.complex128), psi[0], spare[0],
-                        width, low)
-                derivative -= 2.0 * np.vdot(psi[1], spare[0]).imag
+                product(_FLIPS[width], psi[0], spare[0], width, low)
+                derivative -= 2.0 * self._vdots(psi[1], spare[0]).imag
             low += width
         return psi, spare, derivative
 
     def _xy(self, psi: np.ndarray, spare: np.ndarray, beta: float,
-            adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+            adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
         """XY mixer: the brick-wall pair rotations within each block.
 
         A pair's generator XX + YY acts as 2 sigma_x on its two one-hot
@@ -311,12 +361,12 @@ class _CompiledProblem:
                 view[..., j, :] = -1j * s2 * ai + c2 * aj
                 if adjoint:
                     state, lam = view
-                    derivative += 4.0 * (np.vdot(lam[:, i], state[:, j])
-                                         + np.vdot(lam[:, j], state[:, i])).imag
+                    derivative += 4.0 * (self._vdots(lam[..., i, :], state[..., j, :])
+                                         + self._vdots(lam[..., j, :], state[..., i, :])).imag
         return psi, spare, derivative
 
     def _projector(self, psi: np.ndarray, spare: np.ndarray, beta: float,
-                   adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+                   adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
         """Projector mixer exp(-i beta |s><s|), s the uniform permutation state.
 
         Its derivative term is 2 Im(conj(sum lam) * sum state) / k!.
@@ -327,8 +377,12 @@ class _CompiledProblem:
         phase = np.exp(1j * beta) if adjoint else np.exp(-1j * beta)
         for row, total in zip(rows, sums):
             row += (phase - 1.0) * total / size
-        derivative = 2.0 * (np.conj(sums[1]) * sums[0]).imag / size if adjoint else 0.0
-        return psi, spare, derivative
+        if not adjoint:
+            return psi, spare, 0.0
+        half = len(sums) // 2  # the states' rows come first, then the costates'
+        derivative = [2.0 * (np.conj(lam) * state).imag / size
+                      for state, lam in zip(sums[:half], sums[half:])]
+        return psi, spare, np.reshape(derivative, psi.shape[1:-1])
 
     # The mixer method of each basis.  A bound method kept on the instance
     # would make a reference cycle that holds the cost table until the next
@@ -336,7 +390,7 @@ class _CompiledProblem:
     _MIXERS = {"full": _transverse, "onehot": _xy, "perm": _projector}
 
     def _mix(self, psi: np.ndarray, spare: np.ndarray, beta: float,
-             adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
+             adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
         return self._MIXERS[self.basis](self, psi, spare, beta, adjoint)
 
     def _adjoint(self, psi: np.ndarray, beta: np.ndarray,
@@ -346,20 +400,22 @@ class _CompiledProblem:
         Walks back from lam = C psi through the rounds, un-applying each mixer
         and cost phase from psi and lam (Jones & Gacon, arXiv:2009.02823); the
         gamma_t term is 2 Im<lam|C|state> between the two.  Holds five state
-        vectors, whatever the depth.
+        vectors per row, whatever the depth, and returns arrays of shape
+        (*stack, p).
         """
         levels, index = self._levels
-        states = np.empty((2, psi.size), dtype=np.complex128)  # state and costate
+        states = np.empty((2, *psi.shape), dtype=np.complex128)  # states and costates
         states[0] = psi
         np.multiply(psi, self.costs, out=states[1])
         spare = np.empty_like(states)
         work = np.empty_like(psi)
-        d_beta, d_gamma = np.empty(len(beta)), np.empty(len(gamma))
+        d_beta = np.empty((*psi.shape[:-1], len(beta)))
+        d_gamma = np.empty_like(d_beta)
         for t in reversed(range(len(beta))):
-            states, spare, d_beta[t] = self._mix(states, spare, beta[t], adjoint=True)
+            states, spare, d_beta[..., t] = self._mix(states, spare, beta[t], adjoint=True)
             np.multiply(states[0], self.costs, out=work)
-            d_gamma[t] = 2.0 * np.vdot(states[1], work).imag
-            np.take(np.exp(1j * gamma[t] * levels), index, out=work, mode="clip")
+            d_gamma[..., t] = 2.0 * self._vdots(states[1], work).imag
+            _gather(np.exp(1j * gamma[t] * levels), index, work)
             states *= work
         return d_beta, d_gamma
 
@@ -400,18 +456,25 @@ class _CompiledProblem:
         """Normalized optimality gap of the expected cost; equals 1 - r for negative optima.
 
         With ``gradient``, returns (gap, d gap / d beta, d gap / d gamma), the
-        derivatives exact from one backward pass after the forward run.
+        derivatives exact from one backward pass after the forward run.  A
+        stack gives one gap per row (and one gradient row per row), each bit
+        for bit the row's problem run alone; one problem gives a float.
         """
-        reference = float(self._levels[0][0])
-        if reference == 0.0:
+        reference = self.costs.min(axis=-1)
+        if (reference == 0.0).any():
             raise ValueError("problem has zero optimal cost; ratios are undefined")
         psi = self.evolve(beta, gamma)
         probs = np.abs(psi) ** 2
-        value = (float(probs @ self.costs) - reference) / abs(reference)
+        value = np.empty(reference.shape)
+        for row in np.ndindex(reference.shape):
+            expected = float(probs[row] @ self.costs[row])
+            value[row] = (expected - reference[row]) / abs(reference[row])
+        value = value if value.ndim else float(value)
         if not gradient:
             return value
         d_beta, d_gamma = self._adjoint(psi, beta, gamma)
-        return value, d_beta / abs(reference), d_gamma / abs(reference)
+        scale = np.abs(reference)[..., None]
+        return value, d_beta / scale, d_gamma / scale
 
 
 # ----------------------------------------------------------------------
@@ -621,9 +684,10 @@ def train_generator(
 
     Runs a quasi-Newton (L-BFGS-B) search from the given start (the linear
     ramp by default) plus ``random_restarts`` seeded random starts, and
-    returns the best coefficients seen anywhere.  Each point runs one
-    forward circuit per problem for the gap and one adjoint (backward) pass
-    for its exact gradient, chained to the coefficients through the
+    returns the best coefficients seen anywhere.  The problems of one state
+    size run as one stack (of at most 2**20 amplitudes): each point runs one
+    forward pass per stack for the gaps and one adjoint (backward) pass for
+    their exact gradients, chained to the coefficients through the
     generator's Vandermonde matrix.  ``budget`` caps the objective
     evaluations: a point counts one, its gradient 2 * len(theta), as many
     as central differences would spend.  A point whose gradient does not
@@ -640,6 +704,20 @@ def train_generator(
     compiled = [_CompiledProblem(kind, problem) for problem in train_set]
     if not compiled:
         raise ValueError("training set is empty")
+    # Training-set positions of the problems of each basis and state size.
+    groups: dict[tuple[str, int], list[int]] = {}
+    for position, prob in enumerate(compiled):
+        groups.setdefault((prob.basis, prob.costs.size), []).append(position)
+    stacks = []
+    for (_, size), positions in groups.items():
+        rows = max(1, _STACK_AMPLITUDES // size)
+        for start in range(0, len(positions), rows):
+            part = positions[start:start + rows]
+            stacks.append((part, _CompiledProblem.stack([compiled[i] for i in part])))
+    # Per-problem gaps and gradients, in training-set order.
+    gaps = np.empty(len(compiled))
+    d_betas, d_gammas = np.empty((gaps.size, p)), np.empty((gaps.size, p))
+    del compiled  # the stacks hold copies of the cost tables
     powers = _powers(p, degree_len)
 
     state = {"evals": 0, "best_value": np.inf, "best_theta": None, "exhausted": False}
@@ -651,8 +729,12 @@ def train_generator(
         with_gradient = state["evals"] + 1 + 2 * theta.size <= budget
         gp = GeneratorParams(theta[:degree_len], theta[degree_len:])
         beta, gamma = expand_generator(gp, p)
-        runs = [prob.gap(beta, gamma, gradient=with_gradient) for prob in compiled]
-        value = float(np.mean([run[0] for run in runs] if with_gradient else runs))
+        for part, stack in stacks:
+            if with_gradient:
+                gaps[part], d_betas[part], d_gammas[part] = stack.gap(beta, gamma, gradient=True)
+            else:
+                gaps[part] = stack.gap(beta, gamma)
+        value = float(np.mean(gaps))
         state["evals"] += 1
         if value < state["best_value"]:
             state["best_value"] = value
@@ -662,8 +744,8 @@ def train_generator(
             state["exhausted"] = True
             raise _BudgetExhausted
         state["evals"] += 2 * theta.size
-        d_beta = np.mean([run[1] for run in runs], axis=0)
-        d_gamma = np.mean([run[2] for run in runs], axis=0)
+        d_beta = np.mean(d_betas, axis=0)
+        d_gamma = np.mean(d_gammas, axis=0)
         return value, np.concatenate([powers.T @ d_beta, powers.T @ d_gamma])
 
     rng = make_rng(seed)

@@ -280,8 +280,9 @@ def tabu_search(
     spin = np.empty((restarts, n))
     field = np.empty((restarts, n))
     cost = np.empty(restarts)
-    for r in range(restarts):
-        x = _random_state(rng, n) if starts is None else _as_state(starts[r], n)
+    xs = (rng.integers(0, 2, (restarts, n)).astype(np.float64) if starts is None
+          else [_as_state(start, n) for start in starts])
+    for r, x in enumerate(xs):
         spin[r] = 1.0 - 2.0 * x
         field[r] = linear + coupling @ x
         cost[r] = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
@@ -384,11 +385,9 @@ def local_search_maxcut(
     total = restarts if starts is None else len(starts)
     # Node-major spins: entry (u, r) is +1 / -1 when node u of restart r is on side 0 / 1.
     spin = np.empty((n, total))
-    for restart in range(total):
-        if starts is None:
-            x = rng.integers(0, 2, n)
-        else:
-            x = np.array([1 if c == "1" else 0 for c in starts[restart]])
+    xs = (rng.integers(0, 2, (total, n)) if starts is None
+          else [np.array([1 if c == "1" else 0 for c in start]) for start in starts])
+    for restart, x in enumerate(xs):
         spin[:, restart] = 1 - 2 * x
     # gain[u, r]: same-side minus cross weight at u, the cut gained by moving u.
     field = adjacency @ spin

@@ -466,6 +466,93 @@ def test_train_generator_rejects_a_budget_below_one(budget):
 
 
 # ----------------------------------------------------------------------
+# Stacks of problems: one circuit pass for every same-size problem
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, problems", [
+    ("qubo", [maxcut_qubo(gen_regular(8, 3, seed=s)) for s in range(3)]),
+    ("hobo", [gen_tsp_planar(4, seed=s) for s in range(3)]),
+    ("xy", [gen_tsp_planar(4, seed=s) for s in range(3)]),  # 27 states: rows start unaligned
+    ("perm", [gen_tsp_planar(5, seed=s) for s in range(3)]),
+    # two different problems: unit-weight cuts and real-weight terms share no levels
+    ("qubo", [maxcut_qubo(gen_regular(6, 3, seed=0)),
+              BinaryPolynomial(6, {(0, 1): 0.7, (2,): -1.3, (3, 4, 5): 2.1, (): 0.25})]),
+], ids=["qubo", "hobo", "xy", "perm", "two-problems"])
+@pytest.mark.parametrize("p", [1, 3])
+def test_stack_rows_equal_standalone_gaps_bit_for_bit(kind, problems, p):
+    parts = [_CompiledProblem(kind, problem) for problem in problems]
+    stack = _CompiledProblem.stack(parts)
+    rng = make_rng(p)
+    beta, gamma = rng.uniform(-1, 1, p), rng.uniform(-1, 1, p)
+    values, d_beta, d_gamma = stack.gap(beta, gamma, gradient=True)
+    assert values.shape == (len(parts),) and d_beta.shape == d_gamma.shape == (len(parts), p)
+    assert np.array_equal(stack.gap(beta, gamma), values)
+    for row, part in enumerate(parts):
+        value, row_beta, row_gamma = part.gap(beta, gamma, gradient=True)
+        assert values[row] == value
+        assert d_beta[row].tobytes() == row_beta.tobytes()
+        assert d_gamma[row].tobytes() == row_gamma.tobytes()
+
+
+def test_stack_rejects_mixed_state_sizes():
+    parts = [_CompiledProblem("qubo", maxcut_qubo(gen_regular(n, 3, seed=0))) for n in (6, 8)]
+    with pytest.raises(ValueError, match="state size"):
+        _CompiledProblem.stack(parts)
+
+
+def test_stack_with_a_zero_optimum_row_raises_before_running_a_circuit(monkeypatch):
+    def refuse(self, beta, gamma):
+        raise AssertionError("circuit run")
+
+    stack = _CompiledProblem.stack([
+        _CompiledProblem("qubo", maxcut_qubo(gen_regular(4, 3, seed=0))),
+        _CompiledProblem("qubo", maxcut_qubo(MaxCutInstance(4, ()))),  # every cut costs 0
+    ])
+    monkeypatch.setattr(_CompiledProblem, "evolve", refuse)
+    with pytest.raises(ValueError, match="zero optimal cost"):
+        stack.gap(np.array([0.1]), np.array([0.2]), gradient=True)
+
+
+def test_train_generator_runs_one_stack_per_state_size(monkeypatch):
+    # n = 6 and n = 8 graphs interleaved: two stacks, and the objective is
+    # the training-set mean of the standalone gaps at the returned theta
+    problems = [maxcut_qubo(gen_regular(n, 3, seed=s)) for s, n in enumerate([6, 8, 6, 8, 8])]
+    stack_rows = []
+    gap = _CompiledProblem.gap
+
+    def recording_gap(self, beta, gamma, gradient=False):
+        stack_rows.append(self.costs.shape)
+        return gap(self, beta, gamma, gradient)
+
+    monkeypatch.setattr(_CompiledProblem, "gap", recording_gap)
+    result = train_generator(problems, "qubo", p=2, budget=60, seed=0, random_restarts=1)
+    monkeypatch.undo()
+    assert stack_rows == [(2, 1 << 6), (3, 1 << 8)] * (len(stack_rows) // 2)
+    beta, gamma = expand_generator(result.params, 2)
+    gaps = [_CompiledProblem("qubo", problem).gap(beta, gamma) for problem in problems]
+    assert result.objective == float(np.mean(gaps))
+
+
+def test_evolve_gathers_the_cost_phase_without_a_state_sized_index_copy():
+    # psi and spare are the only new state-sized arrays; np.take's intp copy
+    # of the uint8 level index, 8 bytes per state, would exceed the 1 MiB slack
+    import tracemalloc
+
+    poly = maxcut_qubo(gen_regular(18, 3, seed=0))
+    tracemalloc.start()
+    try:
+        compiled = _CompiledProblem("qubo", poly)
+        tracemalloc.reset_peak()
+        psi = compiled.evolve(np.array([0.3, -0.2]), np.array([0.1, 0.4]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    index = compiled._levels[1]
+    assert index.dtype == np.uint8
+    assert peak <= 2 * psi.nbytes + compiled.costs.nbytes + index.nbytes + (1 << 20)
+
+
+# ----------------------------------------------------------------------
 # Layer ledger and layer-denominated time to solution
 # ----------------------------------------------------------------------
 
