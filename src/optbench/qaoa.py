@@ -133,8 +133,13 @@ _FLIPS = [(hamming == 1).astype(np.complex128) for hamming in _HAMMING]
 # Entries per slice of a pass over a level index: bounds the intp copy of
 # the index that np.searchsorted returns and np.take makes.
 _SLICE = 1 << 16
-# train_generator's cap on the amplitudes of one stack of problems.
-_STACK_AMPLITUDES = 1 << 20
+# train_generator's cap on the amplitudes of one stack of problems.  Stacking
+# saves per-call overhead only: on a 2-core host, gap(gradient=True) per
+# problem at p = 4 falls to 0.45x at n = 10 and 0.77-0.90x at n = 12 by 2**14
+# amplitudes and little further beyond, while from n = 14 a stack runs no
+# faster than its rows alone.  A stack's gap holds about 112 bytes per
+# amplitude, 1.75 MiB at the cap.
+_STACK_AMPLITUDES = 1 << 14
 
 
 def _gather(phase: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
@@ -250,7 +255,8 @@ class _CompiledProblem:
     def stack(cls, parts: list[_CompiledProblem]) -> _CompiledProblem:
         """The problems ``parts``, of one kind and state size, as the rows of one stack.
 
-        The stack keeps what ``gap`` reads, not the tours behind ``simulate``.
+        The stack keeps what ``gap`` reads, not the tours behind ``simulate``;
+        a one-problem stack views its problem's cost table instead of copying it.
         """
         first = parts[0]
         if any(part.kind != first.kind or part.costs.shape != first.costs.shape
@@ -260,7 +266,8 @@ class _CompiledProblem:
         stacked.kind, stacked.basis, stacked.k = first.kind, first.basis, first.k
         stacked.num_qubits = first.num_qubits
         stacked.problem = stacked.l_star = stacked.lengths = stacked.feasible = None
-        stacked.costs = np.stack([part.costs for part in parts])
+        stacked.costs = (first.costs[None] if len(parts) == 1
+                         else np.stack([part.costs for part in parts]))
         return stacked
 
     @functools.cached_property
@@ -685,7 +692,7 @@ def train_generator(
     Runs a quasi-Newton (L-BFGS-B) search from the given start (the linear
     ramp by default) plus ``random_restarts`` seeded random starts, and
     returns the best coefficients seen anywhere.  The problems of one state
-    size run as one stack (of at most 2**20 amplitudes): each point runs one
+    size run as stacks of at most 2**14 amplitudes: each point runs one
     forward pass per stack for the gaps and one adjoint (backward) pass for
     their exact gradients, chained to the coefficients through the
     generator's Vandermonde matrix.  ``budget`` caps the objective
@@ -701,23 +708,32 @@ def train_generator(
     if init is None:
         init = GeneratorParams.ramp()
     degree_len = init.theta_beta.size
-    compiled = [_CompiledProblem(kind, problem) for problem in train_set]
-    if not compiled:
+    # The stacks, each with its problems' training-set positions.  Problems
+    # wait in a group per basis and state size; a group is stacked and let go
+    # as soon as it is full, so only one stack's copy of cost tables is made
+    # at a time.
+    stacks, groups = [], {}
+
+    def build(group: list) -> None:
+        positions, parts = zip(*group)
+        stacks.append((list(positions), _CompiledProblem.stack(list(parts))))
+        group.clear()
+
+    for position, problem in enumerate(train_set):
+        compiled = _CompiledProblem(kind, problem)
+        size = compiled.costs.size
+        group = groups.setdefault((compiled.basis, size), [])
+        group.append((position, compiled))
+        if len(group) == max(1, _STACK_AMPLITUDES // size):
+            build(group)
+    for group in groups.values():
+        if group:
+            build(group)
+    if not stacks:
         raise ValueError("training set is empty")
-    # Training-set positions of the problems of each basis and state size.
-    groups: dict[tuple[str, int], list[int]] = {}
-    for position, prob in enumerate(compiled):
-        groups.setdefault((prob.basis, prob.costs.size), []).append(position)
-    stacks = []
-    for (_, size), positions in groups.items():
-        rows = max(1, _STACK_AMPLITUDES // size)
-        for start in range(0, len(positions), rows):
-            part = positions[start:start + rows]
-            stacks.append((part, _CompiledProblem.stack([compiled[i] for i in part])))
     # Per-problem gaps and gradients, in training-set order.
-    gaps = np.empty(len(compiled))
+    gaps = np.empty(sum(len(positions) for positions, _ in stacks))
     d_betas, d_gammas = np.empty((gaps.size, p)), np.empty((gaps.size, p))
-    del compiled  # the stacks hold copies of the cost tables
     powers = _powers(p, degree_len)
 
     state = {"evals": 0, "best_value": np.inf, "best_theta": None, "exhausted": False}

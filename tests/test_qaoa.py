@@ -513,10 +513,18 @@ def test_stack_with_a_zero_optimum_row_raises_before_running_a_circuit(monkeypat
         stack.gap(np.array([0.1]), np.array([0.2]), gradient=True)
 
 
-def test_train_generator_runs_one_stack_per_state_size(monkeypatch):
-    # n = 6 and n = 8 graphs interleaved: two stacks, and the objective is
-    # the training-set mean of the standalone gaps at the returned theta
-    problems = [maxcut_qubo(gen_regular(n, 3, seed=s)) for s, n in enumerate([6, 8, 6, 8, 8])]
+@pytest.mark.parametrize("cap, sizes, point", [
+    # one stack per state size, each run in training-set order of its first problem
+    (None, [6, 8, 6, 8, 8], [(2, 1 << 6), (3, 1 << 8)]),
+    # a 128-amplitude cap stacks n = 6 graphs in pairs and runs each n = 8
+    # graph alone; a stack runs from the point it fills, a partial one last
+    (128, [6, 8, 6, 8, 6, 6, 8, 6],
+     [(1, 1 << 8), (2, 1 << 6), (1, 1 << 8), (2, 1 << 6), (1, 1 << 8), (1, 1 << 6)]),
+])
+def test_train_generator_runs_one_gap_call_per_stack(monkeypatch, cap, sizes, point):
+    # n = 6 and n = 8 graphs interleaved; the objective is the training-set
+    # mean of the standalone gaps at the returned theta
+    problems = [maxcut_qubo(gen_regular(n, 3, seed=s)) for s, n in enumerate(sizes)]
     stack_rows = []
     gap = _CompiledProblem.gap
 
@@ -524,13 +532,22 @@ def test_train_generator_runs_one_stack_per_state_size(monkeypatch):
         stack_rows.append(self.costs.shape)
         return gap(self, beta, gamma, gradient)
 
+    if cap is not None:
+        monkeypatch.setattr("optbench.qaoa._STACK_AMPLITUDES", cap)
     monkeypatch.setattr(_CompiledProblem, "gap", recording_gap)
     result = train_generator(problems, "qubo", p=2, budget=60, seed=0, random_restarts=1)
     monkeypatch.undo()
-    assert stack_rows == [(2, 1 << 6), (3, 1 << 8)] * (len(stack_rows) // 2)
+    assert stack_rows == point * (len(stack_rows) // len(point))
     beta, gamma = expand_generator(result.params, 2)
     gaps = [_CompiledProblem("qubo", problem).gap(beta, gamma) for problem in problems]
     assert result.objective == float(np.mean(gaps))
+
+
+def test_one_problem_stack_views_its_cost_table():
+    part = _CompiledProblem("qubo", maxcut_qubo(gen_regular(6, 3, seed=0)))
+    stacked = _CompiledProblem.stack([part])
+    assert stacked.costs.shape == (1, 1 << 6)
+    assert np.shares_memory(stacked.costs, part.costs)
 
 
 def test_evolve_gathers_the_cost_phase_without_a_state_sized_index_copy():
