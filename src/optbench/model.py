@@ -58,10 +58,6 @@ def _as_bits(x: str | Sequence[int] | np.ndarray, num_vars: int) -> np.ndarray:
     return bits
 
 
-def bits_to_string(bits: Sequence[int] | np.ndarray) -> str:
-    return "".join("1" if b else "0" for b in bits)
-
-
 def index_to_bitstring(index: int, num_vars: int) -> str:
     """Bitstring of a canonical basis index (variable 0 = least significant bit)."""
     return "".join("1" if (index >> i) & 1 else "0" for i in range(num_vars))

@@ -1,10 +1,14 @@
 """Classical heuristics and exhaustive oracles.
 
 All samplers return a :class:`~optbench.model.SampleSet` and are
-deterministic for a fixed seed.  Simulated annealing, tabu search and local
-search re-evaluate the costs they record exactly against the input model,
-once per call: one ``evaluate_batch`` pass over all best states, timed as
-postprocess, so the recorded solve time covers the search alone.
+deterministic for a fixed seed.  Tabu search and local search step all
+restarts together as rows of one state matrix; simulated annealing does so
+for calls whose reads fill chunks of at least ``_MIN_BATCH_READS``, and runs
+smaller calls one read at a time, with the same random stream and samples.
+Simulated annealing, tabu search and local search re-evaluate the costs
+they record exactly against the input model, once per call: one
+``evaluate_batch`` pass over all best states, timed as postprocess, so the
+recorded solve time covers the search alone.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .model import (
     SizeCapError,
     Stopwatch,
     Timing,
-    bits_to_string,
 )
 
 
@@ -64,10 +67,6 @@ def _compile_quadratic(
     return poly, constant, linear, coupling
 
 
-def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.integers(0, 2, n).astype(np.float64)
-
-
 def _as_state(x: str, n: int) -> np.ndarray:
     if len(x) != n:
         raise ValueError(f"start {x!r} does not have {n} bits")
@@ -89,6 +88,15 @@ def _neighbor_lists(coupling: np.ndarray) -> list[list[tuple[int, float]]]:
             for row in coupling]
 
 
+def _bit_strings(states: np.ndarray) -> list[str]:
+    """The bitstring of each row of a (draws, n) 0/1 matrix."""
+    bits = np.ascontiguousarray(states, dtype=np.uint8)
+    n = bits.shape[1]
+    if n == 0:
+        return [""] * bits.shape[0]
+    return (bits + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
+
+
 def _exact_draws(poly: BinaryPolynomial, states: np.ndarray) -> list[tuple[str, float]]:
     """One (bitstring, exact cost) draw per row of a (draws, n) 0/1 matrix.
 
@@ -96,17 +104,31 @@ def _exact_draws(poly: BinaryPolynomial, states: np.ndarray) -> list[tuple[str, 
     whole solver call is a single vectorised pass.
     """
     bits = np.ascontiguousarray(states, dtype=np.uint8)
-    costs = poly.evaluate_batch(bits).tolist()
-    n = bits.shape[1]
-    if n == 0:
-        return [("", cost) for cost in costs]
-    strings = (bits + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
-    return list(zip(strings, costs))
+    return list(zip(_bit_strings(bits), poly.evaluate_batch(bits).tolist()))
 
 
 # ----------------------------------------------------------------------
 # Simulated annealing
 # ----------------------------------------------------------------------
+
+# The reads of one call step together in chunks of at most this many drawn
+# orders and uniforms (2 * sweeps * n per read): 2^19 proposals, whose
+# per-chunk arrays take 40 bytes each, 20 MiB in all.
+_CHUNK_DRAWS = 1 << 20
+# Chunks of fewer reads run one read at a time.  Both paths cost about
+# c * sweeps * n per read, so the crossover is one read count.  Timed over
+# 16..128 reads at n = 10, 14, 30, 60 and 5, 20 sweeps (best of 7-21 runs,
+# 2-core host), the batched path broke even at 40-48 reads for n <= 14
+# (0.91-1.00x the scalar time at 48, 1.06-1.25x at 32) and by 24-40 reads
+# for n = 30, 60; at 128 reads it took 0.40-0.74x.
+_MIN_BATCH_READS = 48
+# np.exp and math.exp round apart by at most one ulp (on 4.6 % of inputs).
+# A uniform this close to np.exp's value, at least 64 ulps of any value up
+# to 1, is decided again with math.exp.  For an exponent below -700 the
+# window holds every uniform that np.exp's value could accept (0.0 and the
+# next 128), which the scalar rule rejects.
+_EXP_DOUBT = 2.0 ** -46
+
 
 @dataclass
 class SaConfig:
@@ -116,9 +138,11 @@ class SaConfig:
     random start; each pass proposes every variable once in random order.
     The temperature decays geometrically once per sweep.  ``t0`` and
     ``alpha`` default to an auto schedule: t0 is the largest |cost change|
-    seen over 100 random probe flips and alpha is chosen so the final sweep
-    runs at 1e-3 * t0.  The acceptance constant ``kb`` is fixed to 1 by
-    default and simply rescales t0.
+    seen over 100 random probe flips (1 for a model with no variables) and
+    alpha is chosen so the final sweep runs at 1e-3 * t0.  The acceptance
+    constant ``kb`` is fixed to 1 by default and simply rescales t0.  How
+    the reads are stepped, one at a time or together, never changes the
+    samples.
     """
 
     reads: int = 100
@@ -145,6 +169,8 @@ def _probe_t0(
     rng: np.random.Generator, linear: np.ndarray, coupling: np.ndarray, probes: int = 100
 ) -> float:
     n = linear.size
+    if n == 0:
+        return 1.0
     states = rng.integers(0, 2, (probes, n)).astype(np.float64)
     flips = rng.integers(0, n, probes)
     fields = states @ coupling
@@ -154,47 +180,60 @@ def _probe_t0(
     return top if top > 0.0 else 1.0
 
 
-def simulated_annealing(
-    model: BinaryPolynomial | IsingModel,
-    cfg: SaConfig | None = None,
-    starts: Sequence[str] | None = None,
-) -> SampleSet:
-    """Metropolis-style annealing with single-bit-flip moves.
+def _start(rng: np.random.Generator, starts: Sequence[str] | None, read: int,
+           n: int) -> np.ndarray:
+    if starts is None:
+        return rng.integers(0, 2, n).astype(np.float64)
+    return _as_state(starts[read], n)
 
-    A worse candidate (cost change delta > 0) is accepted with probability
-    exp(-delta / (kb * T)); improving or equal moves are always accepted.
-    Returns the best assignment of each read as one sample.  Reads run one
-    at a time over Python floats; an accepted flip updates the local fields
-    of the flipped variable's neighbours only.
+
+def _metropolis(delta: np.ndarray, uniforms: np.ndarray, kt: float) -> np.ndarray:
+    """The scalar acceptance rule, decision for decision, on a vector of proposals.
+
+    A proposal with cost change delta is accepted when delta <= 0, or when
+    the exponent -delta / kt is at least -700 and its uniform lies below
+    math.exp of it.  np.exp decides every uniform outside a window of
+    ``_EXP_DOUBT`` around its value; the few inside are decided again by the
+    scalar rule.  An exponent above 709 overflows np.exp to inf, which
+    accepts; callers silence that warning.
     """
-    cfg = cfg or SaConfig()
-    watch = Stopwatch()
-    poly, constant, linear, coupling = _compile_quadratic(model)
-    n = poly.num_vars
-    rng = make_rng(cfg.seed)
-    t_start = cfg.t0 if cfg.t0 is not None else _probe_t0(rng, linear, coupling)
-    if cfg.alpha is not None:
-        alpha = cfg.alpha
-    elif cfg.sweeps > 1:
-        alpha = 1e-3 ** (1.0 / (cfg.sweeps - 1))
-    else:
-        alpha = 1e-3
-    kb = cfg.kb
-    neighbors = _neighbor_lists(coupling)
-    exp = math.exp
-    t_preprocess = watch.lap()
+    # delta / -kt is -delta / kt bit for bit.
+    gap = uniforms - np.exp(delta / -kt)
+    accept = gap < 0.0
+    np.abs(gap, out=gap)
+    # One reduction first: a uniform lands in the window about once in 2^45.
+    if np.minimum.reduce(gap) <= _EXP_DOUBT:
+        for k in np.flatnonzero(gap <= _EXP_DOUBT).tolist():
+            d = float(delta[k])
+            exponent = -d / kt
+            accept[k] = d <= 0.0 or (exponent >= -700.0
+                                     and float(uniforms[k]) < math.exp(exponent))
+    return accept
 
-    reads = cfg.reads if starts is None else len(starts)
-    best_states = np.empty((reads, n))
+
+def _anneal_one_by_one(
+    rng: np.random.Generator, starts: Sequence[str] | None, reads: int,
+    quadratic: tuple, neighbors: list[list[tuple[int, float]]], schedule: tuple,
+) -> np.ndarray:
+    """Best spins of ``reads`` reads, one at a time over Python floats.
+
+    An accepted flip updates the local fields of the flipped variable's
+    neighbours only.
+    """
+    constant, linear, coupling = quadratic
+    sweeps, t0, alpha, kb = schedule
+    n = linear.size
+    exp = math.exp
+    best_spins = np.empty((reads, n))
     for read in range(reads):
-        x = _random_state(rng, n) if starts is None else _as_state(starts[read], n)
+        x = _start(rng, starts, read, n)
         field = (linear + coupling @ x).tolist()
         cost = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
         spin = (1.0 - 2.0 * x).tolist()
         best_spin = spin[:]
         best_cost = cost
-        temperature = t_start
-        for _ in range(cfg.sweeps):
+        temperature = t0
+        for _ in range(sweeps):
             order = rng.permutation(n).tolist()
             uniforms = rng.random(n).tolist()
             kt = kb * temperature
@@ -213,10 +252,139 @@ def simulated_annealing(
                     best_cost = cost
                     best_spin = spin[:]
             temperature *= alpha
-        best_states[read] = best_spin
+        best_spins[read] = best_spin
+    return best_spins
+
+
+def _anneal_together(
+    rng: np.random.Generator, starts: Sequence[str] | None, reads: range,
+    quadratic: tuple, schedule: tuple,
+) -> np.ndarray:
+    """Best spins of ``reads``, all stepped together as rows of one state matrix.
+
+    The random stream is drawn up front in the scalar loop's order: per
+    read, the start, then per sweep the order and the uniforms.  Each
+    (sweep, position) step proposes every read's variable at that position
+    and decides all of them with :func:`_metropolis`.  An accepted flip adds
+    the flipped variable's dense coupling row to the fields, where a
+    non-neighbour gains a signed zero that no decision can see.  Each read
+    keeps its cost after every step; its best state is the first one at its
+    lowest cost, replayed from the accepted flips.
+    """
+    constant, linear, coupling = quadratic
+    sweeps, t0, alpha, kb = schedule
+    count, n = len(reads), linear.size
+    steps = sweeps * n
+    x = np.empty((count, n))
+    orders = np.empty((count, sweeps, n), dtype=np.intp)
+    orders[:] = np.arange(n)
+    uniforms = np.empty((count, sweeps, n))
+    shuffle, fill = rng.shuffle, rng.random
+    for r, read in enumerate(reads):
+        x[r] = _start(rng, starts, read, n)
+        for order, uniform in zip(orders[r], uniforms[r]):
+            shuffle(order)
+            fill(out=uniform)
+    spin = 1.0 - 2.0 * x
+    start_spin = spin.copy()
+    field = np.empty((count, n))
+    # costs[r, 0] holds read r's start cost and costs[r, t + 1] the change
+    # that step t made; a running sum in step order turns them into the cost
+    # after every step, the same additions the scalar loop makes.
+    costs = np.empty((count, steps + 1))
+    for r, row in enumerate(x):
+        field[r] = linear + coupling @ row
+        costs[r, 0] = constant + float(linear @ row) + 0.5 * float(row @ coupling @ row)
+    # Step t of every read: its variable, that variable's flat index in the
+    # (count, n) spin and field matrices, and its uniform.
+    variables = orders.reshape(count, steps).T
+    index = variables + np.arange(count) * n
+    uniforms = uniforms.reshape(count, steps).T
+    # The spin each step flipped (before the flip), or a signed zero.
+    flips = np.empty((steps, count))
+    rows = np.empty((count, n))
+    flat_spin = spin.reshape(-1)
+    flat_field = field.reshape(-1)
+    temperature = t0
+    t = 0
+    with np.errstate(over="ignore"):
+        for _ in range(sweeps):
+            kt = kb * temperature
+            for _ in range(n):
+                at = index[t]
+                sign = flat_spin[at]
+                local = flat_field[at]
+                accept = _metropolis(sign * local, uniforms[t], kt)
+                step = np.multiply(sign, accept, out=flips[t])
+                sign -= step
+                sign -= step
+                flat_spin[at] = sign
+                coupling.take(variables[t], axis=0, out=rows)
+                rows *= step[:, None]
+                field += rows
+                t += 1
+                np.multiply(local, step, out=costs[:, t])
+            temperature *= alpha
+    np.add.accumulate(costs, axis=1, out=costs)
+    replayed = index[(flips != 0.0) & (np.arange(steps)[:, None] < costs.argmin(axis=1))]
+    parity = np.bincount(replayed, minlength=count * n).reshape(count, n) % 2
+    return np.where(parity == 1, -start_spin, start_spin)
+
+
+def simulated_annealing(
+    model: BinaryPolynomial | IsingModel,
+    cfg: SaConfig | None = None,
+    starts: Sequence[str] | None = None,
+) -> SampleSet:
+    """Metropolis-style annealing with single-bit-flip moves.
+
+    A worse candidate (cost change delta > 0) is accepted with probability
+    exp(-delta / (kb * T)); improving or equal moves are always accepted.
+    Returns the best assignment of each read as one sample.
+
+    A call whose reads fill chunks of at least ``_MIN_BATCH_READS`` steps
+    each chunk's reads together as one state matrix; smaller calls, such as
+    single-read BSF calls, run one read at a time over Python floats.  Both
+    draw the same random stream and return the same samples.
+    """
+    cfg = cfg or SaConfig()
+    watch = Stopwatch()
+    poly, constant, linear, coupling = _compile_quadratic(model)
+    n = poly.num_vars
+    rng = make_rng(cfg.seed)
+    t_start = cfg.t0 if cfg.t0 is not None else _probe_t0(rng, linear, coupling)
+    if cfg.alpha is not None:
+        alpha = cfg.alpha
+    elif cfg.sweeps > 1:
+        alpha = 1e-3 ** (1.0 / (cfg.sweeps - 1))
+    else:
+        alpha = 1e-3
+    last = t_start
+    for _ in range(cfg.sweeps - 1):
+        last *= alpha
+    if cfg.kb * last == 0.0:
+        raise ValueError(f"the schedule's temperature underflows to 0 by sweep {cfg.sweeps} "
+                         f"(t0 = {t_start!r}, alpha = {alpha!r}, kb = {cfg.kb!r})")
+    quadratic = (constant, linear, coupling)
+    schedule = (cfg.sweeps, t_start, alpha, cfg.kb)
+    reads = cfg.reads if starts is None else len(starts)
+    per_chunk = max(1, _CHUNK_DRAWS // max(1, 2 * cfg.sweeps * n))
+    chunks = max(1, -(-reads // per_chunk))
+    together = reads // chunks >= _MIN_BATCH_READS
+    neighbors = None if together else _neighbor_lists(coupling)
+    t_preprocess = watch.lap()
+
+    if together:
+        bounds = [reads * k // chunks for k in range(chunks + 1)]
+        best_spins = np.concatenate([
+            _anneal_together(rng, starts, range(lo, hi), quadratic, schedule)
+            for lo, hi in zip(bounds, bounds[1:])
+        ])
+    else:
+        best_spins = _anneal_one_by_one(rng, starts, reads, quadratic, neighbors, schedule)
     t_solve = watch.lap()
     sample_set = SampleSet.from_draws(
-        n, _exact_draws(poly, best_states < 0.0),
+        n, _exact_draws(poly, best_spins < 0.0),
         info={"solver": "sa", "sweeps": cfg.sweeps, "t0": t_start, "alpha": alpha},
     )
     sample_set.timing = Timing(t_preprocess, t_solve, watch.lap())
@@ -442,11 +610,17 @@ def goemans_williamson(
     vectors = rng.normal(size=(n, rank))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     total_weight = sum(w for _, _, w in inst.edges)
+    edge_u = np.array([u for u, _, _ in inst.edges], dtype=np.int64)
+    edge_v = np.array([v for _, v, _ in inst.edges], dtype=np.int64)
+    edge_w = np.array([w for _, _, w in inst.edges])
 
     def relaxed_cut() -> float:
+        # Every edge's dot product in one stacked (1, r) @ (r, 1) matmul,
+        # summed in edge order as Python floats.
+        dots = (vectors[edge_u, None, :] @ vectors[edge_v, :, None]).ravel().tolist()
         bilinear = 0.0
-        for u, v, w in inst.edges:
-            bilinear += w * float(vectors[u] @ vectors[v])
+        for (_, _, w), dot in zip(inst.edges, dots):
+            bilinear += w * dot
         return 0.5 * (total_weight - bilinear)
 
     objective = relaxed_cut()
@@ -456,7 +630,7 @@ def goemans_williamson(
     for _ in range(max_sweeps):
         for i in range(n):
             g = adjacency[i] @ vectors
-            norm = float(np.linalg.norm(g))
+            norm = math.sqrt(g.dot(g))
             if norm > 1e-12:
                 vectors[i] = -g / norm
         new_objective = relaxed_cut()
@@ -478,17 +652,12 @@ def goemans_williamson(
 
     normals = rng.normal(size=(rank, hyperplanes))
     assignments = (vectors @ normals > 0.0).astype(np.uint8)
-    edge_u = np.array([u for u, _, _ in inst.edges], dtype=np.int64)
-    edge_v = np.array([v for _, v, _ in inst.edges], dtype=np.int64)
-    edge_w = np.array([w for _, _, w in inst.edges])
     if inst.num_edges:
         crossing = assignments[edge_u, :] != assignments[edge_v, :]
         cuts = edge_w @ crossing
     else:
         cuts = np.zeros(hyperplanes)
-    draws = [
-        (bits_to_string(assignments[:, h]), -float(cuts[h])) for h in range(hyperplanes)
-    ]
+    draws = list(zip(_bit_strings(assignments.T), (-cuts).tolist()))
     t_solve = watch.lap()
     info = {
         "solver": "gw",

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from optbench import MaxCutInstance, TspInstance, maxcut_qubo
+from optbench.model import SampleSet, Stopwatch, Timing
+from optbench.solvers import RelaxationError
 
 
 @pytest.fixture
@@ -264,6 +266,83 @@ def reference_ls(inst, restarts=100, seed=None, starts=None):
         bitstring = "".join("1" if b else "0" for b in x)
         draws.append((bitstring, poly.evaluate(bitstring)))
     return _reference_sample_set(n, draws)
+
+
+def reference_gw(inst, hyperplanes=1000, seed=None, tol=1e-7, patience=50, max_sweeps=20_000):
+    """Low-rank relaxation with per-edge dots and per-hyperplane bitstrings.
+
+    The package's goemans_williamson as it was before its relaxation and
+    rounding were vectorised; returns a SampleSet.
+    """
+    watch = Stopwatch()
+    n = inst.num_nodes
+    rng = np.random.Generator(np.random.PCG64(seed))
+    adjacency = np.zeros((n, n))
+    for u, v, w in inst.edges:
+        adjacency[u, v] += w
+        adjacency[v, u] += w
+    rank = min(n, math.ceil(math.sqrt(2.0 * n)) + 1)
+    vectors = rng.normal(size=(n, rank))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    total_weight = sum(w for _, _, w in inst.edges)
+
+    def relaxed_cut() -> float:
+        bilinear = 0.0
+        for u, v, w in inst.edges:
+            bilinear += w * float(vectors[u] @ vectors[v])
+        return 0.5 * (total_weight - bilinear)
+
+    objective = relaxed_cut()
+    streak = 0
+    residual = np.inf
+    converged = False
+    for _ in range(max_sweeps):
+        for i in range(n):
+            g = adjacency[i] @ vectors
+            norm = float(np.linalg.norm(g))
+            if norm > 1e-12:
+                vectors[i] = -g / norm
+        new_objective = relaxed_cut()
+        residual = abs(new_objective - objective) / max(1.0, abs(new_objective))
+        objective = new_objective
+        if residual < tol:
+            streak += 1
+            if streak >= patience:
+                converged = True
+                break
+        else:
+            streak = 0
+    if not converged:
+        raise RelaxationError(
+            f"relaxation did not converge within {max_sweeps} sweeps "
+            f"(last relative change {residual:.3e})"
+        )
+    t_preprocess = watch.lap()
+
+    normals = rng.normal(size=(rank, hyperplanes))
+    assignments = (vectors @ normals > 0.0).astype(np.uint8)
+    edge_u = np.array([u for u, _, _ in inst.edges], dtype=np.int64)
+    edge_v = np.array([v for _, v, _ in inst.edges], dtype=np.int64)
+    edge_w = np.array([w for _, _, w in inst.edges])
+    if inst.num_edges:
+        crossing = assignments[edge_u, :] != assignments[edge_v, :]
+        cuts = edge_w @ crossing
+    else:
+        cuts = np.zeros(hyperplanes)
+    draws = [
+        ("".join("1" if b else "0" for b in assignments[:, h]), -float(cuts[h]))
+        for h in range(hyperplanes)
+    ]
+    t_solve = watch.lap()
+    info = {
+        "solver": "gw",
+        "relaxed_cut": objective,
+        "rank": rank,
+        "negative_weights": bool(np.any(edge_w < 0.0)) if inst.num_edges else False,
+    }
+    sample_set = SampleSet.from_draws(n, draws, info=info)
+    sample_set.timing = Timing(t_preprocess, t_solve, watch.lap())
+    return sample_set
 
 
 def reference_tsp_exhaustive(inst: TspInstance) -> tuple[tuple[int, ...], float, float]:

@@ -1,11 +1,15 @@
 """The vectorised kernels against the scalar references in conftest.py.
 
 Same seed and starts must give SA, TS and LS exactly the same samples and
-costs as the one-read-at-a-time loops, and the exact recheck must go
-through BinaryPolynomial.evaluate_batch.  The blocked transverse circuit
-must match the one-qubit-per-pass loop to 1e-12 in every amplitude, and
-the strided cost table the one-mask-per-term loop bit for bit.
+costs as the one-read-at-a-time loops, on SA's scalar and batched paths
+alike, and GW exactly the samples, costs and info of its per-edge loop.
+The exact recheck must go through BinaryPolynomial.evaluate_batch.  The
+blocked transverse circuit must match the one-qubit-per-pass loop to 1e-12
+in every amplitude, and the strided cost table the one-mask-per-term loop
+bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from optbench import (
     gen_erdos_renyi,
     gen_regular,
     gen_tsp_planar,
+    goemans_williamson,
     local_search_maxcut,
     maxcut_qubo,
     qaoa_hobo_tsp_simulate,
@@ -25,10 +30,12 @@ from optbench import (
     simulated_annealing,
     tabu_search,
 )
+from optbench import solvers
 from optbench.qaoa import _CompiledProblem, embed_onehot_state
 
 from conftest import (
     reference_cost_vector,
+    reference_gw,
     reference_ls,
     reference_sa,
     reference_transverse_evolve,
@@ -92,6 +99,118 @@ def test_kernels_match_reference_from_given_starts(graph):
     assert as_pair(ts) == reference_ts(poly, iterations=30, tenure=4, seed=3, starts=starts)
     ls = local_search_maxcut(inst, seed=3, starts=starts)
     assert as_pair(ls) == reference_ls(inst, seed=3, starts=starts)
+
+
+@pytest.fixture
+def batched(monkeypatch):
+    """Step every SA call's reads together, and fail any call that would not."""
+    def refuse(*args):
+        raise AssertionError("one-read-at-a-time SA path taken")
+
+    monkeypatch.setattr(solvers, "_MIN_BATCH_READS", 1)
+    monkeypatch.setattr(solvers, "_anneal_one_by_one", refuse)
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("reads", (1, 25))
+def test_batched_sa_matches_reference(graph, seed, reads, batched):
+    poly = maxcut_qubo(GRAPHS[graph](seed))
+    sample = simulated_annealing(poly, SaConfig(reads=reads, sweeps=8, seed=seed))
+    assert as_pair(sample) == reference_sa(poly, reads=reads, sweeps=8, seed=seed)
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_batched_sa_matches_reference_from_given_starts(graph, batched):
+    poly = maxcut_qubo(GRAPHS[graph](4))
+    rng = np.random.default_rng(11)
+    starts = ["".join(map(str, row)) for row in rng.integers(0, 2, (6, poly.num_vars))]
+    starts.append(starts[0])
+    sa = simulated_annealing(poly, SaConfig(sweeps=5, seed=3), starts=starts)
+    assert as_pair(sa) == reference_sa(poly, sweeps=5, seed=3, starts=starts)
+
+
+@pytest.mark.parametrize("graph", ("er-uniform-10", "er-uniform-13"))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("t0", (0.3, 4.0))
+@pytest.mark.parametrize("path", ("one_by_one", "together"))
+def test_sa_fixed_schedule_matches_reference(graph, seed, t0, path, request):
+    if path == "together":
+        request.getfixturevalue("batched")
+    poly = maxcut_qubo(GRAPHS[graph](seed))
+    schedule = {"t0": t0, "alpha": 0.7, "kb": 2.0}
+    sample = simulated_annealing(poly, SaConfig(reads=25, sweeps=8, seed=seed, **schedule))
+    assert as_pair(sample) == reference_sa(poly, reads=25, sweeps=8, seed=seed, **schedule)
+
+
+def test_sa_chunks_split_the_reads_in_stream_order(monkeypatch):
+    # Room for 4 reads of 6 sweeps x 13 variables per chunk: 25 reads run as
+    # seven chunks of 3 or 4, in read order.
+    poly = maxcut_qubo(GRAPHS["er-uniform-13"](2))
+    sizes = []
+
+    together = solvers._anneal_together
+
+    def spy(rng, starts, reads, *args):
+        sizes.append(len(reads))
+        return together(rng, starts, reads, *args)
+
+    monkeypatch.setattr(solvers, "_CHUNK_DRAWS", 4 * 2 * 6 * 13)
+    monkeypatch.setattr(solvers, "_MIN_BATCH_READS", 1)
+    monkeypatch.setattr(solvers, "_anneal_together", spy)
+    sample = simulated_annealing(poly, SaConfig(reads=25, sweeps=6, seed=5))
+    assert as_pair(sample) == reference_sa(poly, reads=25, sweeps=6, seed=5)
+    assert sizes == [3, 4, 3, 4, 3, 4, 4]
+
+
+def scalar_rule(delta, uniform, kt):
+    """The acceptance test of the scalar loops, as a predicate."""
+    if delta > 0.0:
+        exponent = -delta / kt
+        if exponent < -700.0 or uniform >= math.exp(exponent):
+            return False
+    return True
+
+
+def test_metropolis_decides_as_the_scalar_rule_where_np_exp_rounds_apart():
+    # With kt = 1 the exponent of delta is exactly -delta.  Uniforms sit on
+    # math.exp's value, one ulp either side of it and on np.exp's value, at
+    # exponents where np.exp rounds above or below math.exp (none where both
+    # come from one libm); then the uniforms 0.0 and 2^-53 around the -700
+    # cutoff, and signed zero and overflowing deltas at the top uniform.
+    rng = np.random.default_rng(0)
+    exponents = rng.uniform(-40.0, 0.0, 20000)
+    above = [e for e in exponents if np.exp(e) > math.exp(e)][:20]
+    below = [e for e in exponents if np.exp(e) < math.exp(e)][:20]
+    delta, uniforms = [], []
+    for e in above + below:
+        exact = math.exp(e)
+        for u in (exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0), np.exp(e)):
+            delta.append(-e)
+            uniforms.append(float(u))
+    cutoff = (699.0, 700.0, np.nextafter(700.0, 0.0), np.nextafter(700.0, 800.0), 701.0, 800.0)
+    for d in cutoff:
+        delta += [d, d]
+        uniforms += [0.0, 2.0 ** -53]
+    top = np.nextafter(1.0, 0.0)
+    delta += [0.0, -0.0, -1000.0]
+    uniforms += [top, top, top]
+    delta, uniforms = np.array(delta), np.array(uniforms)
+    with np.errstate(over="ignore"):
+        accept = solvers._metropolis(delta, uniforms, 1.0)
+        np_alone = uniforms < np.exp(-delta)
+    expected = [scalar_rule(d, u, 1.0) for d, u in zip(delta.tolist(), uniforms.tolist())]
+    assert accept.tolist() == expected
+    assert expected[-15:] == [True, False] * 3 + [False] * 6 + [True] * 3
+    # np.exp alone accepts the uniform 0.0 below the cutoff until e^-800
+    # underflows, and rounds the other way at every uniform placed between
+    # its value and math.exp's.
+    assert np_alone[-15:].tolist() == [True, False] * 5 + [False] * 2 + [True] * 3
+    placed = 4 * (len(above) + len(below))
+    between = [k for k, (d, u) in enumerate(zip(delta[:placed], uniforms[:placed]))
+               if min(np.exp(-d), math.exp(-d)) <= u < max(np.exp(-d), math.exp(-d))]
+    assert len(between) >= len(above) + len(below)
+    assert all(np_alone[k] != expected[k] for k in between)
 
 
 def test_recheck_is_one_batch(monkeypatch):
@@ -223,3 +342,13 @@ def test_argmin_exhaustive_across_chunks_matches_enumeration():
     optima = sorted(format(int(i), f"0{n}b")[::-1] for i in np.flatnonzero(costs == best))
     assert poly.argmin_exhaustive() == (optima[0], float(best))
     assert optima[0][0] == "0" and optima[0][-1] == "1"
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gw_matches_reference(graph, seed):
+    inst = GRAPHS[graph](seed)
+    sample = goemans_williamson(inst, seed=seed)
+    expected = reference_gw(inst, seed=seed)
+    assert (sample.samples, sample.costs, sample.info) == (
+        expected.samples, expected.costs, expected.info)

@@ -59,6 +59,33 @@ def test_sa_single_variable_finds_minimum():
     assert sample.costs["1"] == -1.0
 
 
+@pytest.mark.parametrize("reads", (3, 100))
+def test_sa_model_without_variables_returns_its_constant_like_ts(reads):
+    # 3 reads run one at a time, 100 step together.
+    poly = BinaryPolynomial(0, {(): 2.0})
+    sample = simulated_annealing(poly, SaConfig(reads=reads, seed=4))
+    ts = tabu_search(poly, TsConfig(restarts=reads, seed=4))
+    assert (sample.samples, sample.costs) == ({"": reads}, {"": 2.0})
+    assert (sample.samples, sample.costs) == (ts.samples, ts.costs)
+    assert sample.info["t0"] == 1.0
+
+
+@pytest.mark.parametrize("reads", (1, 60))
+def test_sa_rejects_a_schedule_that_reaches_zero_temperature(triangle, reads):
+    # 1e-320 * 1e-3 * 1e-3 underflows to 0.0, where an uphill move's
+    # exponent -delta / (kb * T) is undefined.
+    cfg = SaConfig(reads=reads, sweeps=3, t0=1e-320, alpha=1e-3, seed=0)
+    with pytest.raises(ValueError, match="underflows"):
+        simulated_annealing(maxcut_qubo(triangle), cfg)
+    simulated_annealing(maxcut_qubo(triangle), SaConfig(reads=reads, sweeps=2, t0=1e-320,
+                                                        alpha=1e-3, seed=0))
+
+
+def test_sa_from_an_empty_list_of_starts_returns_no_samples(triangle):
+    sample = simulated_annealing(maxcut_qubo(triangle), SaConfig(seed=1), starts=[])
+    assert (sample.samples, sample.costs) == ({}, {})
+
+
 def test_sa_triangle_hits_optimum_often(triangle):
     # Exhaustively check the landscape first: every strict local minimum of
     # the flip neighborhood sits at the optimal cost -2.
