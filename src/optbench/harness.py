@@ -15,10 +15,12 @@ interval) and two-column plot data files.
 from __future__ import annotations
 
 import configparser
+import glob
 import hashlib
 import itertools
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -177,6 +179,17 @@ class ExperimentConfig:
         names = [s.name for s in self.solvers]
         if len(set(names)) != len(names):
             raise ConfigError("solver names must be unique")
+        cores = _usable_cores()
+        if self.jobs > cores:  # more workers than cores stretch every solver's clock
+            raise ConfigError(f"jobs = {self.jobs} exceeds the {cores} usable cores")
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _parse_scalar(text: str):
@@ -228,12 +241,16 @@ def build_instances(section: dict, master_seed: int) -> list:
         pattern = section.get("glob")
         if not pattern:
             raise ConfigError("instances kind 'files' needs a 'glob' key")
-        paths = sorted(Path().glob(pattern))
+        # generate writes a graph as an edge list, a tour as JSON and a
+        # manifest; oracle may write its table next to them
+        paths = [p for p in map(Path, sorted(glob.glob(pattern, recursive=True)))
+                 if p.name not in ("manifest.json", "oracle.jsonl")]
         if not paths:
             raise ConfigError(f"no instance files match {pattern!r}")
         out = []
         for p in paths:
-            inst = read_edge_list(p)
+            inst = (instance_from_dict(json.loads(p.read_text())) if p.suffix == ".json"
+                    else read_edge_list(p))
             inst.metadata["label"] = p.stem
             out.append(inst)
         return out
@@ -420,17 +437,18 @@ def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, poly: BinaryPol
     raise ConfigError(f"solver kind {spec.kind!r} is not a sampling solver")
 
 
-def _qaoa_metrics(inst: MaxCutInstance, poly: BinaryPolynomial, ctx: MetricContext, p: int = 8,
+def _qaoa_metrics(inst: MaxCutInstance, ctx: MetricContext, p: int = 8,
                   theta_beta: np.ndarray | None = None, theta_gamma: np.ndarray | None = None,
                   seconds_per_layer: float = SECONDS_PER_CNOT_LAYER) -> dict:
     """Exact p*, layer-denominated TTS and, on a nonzero optimum, the
-    approximation ratio of the depth-``p`` circuit.  Its schedule comes from
-    the generator coefficients; a missing ``theta_*`` is the ramp's."""
+    approximation ratio of the depth-``p`` circuit, run on the instance's
+    half basis.  Its schedule comes from the generator coefficients; a
+    missing ``theta_*`` is the ramp's."""
     ramp = GeneratorParams.ramp()
     gp = GeneratorParams(ramp.theta_beta if theta_beta is None else theta_beta,
                          ramp.theta_gamma if theta_gamma is None else theta_gamma)
     beta, gamma = expand_generator(gp, p)
-    dist = qaoa_qubo_simulate(poly, beta, gamma, optimal_cost=ctx.optimal_cost)
+    dist = qaoa_qubo_simulate(inst, beta, gamma, optimal_cost=ctx.optimal_cost)
     layers = tts_layers(dist, layer_ledger("maxcut", inst, p))
     metrics = {"p_star": dist.p_star, "tts": layers * seconds_per_layer,
                "tts_layers": layers, "qaoa_p": p}
@@ -488,7 +506,7 @@ def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
         cpu_start = time.process_time()
         try:
             if scenario == "tts" and spec.kind == "qaoa":
-                record.metrics = _qaoa_metrics(inst, poly, ctx, **spec.kwargs)
+                record.metrics = _qaoa_metrics(inst, ctx, **spec.kwargs)
                 record.best_cost = c_star if record.metrics["p_star"] > 0 else None
             else:
                 if scenario == "tts":

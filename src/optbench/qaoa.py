@@ -6,6 +6,7 @@ mixing layer, for t = 1..p:
 * ``qubo``  -- full 2**n statevector, transverse mixer exp(-i * beta * H_M)
   with H_M = -sum_i sigma_x_i, i.e. cos(beta) I + i sin(beta) sigma_x per
   qubit, started from the uniform superposition (the mixer ground state).
+  A Max-Cut instance runs on the half basis x_{n-1} = 0 (see below).
 * ``hobo``  -- same mixer over k * ceil(log2 k) qubits carrying integer
   slot encodings of a tour.
 * ``xy``    -- simulated inside the one-hot subspace (k blocks of k qubits,
@@ -22,9 +23,20 @@ trainer's adjoint gradient un-applies the same mixer methods on its backward
 pass.  The cost phase is computed per distinct cost level and gathered, in
 slices, through a level index built at first use; the transverse mixer
 applies each of ceil(n / 6) near-equal qubit blocks as one matmul by its
-dense Kronecker factor.  The trainer stacks the problems of one state size
-into one compiled problem, whose rows run through the same gates in one
-pass.
+dense Kronecker factor.  The trainer stacks the problems of one qubit count
+and state size into one compiled problem, whose rows run through the same
+gates in one pass.
+
+A Max-Cut instance compiled for qubo keeps only the 2**(n-1) states with
+x_{n-1} = 0: the cut cost, the uniform start and the transverse mixer all
+commute with the global flip X^n, so psi(x) = psi(not x) at every step
+(Shaydulin, Hadfield, Hogg & Safro, arXiv:2012.04713).  Its state is
+normalised over the half, so the expected cost, the gap and the gradients
+keep their formulas, and ``simulate`` mirrors the half into the same
+full-basis output as the full circuit's.  The half table sums each cut in
+its own order, so these outputs agree with the full circuit's to 1e-12
+rather than bit for bit.  The cap counts stored qubits, which lets a
+Max-Cut instance reach 27 qubits at the memory of a 26-qubit polynomial.
 
 Success probability p_star is the exact mass on optimal basis states
 (cost within 1e-9 of the optimum; for tours, feasible states within 1e-9
@@ -114,8 +126,9 @@ def xy_pair_rotation(beta: float) -> np.ndarray:
 # Compiled problem: cost table, basis and mixer of one encoding
 # ----------------------------------------------------------------------
 
-# kind -> (basis, default cap).  The cap bounds the qubit count on the
-# full basis and the number of basis states otherwise.
+# kind -> (basis, default cap).  The cap bounds the stored qubit count on the
+# full basis (n - 1 for a Max-Cut instance on the half basis) and the number
+# of basis states otherwise.
 _ENCODINGS = {
     "qubo": ("full", 26),
     "hobo": ("full", 26),
@@ -161,8 +174,9 @@ class _CompiledProblem:
 
     Holds the diagonal cost of every basis state and, for a tour, each
     state's decoded walk length (NaN where undecodable) and feasibility.
-    A qubo problem is a polynomial, a Max-Cut instance (its cut polynomial)
-    or a tour (its one-hot QUBO); an xy problem is a tour or a polynomial
+    A qubo problem is a polynomial, a Max-Cut instance (its cut polynomial
+    on the half basis x_{n-1} = 0, with ``half`` set) or a tour (its one-hot
+    QUBO); an xy problem is a tour or a polynomial
     over k*k variables; hobo and perm problems are tours.  ``a``/``b``
     override the tour penalties, ``cap`` the encoding's size cap and
     ``l_star`` the optimal tour length behind p_star.
@@ -178,7 +192,8 @@ class _CompiledProblem:
                  l_star: float | None = None) -> None:
         if kind not in _ENCODINGS:
             raise ValueError(f"unknown encoding kind {kind!r}")
-        if isinstance(problem, MaxCutInstance) and kind == "qubo":
+        half = isinstance(problem, MaxCutInstance) and kind == "qubo"
+        if half:
             problem = forms.maxcut_qubo(problem)
         tour = isinstance(problem, TspInstance)
         if tour:
@@ -188,7 +203,7 @@ class _CompiledProblem:
         elif kind == "xy" and (k is None or problem.num_vars != k * k):
             raise ValueError(f"a polynomial over {problem.num_vars} variables needs"
                              f" k with k*k variables for the xy encoding, got k = {k}")
-        self.kind, self.problem, self.k, self.l_star = kind, problem, k, l_star
+        self.kind, self.problem, self.k, self.l_star, self.half = kind, problem, k, l_star, half
         self.basis, default_cap = _ENCODINGS[kind]
         cap = default_cap if cap is None else cap
         if kind == "perm":
@@ -198,16 +213,17 @@ class _CompiledProblem:
         else:
             self.num_qubits = (forms.hobo_num_vars(k) if kind == "hobo"
                                else k * k if tour else problem.num_vars)
-            extent = self.num_qubits
+            extent = self.num_qubits - half
         if extent > cap:
-            unit = "qubits" if self.basis == "full" else "basis states"
+            unit = ("stored qubits" if half else "qubits" if self.basis == "full"
+                    else "basis states")
             raise SizeCapError(f"{extent} {unit} exceed the {kind} encoding's cap {cap}")
         self.lengths = self.feasible = None
         if tour:
             a_default, b_default = forms.tsp_default_penalties(problem)
             self._compile_tour(a_default if a is None else a, b_default if b is None else b)
         elif kind == "qubo":
-            self.costs = problem.cost_vector()
+            self.costs = problem.cost_vector(0, 1 << extent)
         else:
             self.costs = np.full(extent, problem.constant)
             slots = self.costs.reshape((k,) * k).T  # axis t holds slot t's digit
@@ -253,17 +269,18 @@ class _CompiledProblem:
 
     @classmethod
     def stack(cls, parts: list[_CompiledProblem]) -> _CompiledProblem:
-        """The problems ``parts``, of one kind and state size, as the rows of one stack.
+        """The problems ``parts``, of one kind, qubit count and state size, as one stack's rows.
 
         The stack keeps what ``gap`` reads, not the tours behind ``simulate``;
         a one-problem stack views its problem's cost table instead of copying it.
         """
         first = parts[0]
-        if any(part.kind != first.kind or part.costs.shape != first.costs.shape
-               for part in parts):
-            raise ValueError("stacked problems need one encoding kind and one state size")
+        if any(part.kind != first.kind or part.num_qubits != first.num_qubits
+               or part.costs.shape != first.costs.shape for part in parts):
+            raise ValueError("stacked problems need one encoding kind, qubit count and state size")
         stacked = cls.__new__(cls)
-        stacked.kind, stacked.basis, stacked.k = first.kind, first.basis, first.k
+        stacked.kind, stacked.basis, stacked.k, stacked.half = (first.kind, first.basis, first.k,
+                                                                first.half)
         stacked.num_qubits = first.num_qubits
         stacked.problem = stacked.l_star = stacked.lengths = stacked.feasible = None
         stacked.costs = (first.costs[None] if len(parts) == 1
@@ -275,7 +292,8 @@ class _CompiledProblem:
         """Distinct costs of all rows, ascending, and each state's level in the least dtype."""
         levels = np.unique(self.costs)
         index = np.empty(self.costs.shape, np.uint8 if levels.size <= 1 << 8 else
-                         np.uint16 if levels.size <= 1 << 16 else np.intp)
+                         np.uint16 if levels.size <= 1 << 16 else
+                         np.uint32 if levels.size <= 1 << 32 else np.intp)
         flat_index, flat_costs = index.reshape(-1), self.costs.reshape(-1)
         for start in range(0, flat_index.size, _SLICE):
             flat_index[start:start + _SLICE] = np.searchsorted(levels,
@@ -321,8 +339,13 @@ class _CompiledProblem:
         product makes OpenBLAS touch ~16 MiB more at n = 20 and, over a
         stack, start its threads.  A block's generator is -sum of its
         sigma_x, so its derivative term is -2 Im<lam| sum sigma_x |state>.
+
+        On the half basis the blocks cover the n - 1 stored qubits, and one
+        more gate acts on qubit n - 1, whose flip maps the half onto itself
+        in reverse order: cos(beta) psi + i sin(beta) psi[::-1], with
+        derivative term -2 Im<lam|state[::-1]>.
         """
-        n, size = self.num_qubits, psi.shape[-1]
+        n, size = self.num_qubits - self.half, psi.shape[-1]
         count = max(1, -(-n // 6))  # ceil(n / 6) near-equal blocks, lowest first
         widths = [n // count + (i < n % count) for i in range(count)]
         c, s = math.cos(beta), math.sin(-beta if adjoint else beta)
@@ -345,6 +368,13 @@ class _CompiledProblem:
                 product(_FLIPS[width], psi[0], spare[0], width, low)
                 derivative -= 2.0 * self._vdots(psi[1], spare[0]).imag
             low += width
+        if self.half:
+            np.multiply(psi[..., ::-1], 1j * s, out=spare)
+            psi *= c
+            psi += spare
+            if adjoint:
+                np.copyto(spare[0], psi[0][..., ::-1])
+                derivative -= 2.0 * self._vdots(psi[1], spare[0]).imag
         return psi, spare, derivative
 
     def _xy(self, psi: np.ndarray, spare: np.ndarray, beta: float,
@@ -435,12 +465,18 @@ class _CompiledProblem:
         within 1e-9 of ``optimal_cost`` (by default the least cost).
         """
         beta, gamma = _check_schedule(beta, gamma)
-        psi = self.evolve(beta, gamma)
+        psi, costs = self.evolve(beta, gamma), self.costs
+        if self.lengths is None and optimal_cost is None:
+            optimal_cost = float(self._levels[0][0])
+        if self.half:  # state x and its complement 2**n - 1 - x share one amplitude
+            self.__dict__.pop("_levels", None)  # the level index goes before the mirror comes
+            psi = np.concatenate([psi, psi[::-1]])
+            psi *= math.sqrt(0.5)
+            costs = np.concatenate([costs, costs[::-1]])
         probs = np.abs(psi)
         probs *= probs
         if self.lengths is None:
-            reference = float(self._levels[0][0]) if optimal_cost is None else optimal_cost
-            optimal = self.costs <= reference + 1e-9
+            optimal = costs <= optimal_cost + 1e-9
         else:
             l_star = self.l_star
             if l_star is None:
@@ -451,7 +487,7 @@ class _CompiledProblem:
             basis=self.basis,
             probabilities=probs,
             amplitudes=psi,
-            costs=self.costs,
+            costs=costs,
             p_star=float(probs[optimal].sum()),
             num_qubits=self.num_qubits,
             k=self.k,
@@ -489,7 +525,7 @@ class _CompiledProblem:
 # ----------------------------------------------------------------------
 
 def qaoa_qubo_simulate(
-    model: BinaryPolynomial,
+    model: BinaryPolynomial | MaxCutInstance,
     beta,
     gamma,
     cap: int = _ENCODINGS["qubo"][1],
@@ -497,7 +533,8 @@ def qaoa_qubo_simulate(
 ) -> OutputDistribution:
     """Full-statevector run of a (possibly higher-order) diagonal cost model.
 
-    ``model`` may also be a problem already compiled for the qubo encoding.
+    ``model`` may also be a Max-Cut instance, run on the half basis, or a
+    problem already compiled for the qubo encoding.
     """
     if not isinstance(model, _CompiledProblem):
         model = _CompiledProblem("qubo", model, cap=cap)
@@ -691,8 +728,9 @@ def train_generator(
 
     Runs a quasi-Newton (L-BFGS-B) search from the given start (the linear
     ramp by default) plus ``random_restarts`` seeded random starts, and
-    returns the best coefficients seen anywhere.  The problems of one state
-    size run as stacks of at most 2**14 amplitudes: each point runs one
+    returns the best coefficients seen anywhere.  A Max-Cut instance runs on
+    the half basis (see the module docstring).  The problems of one qubit
+    count and state size run as stacks of at most 2**14 amplitudes: each point runs one
     forward pass per stack for the gaps and one adjoint (backward) pass for
     their exact gradients, chained to the coefficients through the
     generator's Vandermonde matrix.  ``budget`` caps the objective
@@ -709,9 +747,10 @@ def train_generator(
         init = GeneratorParams.ramp()
     degree_len = init.theta_beta.size
     # The stacks, each with its problems' training-set positions.  Problems
-    # wait in a group per basis and state size; a group is stacked and let go
-    # as soon as it is full, so only one stack's copy of cost tables is made
-    # at a time.
+    # wait in a group per basis, qubit count and state size (a half-basis
+    # n-node Max-Cut and a full (n-1)-variable polynomial share a state size,
+    # not a mixer); a group is stacked and let go as soon as it is full, so
+    # only one stack's copy of cost tables is made at a time.
     stacks, groups = [], {}
 
     def build(group: list) -> None:
@@ -722,7 +761,7 @@ def train_generator(
     for position, problem in enumerate(train_set):
         compiled = _CompiledProblem(kind, problem)
         size = compiled.costs.size
-        group = groups.setdefault((compiled.basis, size), [])
+        group = groups.setdefault((compiled.basis, compiled.num_qubits, size), [])
         group.append((position, compiled))
         if len(group) == max(1, _STACK_AMPLITUDES // size):
             build(group)

@@ -137,6 +137,19 @@ def test_jobs_flag_parallel_run(tmp_path):
     assert len(load_records(out / "records.jsonl")) == 4
 
 
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+def test_jobs_above_the_usable_cores_is_config_error(tmp_path, monkeypatch, capsys, affinity):
+    if affinity:
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    else:  # a platform without an affinity call counts the machine's cores
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+    cfg, out = write_config(tmp_path, CONFIG)
+    assert main(["run", "--config", str(cfg), "--jobs", "2"]) == 1
+    assert "exceeds the 1 usable cores" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any solver ran
+
+
 def test_runtime_failure_exits_two(tmp_path):
     missing = tmp_path / "missing.jsonl"
     assert main(["report", "--records", str(missing), "--out", str(tmp_path)]) == 2
@@ -211,6 +224,33 @@ def test_tsp_instances_record_failures(tmp_path, capsys, scenario):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert "0/4 runs ok" in captured.out
+
+
+def test_generated_files_run_back(tmp_path):
+    # generate writes a graph as an edge list, a tour as JSON and a manifest,
+    # oracle its table; kind = files reads each instance back by its suffix
+    data = tmp_path / "data"
+    graphs = tmp_path / "graphs.cfg"
+    graphs.write_text(CONFIG.format(out=tmp_path / "unused"))
+    assert main(["generate", "--config", str(graphs), "--out", str(data)]) == 0
+    assert main(["oracle", "--config", str(graphs), "--out", str(data)]) == 0
+    hashes = {row["hash"] for row in json.loads((data / "manifest.json").read_text())}
+    files = tmp_path / "files.cfg"
+    files.write_text(CONFIG.format(out=tmp_path / "out").replace(
+        "kind = regular\nsizes = 6\ncount = 2\ndegree = 3", f"kind = files\nglob = {data}/*"))
+    assert main(["run", "--config", str(files)]) == 0
+    records = load_records(tmp_path / "out" / "records.jsonl")
+    assert len(records) == 4 and all(r.status == "ok" for r in records)
+    assert {r.instance_hash for r in records} == hashes
+    # tours next to the graphs: their records are the failed stop-gap, not a parse error
+    tours = tmp_path / "tours.cfg"
+    tours.write_text(TSP_CONFIG.replace("{scenario}", "tts").format(out=tmp_path / "unused"))
+    assert main(["generate", "--config", str(tours), "--out", str(data)]) == 0
+    assert main(["run", "--config", str(files)]) == 0
+    records = load_records(tmp_path / "out" / "records.jsonl")
+    assert len(records) == 8
+    assert all(r.status == "failed" and "Max-Cut" in r.error for r in records if r.size == 4)
+    assert all(r.status == "ok" for r in records if r.size == 6)
 
 
 def test_run_with_no_ok_record_exits_one(tmp_path):

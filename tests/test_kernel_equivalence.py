@@ -6,7 +6,8 @@ alike, and GW exactly the samples, costs and info of its per-edge loop.
 The exact recheck must go through BinaryPolynomial.evaluate_batch.  The
 blocked transverse circuit must match the one-qubit-per-pass loop to 1e-12
 in every amplitude, and the strided cost table the one-mask-per-term loop
-bit for bit.
+bit for bit.  A Max-Cut circuit on the half basis must match the full
+circuit of its polynomial to 1e-12 in every output and gradient.
 """
 
 import math
@@ -16,7 +17,9 @@ import pytest
 
 from optbench import (
     BinaryPolynomial,
+    MaxCutInstance,
     SaConfig,
+    SizeCapError,
     TsConfig,
     cut_weight,
     gen_erdos_renyi,
@@ -352,3 +355,71 @@ def test_gw_matches_reference(graph, seed):
     expected = reference_gw(inst, seed=seed)
     assert (sample.samples, sample.costs, sample.info) == (
         expected.samples, expected.costs, expected.info)
+
+
+# ----------------------------------------------------------------------
+# Half-basis Max-Cut circuits against the full circuit
+# ----------------------------------------------------------------------
+
+def assert_half_matches_full(inst, beta, gamma):
+    """Every output of the half compile of ``inst`` against the full compile of its polynomial."""
+    half = _CompiledProblem("qubo", inst)
+    full = _CompiledProblem("qubo", maxcut_qubo(inst))
+    assert half.costs.size * 2 == full.costs.size
+    for optimal_cost in (None, float(full.costs.min())):
+        ours = half.simulate(beta, gamma, optimal_cost)
+        theirs = full.simulate(beta, gamma, optimal_cost)
+        assert (ours.basis, ours.num_qubits) == (theirs.basis, theirs.num_qubits)
+        for name in ("amplitudes", "probabilities", "costs"):
+            assert np.max(np.abs(getattr(ours, name) - getattr(theirs, name))) <= 1e-12
+        assert abs(ours.p_star - theirs.p_star) <= 1e-12
+        assert abs(ours.expected_cost() - theirs.expected_cost()) <= 1e-12
+    assert_transverse_matches_reference(ours, beta, gamma)
+    if full.costs.min() == 0.0:
+        for compiled in (half, full):
+            with pytest.raises(ValueError, match="zero optimal cost"):
+                compiled.gap(beta, gamma)
+        return
+    value, d_beta, d_gamma = half.gap(beta, gamma, gradient=True)
+    expected_value, expected_beta, expected_gamma = full.gap(beta, gamma, gradient=True)
+    assert abs(value - expected_value) <= 1e-12
+    assert np.max(np.abs(d_beta - expected_beta)) <= 1e-12
+    assert np.max(np.abs(d_gamma - expected_gamma)) <= 1e-12
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("p", (1, 3))
+def test_half_basis_maxcut_circuit_matches_full_circuit(graph, p):
+    rng = np.random.default_rng(p)
+    assert_half_matches_full(GRAPHS[graph](p), rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
+
+
+@pytest.mark.parametrize("inst", [
+    MaxCutInstance(2, ((0, 1, 1.0),)),  # one stored qubit
+    MaxCutInstance(7, ()),  # every cut costs 0
+], ids=["n2", "edgeless"])
+def test_half_basis_maxcut_circuit_at_the_edges(inst):
+    assert_half_matches_full(inst, np.array([0.4, -1.1]), np.array([0.9, 0.3]))
+
+
+def test_half_basis_cap_counts_stored_qubits():
+    inst = gen_regular(6, 3, seed=0)
+    dist = qaoa_qubo_simulate(inst, [0.3], [0.2], cap=5)
+    assert dist.amplitudes.size == 1 << 6
+    with pytest.raises(SizeCapError):
+        qaoa_qubo_simulate(maxcut_qubo(inst), [0.3], [0.2], cap=5)
+
+
+def test_level_index_above_uint16_is_uint32_and_the_phase_stays_bitwise(monkeypatch):
+    rng = np.random.default_rng(7)
+    poly = BinaryPolynomial(17, {(i,): rng.normal() for i in range(17)})
+    compiled = _CompiledProblem("qubo", poly)
+    levels, index = compiled._levels
+    assert levels.size > 1 << 16 and index.dtype == np.uint32
+    # with the mixer left out, evolve's state is the start times the cost phase
+    monkeypatch.setattr(_CompiledProblem, "_mix",
+                        lambda self, psi, spare, beta, adjoint=False: (psi, spare, 0.0))
+    start = np.full(compiled.costs.size, 1.0 / math.sqrt(compiled.costs.size), dtype=np.complex128)
+    for gamma in (0.37, -1.9):
+        psi = compiled.evolve(np.array([0.0]), np.array([gamma]))
+        assert psi.tobytes() == (start * np.exp(-1j * gamma * compiled.costs)).tobytes()

@@ -11,6 +11,7 @@ from optbench import (
     MaxCutInstance,
     SizeCapError,
     expand_generator,
+    gen_erdos_renyi,
     gen_regular,
     gen_tsp_circular,
     gen_tsp_planar,
@@ -471,13 +472,14 @@ def test_train_generator_rejects_a_budget_below_one(budget):
 
 @pytest.mark.parametrize("kind, problems", [
     ("qubo", [maxcut_qubo(gen_regular(8, 3, seed=s)) for s in range(3)]),
+    ("qubo", [gen_regular(8, 3, seed=s) for s in range(3)]),  # Max-Cut on the half basis
     ("hobo", [gen_tsp_planar(4, seed=s) for s in range(3)]),
     ("xy", [gen_tsp_planar(4, seed=s) for s in range(3)]),  # 27 states: rows start unaligned
     ("perm", [gen_tsp_planar(5, seed=s) for s in range(3)]),
     # two different problems: unit-weight cuts and real-weight terms share no levels
     ("qubo", [maxcut_qubo(gen_regular(6, 3, seed=0)),
               BinaryPolynomial(6, {(0, 1): 0.7, (2,): -1.3, (3, 4, 5): 2.1, (): 0.25})]),
-], ids=["qubo", "hobo", "xy", "perm", "two-problems"])
+], ids=["qubo", "qubo-half", "hobo", "xy", "perm", "two-problems"])
 @pytest.mark.parametrize("p", [1, 3])
 def test_stack_rows_equal_standalone_gaps_bit_for_bit(kind, problems, p):
     parts = [_CompiledProblem(kind, problem) for problem in problems]
@@ -541,6 +543,29 @@ def test_train_generator_runs_one_gap_call_per_stack(monkeypatch, cap, sizes, po
     beta, gamma = expand_generator(result.params, 2)
     gaps = [_CompiledProblem("qubo", problem).gap(beta, gamma) for problem in problems]
     assert result.objective == float(np.mean(gaps))
+
+
+def test_train_generator_keeps_half_and_full_problems_of_one_state_size_apart(monkeypatch):
+    # A half-basis 8-node Max-Cut and a full 7-variable polynomial both hold
+    # 2**7 amplitudes but differ in their mixers: each runs as its own stack,
+    # whose gap is the problem's own.
+    problems = [gen_regular(8, 3, seed=0), maxcut_qubo(gen_erdos_renyi(7, 0.5, seed=1))]
+    stacks = []
+    gap = _CompiledProblem.gap
+
+    def recording_gap(self, beta, gamma, gradient=False):
+        stacks.append((self.num_qubits, self.half, self.costs.shape))
+        return gap(self, beta, gamma, gradient)
+
+    monkeypatch.setattr(_CompiledProblem, "gap", recording_gap)
+    both = train_generator(problems, "qubo", p=2, budget=60, seed=0, random_restarts=1)
+    monkeypatch.undo()
+    assert set(stacks) == {(8, True, (1, 1 << 7)), (7, False, (1, 1 << 7))}
+    beta, gamma = expand_generator(both.params, 2)
+    gaps = [_CompiledProblem("qubo", problem).gap(beta, gamma) for problem in problems]
+    assert both.objective == float(np.mean(gaps))
+    full_gap = _CompiledProblem("qubo", maxcut_qubo(problems[0])).gap(beta, gamma)
+    assert abs(gaps[0] - full_gap) <= 1e-12
 
 
 def test_one_problem_stack_views_its_cost_table():
