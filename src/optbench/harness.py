@@ -179,6 +179,10 @@ class ExperimentConfig:
         names = [s.name for s in self.solvers]
         if len(set(names)) != len(names):
             raise ConfigError("solver names must be unique")
+        if self.num_groups is not None and self.num_groups < 1:
+            raise ConfigError(f"groups must be >= 1, got {self.num_groups}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         cores = _usable_cores()
         if self.jobs > cores:  # more workers than cores stretch every solver's clock
             raise ConfigError(f"jobs = {self.jobs} exceeds the {cores} usable cores")

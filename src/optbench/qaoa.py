@@ -40,7 +40,9 @@ Max-Cut instance reach 27 qubits at the memory of a 26-qubit polynomial.
 
 Success probability p_star is the exact mass on optimal basis states
 (cost within 1e-9 of the optimum; for tours, feasible states within 1e-9
-of the optimal tour length).
+of the optimal tour length l*).  A compiled tour holds every state's walk
+length and feasibility, and its feasible states are exactly the k! tours,
+so l* is the least feasible length it holds; no outside oracle runs.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 from . import formulations as forms
 from .instances import MaxCutInstance, TspInstance, make_rng
 from .model import BinaryPolynomial, SizeCapError
-from .solvers import tsp_exhaustive
+from .solvers import tsp_exhaustive  # noqa: F401  # kept: perfbench's tracer patches this name
 
 
 class LayerCountUnavailable(ValueError):
@@ -178,8 +180,7 @@ class _CompiledProblem:
     on the half basis x_{n-1} = 0, with ``half`` set) or a tour (its one-hot
     QUBO); an xy problem is a tour or a polynomial
     over k*k variables; hobo and perm problems are tours.  ``a``/``b``
-    override the tour penalties, ``cap`` the encoding's size cap and
-    ``l_star`` the optimal tour length behind p_star.
+    override the tour penalties and ``cap`` the encoding's size cap.
 
     ``costs`` has shape (*stack, size): the stack shape is () for one
     problem and (G,) for G problems of one kind and state size built by
@@ -188,8 +189,7 @@ class _CompiledProblem:
     """
 
     def __init__(self, kind: str, problem, a: float | None = None, b: float | None = None,
-                 k: int | None = None, cap: int | None = None,
-                 l_star: float | None = None) -> None:
+                 k: int | None = None, cap: int | None = None) -> None:
         if kind not in _ENCODINGS:
             raise ValueError(f"unknown encoding kind {kind!r}")
         half = isinstance(problem, MaxCutInstance) and kind == "qubo"
@@ -203,7 +203,7 @@ class _CompiledProblem:
         elif kind == "xy" and (k is None or problem.num_vars != k * k):
             raise ValueError(f"a polynomial over {problem.num_vars} variables needs"
                              f" k with k*k variables for the xy encoding, got k = {k}")
-        self.kind, self.problem, self.k, self.l_star, self.half = kind, problem, k, l_star, half
+        self.kind, self.problem, self.k, self.half = kind, problem, k, half
         self.basis, default_cap = _ENCODINGS[kind]
         cap = default_cap if cap is None else cap
         if kind == "perm":
@@ -282,7 +282,7 @@ class _CompiledProblem:
         stacked.kind, stacked.basis, stacked.k, stacked.half = (first.kind, first.basis, first.k,
                                                                 first.half)
         stacked.num_qubits = first.num_qubits
-        stacked.problem = stacked.l_star = stacked.lengths = stacked.feasible = None
+        stacked.problem = stacked.lengths = stacked.feasible = None
         stacked.costs = (first.costs[None] if len(parts) == 1
                          else np.stack([part.costs for part in parts]))
         return stacked
@@ -460,9 +460,10 @@ class _CompiledProblem:
         """Run the circuit and return its exact output distribution.
 
         p_star is the mass on optimal states: for a tour, feasible states
-        whose length is within 1e-9 of l* (the shortest tour of the perm
-        basis, else the exhaustive oracle's); otherwise states whose cost is
-        within 1e-9 of ``optimal_cost`` (by default the least cost).
+        whose length is within 1e-9 of l*, the least length among the
+        feasible states, which are exactly the k! tours; otherwise states
+        whose cost is within 1e-9 of ``optimal_cost`` (by default the least
+        cost).
         """
         beta, gamma = _check_schedule(beta, gamma)
         psi, costs = self.evolve(beta, gamma), self.costs
@@ -478,10 +479,7 @@ class _CompiledProblem:
         if self.lengths is None:
             optimal = costs <= optimal_cost + 1e-9
         else:
-            l_star = self.l_star
-            if l_star is None:
-                l_star = (float(self.lengths.min()) if self.basis == "perm"
-                          else tsp_exhaustive(self.problem).optimal_length)
+            l_star = self.lengths[self.feasible].min()
             optimal = self.feasible & (self.lengths <= l_star + 1e-9)
         return OutputDistribution(
             basis=self.basis,
@@ -548,7 +546,6 @@ def qaoa_hobo_tsp_simulate(
     a: float | None = None,
     b: float | None = None,
     cap: int = _ENCODINGS["hobo"][1],
-    l_star: float | None = None,
 ) -> OutputDistribution:
     """Integer-encoded tour circuit over k * ceil(log2 k) qubits.
 
@@ -557,7 +554,7 @@ def qaoa_hobo_tsp_simulate(
     slot pair naming the same location (integers wrap modulo k for the
     walk, see :mod:`optbench.formulations`).
     """
-    compiled = _CompiledProblem("hobo", inst, a=a, b=b, cap=cap, l_star=l_star)
+    compiled = _CompiledProblem("hobo", inst, a=a, b=b, cap=cap)
     return compiled.simulate(beta, gamma)
 
 
@@ -569,7 +566,6 @@ def qaoa_xy_simulate(
     a: float | None = None,
     b: float | None = None,
     cap: int = _ENCODINGS["xy"][1],
-    l_star: float | None = None,
 ) -> OutputDistribution:
     """One-hot-preserving circuit simulated in the k**k block subspace.
 
@@ -580,7 +576,7 @@ def qaoa_xy_simulate(
     one-hot basis states.  The initial state, a product of W states, is
     uniform over the subspace, and no mass ever leaves it.
     """
-    compiled = _CompiledProblem("xy", problem, a=a, b=b, k=k, cap=cap, l_star=l_star)
+    compiled = _CompiledProblem("xy", problem, a=a, b=b, k=k, cap=cap)
     return compiled.simulate(beta, gamma)
 
 
@@ -603,7 +599,6 @@ def qaoa_perm_simulate(
     gamma,
     a: float | None = None,
     cap: int = _ENCODINGS["perm"][1],
-    l_star: float | None = None,
 ) -> OutputDistribution:
     """Projector-mixer circuit over the k! feasible permutations.
 
@@ -611,7 +606,7 @@ def qaoa_perm_simulate(
     psi <- psi + (exp(-i*beta) - 1) <s|psi> s with s the uniform
     permutation state, so no infeasible state can ever be reached.
     """
-    compiled = _CompiledProblem("perm", inst, a=a, cap=cap, l_star=l_star)
+    compiled = _CompiledProblem("perm", inst, a=a, cap=cap)
     return compiled.simulate(beta, gamma)
 
 
@@ -622,10 +617,9 @@ def qaoa_tsp_simulate(
     gamma,
     a: float | None = None,
     b: float | None = None,
-    l_star: float | None = None,
 ) -> OutputDistribution:
     """Run one of the four tour encodings: qubo, hobo, xy or perm."""
-    compiled = _CompiledProblem(kind, inst, a=a, b=b, l_star=l_star)
+    compiled = _CompiledProblem(kind, inst, a=a, b=b)
     if kind == "qubo":  # the plain qubo simulator runs the compiled one-hot QUBO
         return qaoa_qubo_simulate(compiled, beta, gamma)
     return compiled.simulate(beta, gamma)

@@ -8,7 +8,9 @@ smaller calls one read at a time, with the same random stream and samples.
 Simulated annealing, tabu search and local search re-evaluate the costs
 they record exactly against the input model, once per call: one
 ``evaluate_batch`` pass over all best states, timed as postprocess, so the
-recorded solve time covers the search alone.
+recorded solve time covers the search alone.  Given ``starts`` are
+bitstrings in the model's convention: a character other than '0' or '1'
+raises ``ValueError``, and a wrong length ``DimensionError``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .model import (
     SizeCapError,
     Stopwatch,
     Timing,
+    _as_bits,
 )
 
 
@@ -65,12 +68,6 @@ def _compile_quadratic(
             coupling[i, j] = coeffs
             coupling[j, i] = coeffs
     return poly, constant, linear, coupling
-
-
-def _as_state(x: str, n: int) -> np.ndarray:
-    if len(x) != n:
-        raise ValueError(f"start {x!r} does not have {n} bits")
-    return np.array([1.0 if c == "1" else 0.0 for c in x])
 
 
 def _adjacency(inst: MaxCutInstance) -> np.ndarray:
@@ -184,7 +181,7 @@ def _start(rng: np.random.Generator, starts: Sequence[str] | None, read: int,
            n: int) -> np.ndarray:
     if starts is None:
         return rng.integers(0, 2, n).astype(np.float64)
-    return _as_state(starts[read], n)
+    return _as_bits(starts[read], n).astype(np.float64)
 
 
 def _metropolis(delta: np.ndarray, uniforms: np.ndarray, kt: float) -> np.ndarray:
@@ -449,7 +446,7 @@ def tabu_search(
     field = np.empty((restarts, n))
     cost = np.empty(restarts)
     xs = (rng.integers(0, 2, (restarts, n)).astype(np.float64) if starts is None
-          else [_as_state(start, n) for start in starts])
+          else [_as_bits(start, n).astype(np.float64) for start in starts])
     for r, x in enumerate(xs):
         spin[r] = 1.0 - 2.0 * x
         field[r] = linear + coupling @ x
@@ -554,7 +551,7 @@ def local_search_maxcut(
     # Node-major spins: entry (u, r) is +1 / -1 when node u of restart r is on side 0 / 1.
     spin = np.empty((n, total))
     xs = (rng.integers(0, 2, (total, n)) if starts is None
-          else [np.array([1 if c == "1" else 0 for c in start]) for start in starts])
+          else [_as_bits(start, n).astype(np.float64) for start in starts])
     for restart, x in enumerate(xs):
         spin[:, restart] = 1 - 2 * x
     # gain[u, r]: same-side minus cross weight at u, the cut gained by moving u.

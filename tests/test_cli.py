@@ -150,6 +150,14 @@ def test_jobs_above_the_usable_cores_is_config_error(tmp_path, monkeypatch, caps
     assert not out.exists()  # rejected before any solver ran
 
 
+@pytest.mark.parametrize("line", ["groups = 0", "jobs = 0"])
+def test_groups_or_jobs_below_one_exit_one_before_any_solver_runs(tmp_path, capsys, line):
+    cfg, out = write_config(tmp_path, CONFIG.replace("seed = 5", f"seed = 5\n{line}"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert f"{line.split()[0]} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any solver ran
+
+
 def test_runtime_failure_exits_two(tmp_path):
     missing = tmp_path / "missing.jsonl"
     assert main(["report", "--records", str(missing), "--out", str(tmp_path)]) == 2

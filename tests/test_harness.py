@@ -523,6 +523,17 @@ def test_experiment_config_validation():
         SolverSpec("x", "mystery")
 
 
+@pytest.mark.parametrize("field", ["num_groups", "jobs"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_groups_and_jobs_below_one_are_config_errors(field, value):
+    name = {"num_groups": "groups"}.get(field, field)
+    with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {value}"):
+        ExperimentConfig(scenario="tts", solvers=[SolverSpec("sa", "sa")], instances=[],
+                         **{field: value})
+    ExperimentConfig(scenario="tts", solvers=[SolverSpec("sa", "sa")], instances=[],
+                     **{field: 1})
+
+
 def test_bsf_exhaustive_terminates_early():
     cfg = ExperimentConfig(
         scenario="bsf",

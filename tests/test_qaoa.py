@@ -253,6 +253,39 @@ def test_hobo_feasible_costs_cross_check_oracle():
     assert feasible_costs.max() == pytest.approx(a * result.worst_length, abs=1e-9)
 
 
+# The k = 5 one-hot QUBO holds 2**25 states: within the qubo cap, but too
+# large for a unit test.
+TOUR_KINDS_BY_K = {k: ("qubo", "hobo", "xy", "perm") if k <= 4 else ("hobo", "xy", "perm")
+                   for k in (2, 3, 4, 5)}
+
+
+@pytest.mark.parametrize("k", TOUR_KINDS_BY_K)
+def test_least_feasible_length_is_the_exhaustive_optimum_bit_for_bit(k):
+    for seed in range(4):
+        for inst in (gen_tsp_planar(k + 1, seed=seed), gen_tsp_circular(k + 1, 0.3, seed=seed)):
+            optimum = tsp_exhaustive(inst).optimal_length
+            for kind in TOUR_KINDS_BY_K[k]:
+                compiled = _CompiledProblem(kind, inst)
+                assert np.count_nonzero(compiled.feasible) == math.factorial(k)
+                assert compiled.lengths[compiled.feasible].min() == optimum
+
+
+@pytest.mark.parametrize("kind", ["qubo", "hobo", "xy", "perm"])
+def test_tour_p_star_needs_no_outside_oracle(kind, monkeypatch):
+    tours = [gen_tsp_planar(4, seed=31), gen_tsp_circular(5, 0.4, seed=32)]  # k = 3 and 4
+    rng = make_rng(33)
+    beta, gamma = rng.uniform(0, math.pi, 3), rng.uniform(0, 2 * math.pi, 3)
+    expected = [qaoa_tsp_simulate(inst, kind, beta, gamma).p_star for inst in tours]
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("tour circuits must not call the exhaustive oracle")
+
+    monkeypatch.setattr("optbench.qaoa.tsp_exhaustive", no_oracle)
+    monkeypatch.setattr("optbench.solvers.tsp_exhaustive", no_oracle)
+    assert [qaoa_tsp_simulate(inst, kind, beta, gamma).p_star for inst in tours] == expected
+    assert all(0.0 < p_star <= 1.0 for p_star in expected)
+
+
 # ----------------------------------------------------------------------
 # Norm preservation
 # ----------------------------------------------------------------------

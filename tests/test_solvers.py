@@ -8,6 +8,7 @@ from scipy import stats
 from optbench import (
     BinaryPolynomial,
     DegreeError,
+    DimensionError,
     SaConfig,
     SizeCapError,
     TsConfig,
@@ -84,6 +85,32 @@ def test_sa_rejects_a_schedule_that_reaches_zero_temperature(triangle, reads):
 def test_sa_from_an_empty_list_of_starts_returns_no_samples(triangle):
     sample = simulated_annealing(maxcut_qubo(triangle), SaConfig(seed=1), starts=[])
     assert (sample.samples, sample.costs) == ({}, {})
+
+
+# Each kernel from one list of starts; "sa-batched" repeats it to 60 reads,
+# which step together.
+START_KERNELS = {
+    "sa": lambda inst, starts: simulated_annealing(maxcut_qubo(inst), SaConfig(sweeps=2, seed=0),
+                                                   starts=starts),
+    "sa-batched": lambda inst, starts: simulated_annealing(
+        maxcut_qubo(inst), SaConfig(sweeps=2, seed=0), starts=starts * 60),
+    "ts": lambda inst, starts: tabu_search(maxcut_qubo(inst), TsConfig(seed=0), starts=starts),
+    "ls": lambda inst, starts: local_search_maxcut(inst, seed=0, starts=starts),
+}
+
+
+@pytest.mark.parametrize("kernel", START_KERNELS)
+@pytest.mark.parametrize("start", ["0x1", "012", "0 1"])
+def test_a_start_with_a_character_other_than_0_or_1_raises(triangle, kernel, start):
+    with pytest.raises(ValueError, match="only '0'/'1'"):
+        START_KERNELS[kernel](triangle, ["010", start])
+
+
+@pytest.mark.parametrize("kernel", START_KERNELS)
+@pytest.mark.parametrize("start", ["01", "0101"])
+def test_a_start_of_the_wrong_length_raises(triangle, kernel, start):
+    with pytest.raises(DimensionError, match=f"length {len(start)}"):
+        START_KERNELS[kernel](triangle, ["010", start])
 
 
 def test_sa_triangle_hits_optimum_often(triangle):
