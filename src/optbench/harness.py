@@ -47,6 +47,7 @@ from .metrics import (MetricContext, approximation_ratio, bsf_relative, equal_fr
 from .model import ORACLE_CAP, BinaryPolynomial, SampleSet, SizeCapError, Stopwatch, Timing, merge
 from .qaoa import (
     GeneratorParams,
+    _CompiledProblem,
     expand_generator,
     layer_ledger,
     qaoa_qubo_simulate,
@@ -246,15 +247,20 @@ def build_instances(section: dict, master_seed: int) -> list:
         if not pattern:
             raise ConfigError("instances kind 'files' needs a 'glob' key")
         # generate writes a graph as an edge list, a tour as JSON and a
-        # manifest; oracle may write its table next to them
+        # manifest of their hashes; oracle may write its table next to them
         paths = [p for p in map(Path, sorted(glob.glob(pattern, recursive=True)))
                  if p.name not in ("manifest.json", "oracle.jsonl")]
         if not paths:
             raise ConfigError(f"no instance files match {pattern!r}")
+        listed = {folder: _manifest_hashes(folder) for folder in {p.parent for p in paths}}
         out = []
         for p in paths:
             inst = (instance_from_dict(json.loads(p.read_text())) if p.suffix == ".json"
                     else read_edge_list(p))
+            expected = listed[p.parent].get(p.name)
+            if expected is not None and instance_hash(inst) != expected:
+                raise ConfigError(f"instance file {p} has hash {instance_hash(inst)}, "
+                                  f"but its manifest lists {expected}")
             inst.metadata["label"] = p.stem
             out.append(inst)
         return out
@@ -287,6 +293,19 @@ def build_instances(section: dict, master_seed: int) -> list:
             inst.metadata["label"] = f"{kind}-n{size}-{index:03d}"
             out.append(inst)
     return out
+
+
+def _manifest_hashes(folder: Path) -> dict[str, str]:
+    """File name -> instance hash as the ``manifest.json`` in ``folder`` lists
+    them (``generate`` writes it); empty where there is no manifest."""
+    manifest = folder / "manifest.json"
+    if not manifest.is_file():
+        return {}
+    try:
+        return {row["file"]: row["hash"] for row in json.loads(manifest.read_text())}
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{manifest} is not an instance manifest: "
+                          f"{type(exc).__name__}: {exc}") from None
 
 
 def _config_instances(parser: configparser.ConfigParser,
@@ -441,18 +460,19 @@ def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, poly: BinaryPol
     raise ConfigError(f"solver kind {spec.kind!r} is not a sampling solver")
 
 
-def _qaoa_metrics(inst: MaxCutInstance, ctx: MetricContext, p: int = 8,
-                  theta_beta: np.ndarray | None = None, theta_gamma: np.ndarray | None = None,
+def _qaoa_metrics(inst: MaxCutInstance, circuit: _CompiledProblem, ctx: MetricContext,
+                  p: int = 8, theta_beta: np.ndarray | None = None,
+                  theta_gamma: np.ndarray | None = None,
                   seconds_per_layer: float = SECONDS_PER_CNOT_LAYER) -> dict:
     """Exact p*, layer-denominated TTS and, on a nonzero optimum, the
-    approximation ratio of the depth-``p`` circuit, run on the instance's
-    half basis.  Its schedule comes from the generator coefficients; a
-    missing ``theta_*`` is the ramp's."""
+    approximation ratio of the depth-``p`` circuit, run on ``circuit``, the
+    instance compiled on its half basis.  Its schedule comes from the
+    generator coefficients; a missing ``theta_*`` is the ramp's."""
     ramp = GeneratorParams.ramp()
     gp = GeneratorParams(ramp.theta_beta if theta_beta is None else theta_beta,
                          ramp.theta_gamma if theta_gamma is None else theta_gamma)
     beta, gamma = expand_generator(gp, p)
-    dist = qaoa_qubo_simulate(inst, beta, gamma, optimal_cost=ctx.optimal_cost)
+    dist = qaoa_qubo_simulate(circuit, beta, gamma, optimal_cost=ctx.optimal_cost)
     layers = tts_layers(dist, layer_ledger("maxcut", inst, p))
     metrics = {"p_star": dist.p_star, "tts": layers * seconds_per_layer,
                "tts_layers": layers, "qaoa_p": p}
@@ -477,11 +497,17 @@ def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
     """Every record of one instance under the ``tts`` or ``bsf`` protocol.
 
     The objective (the negated cut) is compiled once and, for ``tts``, the
-    exhaustive oracle runs once; every solver of the roster shares them,
-    and neither counts in any record's ``cpu_time``.  ``tts`` makes one
-    solver call at the record's seed; ``bsf`` repeats calls, each with its
-    own derived seed, until ``time_limit`` or ``max_calls``, then pools the
-    best costs of the roster.
+    optimum c* is found once; every solver of the roster shares them, and
+    neither counts in any record's ``cpu_time``.  When a ``tts`` roster
+    holds a circuit and the instance is within ``oracle_cap``, the instance
+    is compiled once on its half basis: the sampling solvers take its
+    polynomial, c* is the least cost of its half table (a cut and its
+    complement cost the same) and every circuit runs on it.  Otherwise c*
+    comes from ``argmin_exhaustive``'s streamed chunks, and a failed
+    compile fails only the circuit records.  ``tts`` makes one solver call
+    at the record's seed; ``bsf`` repeats calls, each with its own derived
+    seed, until ``time_limit`` or ``max_calls``, then pools the best costs
+    of the roster.
     """
     iid, ihash = instance_id(inst), instance_hash(inst)
     records = [
@@ -495,8 +521,18 @@ def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
         if not isinstance(inst, MaxCutInstance):
             raise TypeError(f"the tts and bsf protocols take Max-Cut instances, "
                             f"not {type(inst).__name__}")
-        poly = maxcut_qubo(inst)
-        c_star = poly.argmin_exhaustive(cap=oracle_cap)[1] if scenario == "tts" else None
+        circuit = failure = None
+        if (scenario == "tts" and any(spec.kind == "qaoa" for spec in solvers)
+                and inst.num_nodes <= oracle_cap):
+            try:
+                circuit = _CompiledProblem("qubo", inst)
+            except Exception as exc:  # raised again by each circuit record
+                failure = exc
+        if circuit is not None:
+            poly, c_star = circuit.problem, float(circuit.costs.min())
+        else:
+            poly = maxcut_qubo(inst)
+            c_star = poly.argmin_exhaustive(cap=oracle_cap)[1] if scenario == "tts" else None
     except SizeCapError as exc:
         for record in records:
             record.status, record.error = "skipped", str(exc)
@@ -510,7 +546,9 @@ def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
         cpu_start = time.process_time()
         try:
             if scenario == "tts" and spec.kind == "qaoa":
-                record.metrics = _qaoa_metrics(inst, ctx, **spec.kwargs)
+                if failure is not None:
+                    raise failure
+                record.metrics = _qaoa_metrics(inst, circuit, ctx, **spec.kwargs)
                 record.best_cost = c_star if record.metrics["p_star"] > 0 else None
             else:
                 if scenario == "tts":

@@ -21,11 +21,12 @@ every simulator and the generator trainer run through one state-evolution
 routine with one mixer method per basis (transverse, xy, projector).  The
 trainer's adjoint gradient un-applies the same mixer methods on its backward
 pass.  The cost phase is computed per distinct cost level and gathered, in
-slices, through a level index built at first use; the transverse mixer
-applies each of ceil(n / 6) near-equal qubit blocks as one matmul by its
-dense Kronecker factor.  The trainer stacks the problems of one qubit count
-and state size into one compiled problem, whose rows run through the same
-gates in one pass.
+slices, through a level index built at first use from one sort of the
+costs; the transverse mixer applies each of ceil(n / 6) near-equal qubit
+blocks as one GEMM per row by its dense Kronecker factor, each GEMM
+rotating the qubit order so that the next block's qubits come lowest.  The
+trainer stacks the problems of one qubit count and state size into one
+compiled problem, whose rows run through the same gates in one pass.
 
 A Max-Cut instance compiled for qubo keeps only the 2**(n-1) states with
 x_{n-1} = 0: the cut cost, the uniform start and the transverse mixer all
@@ -37,6 +38,8 @@ full-basis output as the full circuit's.  The half table sums each cut in
 its own order, so these outputs agree with the full circuit's to 1e-12
 rather than bit for bit.  The cap counts stored qubits, which lets a
 Max-Cut instance reach 27 qubits at the memory of a 26-qubit polynomial.
+The half table holds the optimum value too (a cut and its complement cost
+the same), so the harness takes a circuit's c* from its compiled table.
 
 Success probability p_star is the exact mass on optimal basis states
 (cost within 1e-9 of the optimum; for tours, feasible states within 1e-9
@@ -145,8 +148,8 @@ _HAMMING = [sum((np.arange(1 << w)[:, None] ^ np.arange(1 << w)) >> b & 1 for b 
 # The sum of sigma_x over a block of w qubits, by w: 1 where two states differ in one qubit.
 _FLIPS = [(hamming == 1).astype(np.complex128) for hamming in _HAMMING]
 
-# Entries per slice of a pass over a level index: bounds the intp copy of
-# the index that np.searchsorted returns and np.take makes.
+# Entries per slice of a gather through a level index: bounds the intp copy
+# of the index that np.take makes.
 _SLICE = 1 << 16
 # train_generator's cap on the amplitudes of one stack of problems.  Stacking
 # saves per-call overhead only: on a 2-core host, gap(gradient=True) per
@@ -289,15 +292,25 @@ class _CompiledProblem:
 
     @functools.cached_property
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct costs of all rows, ascending, and each state's level in the least dtype."""
-        levels = np.unique(self.costs)
+        """Distinct costs of all rows, ascending, and each state's level in the least dtype.
+
+        One argsort of the costs: the levels are the sorted costs where a new
+        value starts, and a state's level is the count of new values before
+        its place in the sorted order, scattered back through the permutation.
+        """
+        flat = self.costs.reshape(-1)
+        order = np.argsort(flat)
+        ordered = flat[order]
+        new = np.empty(flat.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        levels = ordered[new]
+        del ordered  # the sorted copy goes before the index comes
+        new[:1] = False  # the first cost is level 0
         index = np.empty(self.costs.shape, np.uint8 if levels.size <= 1 << 8 else
                          np.uint16 if levels.size <= 1 << 16 else
                          np.uint32 if levels.size <= 1 << 32 else np.intp)
-        flat_index, flat_costs = index.reshape(-1), self.costs.reshape(-1)
-        for start in range(0, flat_index.size, _SLICE):
-            flat_index[start:start + _SLICE] = np.searchsorted(levels,
-                                                               flat_costs[start:start + _SLICE])
+        index.reshape(-1)[order] = np.cumsum(new, dtype=index.dtype)
         return levels, index
 
     def evolve(self, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -332,42 +345,34 @@ class _CompiledProblem:
                     adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
         """Transverse mixer: cos(beta) I + i sin(beta) sigma_x on every qubit.
 
-        One matmul from psi into spare per block by its Kronecker factor
-        pw[popcount(i ^ j)], each product the shape it has for one row: the
-        lowest block as 256-row products, the others as (2**w, 2**low)
-        columns; a stack only adds products to the batch.  One tall
-        product makes OpenBLAS touch ~16 MiB more at n = 20 and, over a
-        stack, start its threads.  A block's generator is -sum of its
-        sigma_x, so its derivative term is -2 Im<lam| sum sigma_x |state>.
+        One GEMM from psi into spare per block and row, by the block's
+        Kronecker factor pw[popcount(i ^ j)]: the factor multiplies the
+        transpose of the (rest, 2**w) view, whose columns are the block's w
+        lowest bits, so those bits lead the product and each block rotates
+        the qubit order right by w.  The widths sum to n, so after the last
+        block every qubit is back in place.  A block's generator is -sum of
+        its sigma_x, so its derivative term is -2 Im<lam| sum sigma_x
+        |state>, read on the block's bits, which are then the top ones.
 
         On the half basis the blocks cover the n - 1 stored qubits, and one
         more gate acts on qubit n - 1, whose flip maps the half onto itself
         in reverse order: cos(beta) psi + i sin(beta) psi[::-1], with
         derivative term -2 Im<lam|state[::-1]>.
         """
-        n, size = self.num_qubits - self.half, psi.shape[-1]
+        n, stack = self.num_qubits - self.half, psi.shape[:-1]
         count = max(1, -(-n // 6))  # ceil(n / 6) near-equal blocks, lowest first
         widths = [n // count + (i < n % count) for i in range(count)]
         c, s = math.cos(beta), math.sin(-beta if adjoint else beta)
         derivative = 0.0
-
-        def product(gate, source, target, width, low):
-            if low == 0:
-                shape = (-1, min(256, size >> width), 1 << width)
-                np.matmul(source.reshape(shape), gate, out=target.reshape(shape))
-            else:
-                shape = (-1, 1 << width, 1 << low)
-                np.matmul(gate, source.reshape(shape), out=target.reshape(shape))
-
-        low = 0
         for width in widths:
             pw = np.array([c ** (width - d) * (1j * s) ** d for d in range(width + 1)])
-            product(pw[_HAMMING[width]], psi, spare, width, low)
+            np.matmul(pw[_HAMMING[width]], psi.reshape(*stack, -1, 1 << width).swapaxes(-1, -2),
+                      out=spare.reshape(*stack, 1 << width, -1))
             psi, spare = spare, psi
             if adjoint:  # blocks commute, so the term reads the same on either side
-                product(_FLIPS[width], psi[0], spare[0], width, low)
+                np.matmul(_FLIPS[width], psi[0].reshape(*stack[1:], 1 << width, -1),
+                          out=spare[0].reshape(*stack[1:], 1 << width, -1))
                 derivative -= 2.0 * self._vdots(psi[1], spare[0]).imag
-            low += width
         if self.half:
             np.multiply(psi[..., ::-1], 1j * s, out=spare)
             psi *= c

@@ -458,3 +458,21 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     result = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_an_edited_instance_file_is_a_config_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    graphs = tmp_path / "graphs.cfg"
+    graphs.write_text(CONFIG.format(out=tmp_path / "unused"))
+    assert main(["generate", "--config", str(graphs), "--out", str(data)]) == 0
+    edited = sorted(data.glob("*.txt"))[0]
+    header, first, *rest = edited.read_text().splitlines()
+    u, v, w = first.split()
+    edited.write_text("\n".join([header, f"{u} {v} {float(w) + 1.0!r}", *rest]) + "\n")
+    files = tmp_path / "files.cfg"
+    files.write_text(CONFIG.format(out=tmp_path / "out").replace(
+        "kind = regular\nsizes = 6\ncount = 2\ndegree = 3", f"kind = files\nglob = {data}/*"))
+    capsys.readouterr()
+    assert main(["run", "--config", str(files)]) == 1
+    assert edited.name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -603,3 +603,107 @@ def test_qaoa_lone_theta_is_used_and_the_other_is_the_ramp():
     assert lone.metrics["p_star"] != ramp.metrics["p_star"]
     gamma_only = _qaoa_record({"theta_gamma": [0, 1, 0.5, 0, 0]})
     assert gamma_only.metrics["p_star"] != ramp.metrics["p_star"]
+
+
+# ----------------------------------------------------------------------
+# One compiled Max-Cut problem per instance when a circuit is in the roster
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def exact_layer_calls(monkeypatch):
+    """Count cut polynomials, cost tables and exhaustive enumerations built."""
+    from optbench import formulations
+    from optbench.model import BinaryPolynomial
+
+    calls = dict.fromkeys(("maxcut_qubo", "cost_vector", "argmin_exhaustive"), 0)
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner in (formulations, harness):
+        count(owner, "maxcut_qubo")
+    count(BinaryPolynomial, "cost_vector")
+    count(BinaryPolynomial, "argmin_exhaustive")
+    return calls
+
+
+SAMPLING_ROSTER = [SolverSpec("sa", "sa", {"reads": 5, "sweeps": 2}),
+                   SolverSpec("exhaustive", "exhaustive")]
+
+
+def test_a_circuit_roster_builds_one_table_per_instance_and_no_oracle(exact_layer_calls):
+    roster = SAMPLING_ROSTER + [SolverSpec("qaoa2", "qaoa", {"p": 2})]
+    cfg = ExperimentConfig(scenario="tts", solvers=roster, instances=small_instances(count=3),
+                           seed=4)
+    records = run_tts_experiment(cfg)
+    assert len(records) == 9 and all(r.status == "ok" for r in records)
+    # the circuit's half table, then the exhaustive solver's own enumeration
+    assert exact_layer_calls == {"maxcut_qubo": 3, "cost_vector": 6, "argmin_exhaustive": 3}
+    alone = run_tts_experiment(ExperimentConfig(scenario="tts", solvers=SAMPLING_ROSTER,
+                                                instances=small_instances(count=3), seed=4))
+    untimed = ("p_star", "ar", "c", "relative_error")
+    for ours, theirs in zip([r for r in records if r.solver != "qaoa2"], alone):
+        assert (ours.solver, ours.best_cost) == (theirs.solver, theirs.best_cost)
+        assert [ours.metrics[key] for key in untimed] == [theirs.metrics[key] for key in untimed]
+
+
+def test_a_roster_without_a_circuit_keeps_the_streamed_oracle(exact_layer_calls):
+    cfg = ExperimentConfig(scenario="tts", solvers=SAMPLING_ROSTER,
+                           instances=small_instances(count=3), seed=4)
+    assert all(r.status == "ok" for r in run_tts_experiment(cfg))
+    assert exact_layer_calls == {"maxcut_qubo": 3, "cost_vector": 6, "argmin_exhaustive": 6}
+
+
+def test_a_failed_compile_fails_only_the_circuit_records(monkeypatch, oracle_calls):
+    from optbench import qaoa
+
+    monkeypatch.setitem(qaoa._ENCODINGS, "qubo", ("full", 3))  # 5 stored qubits are over it
+    roster = [SolverSpec("sa", "sa", {"reads": 20, "sweeps": 5}),
+              SolverSpec("qaoa2", "qaoa", {"p": 2})]
+    cfg = ExperimentConfig(scenario="tts", solvers=roster, instances=small_instances(count=2),
+                           seed=1)
+    records = run_tts_experiment(cfg)
+    assert len(oracle_calls) == 2  # the streamed oracle stands in for the table
+    for record in records:
+        if record.solver == "sa":
+            assert record.status == "ok" and "p_star" in record.metrics
+        else:
+            assert record.status == "failed"
+            assert record.error.startswith("SizeCapError") and "cap 3" in record.error
+
+
+# ----------------------------------------------------------------------
+# Instance files against their manifest
+# ----------------------------------------------------------------------
+
+def test_an_instance_file_must_match_its_manifest_hash(tmp_path):
+    instances = small_instances(count=2)
+    write_instance_files(instances, tmp_path)
+    files = {"kind": "files", "glob": str(tmp_path / "*")}
+    assert sorted(map(instance_hash, harness.build_instances(files, 0))) == sorted(
+        map(instance_hash, instances))
+    edited = tmp_path / f"{instance_id(instances[0])}.txt"
+    header, first, *rest = edited.read_text().splitlines()
+    u, v, _ = first.split()
+    edited.write_text("\n".join([header, f"{u} {v} 2.0", *rest]) + "\n")
+    with pytest.raises(ConfigError, match=edited.name):
+        harness.build_instances(files, 0)
+    # a file the manifest does not list is read as before
+    unlisted = tmp_path / "more" / "extra.txt"
+    unlisted.parent.mkdir()
+    edited.rename(unlisted)
+    (inst,) = harness.build_instances({"kind": "files", "glob": str(unlisted)}, 0)
+    assert inst.metadata["label"] == "extra" and inst.edges[0][2] == 2.0
+
+
+def test_a_malformed_manifest_is_a_config_error(tmp_path):
+    write_instance_files(small_instances(count=1), tmp_path)
+    (tmp_path / "manifest.json").write_text('[{"id": "a"}]')
+    with pytest.raises(ConfigError, match="manifest"):
+        harness.build_instances({"kind": "files", "glob": str(tmp_path / "*")}, 0)

@@ -7,7 +7,10 @@ The exact recheck must go through BinaryPolynomial.evaluate_batch.  The
 blocked transverse circuit must match the one-qubit-per-pass loop to 1e-12
 in every amplitude, and the strided cost table the one-mask-per-term loop
 bit for bit.  A Max-Cut circuit on the half basis must match the full
-circuit of its polynomial to 1e-12 in every output and gradient.
+circuit of its polynomial to 1e-12 in every output and gradient.  The level
+index from one sort must equal np.unique and np.searchsorted bit for bit,
+and the c* that a circuit roster takes from the half table must be the
+exhaustive oracle's optimum.
 """
 
 import math
@@ -33,7 +36,7 @@ from optbench import (
     simulated_annealing,
     tabu_search,
 )
-from optbench import solvers
+from optbench import harness, solvers
 from optbench.qaoa import _CompiledProblem, embed_onehot_state
 
 from conftest import (
@@ -423,3 +426,60 @@ def test_level_index_above_uint16_is_uint32_and_the_phase_stays_bitwise(monkeypa
     for gamma in (0.37, -1.9):
         psi = compiled.evolve(np.array([0.0]), np.array([gamma]))
         assert psi.tobytes() == (start * np.exp(-1j * gamma * compiled.costs)).tobytes()
+
+
+# ----------------------------------------------------------------------
+# The level index from one sort, the rotating transverse blocks and the
+# half table as the oracle
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("distinct, dtype", [
+    (7, np.uint8), (256, np.uint8), (257, np.uint16), (1 << 16, np.uint16),
+    ((1 << 16) + 1, np.uint32),
+])
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["one", "stack"])
+def test_level_index_from_one_sort_equals_unique_and_searchsorted(distinct, dtype, stack):
+    rng = np.random.default_rng(distinct)
+    values = (rng.permutation(distinct) - distinct // 2) * 0.37
+    picks = rng.integers(0, distinct, (*stack, 1 << 17))  # every level tied many times
+    picks.reshape(-1)[:distinct] = np.arange(distinct)
+    costs = values[rng.permuted(picks, axis=-1)]
+    compiled = _CompiledProblem.__new__(_CompiledProblem)  # the index reads only the costs
+    compiled.costs = costs
+    levels, index = compiled._levels
+    expected = np.unique(costs)
+    assert levels.tobytes() == expected.tobytes()
+    assert index.dtype == dtype and index.shape == costs.shape
+    assert np.array_equal(index, np.searchsorted(expected, costs))
+
+
+def transverse_problems(n):
+    """An n-variable polynomial and an (n + 1)-node graph: n stored qubits, full and half."""
+    rng = np.random.default_rng(n)
+    return {"full": random_polynomial(n, 3, 2 * n, rng),
+            "half": gen_erdos_renyi(n + 1, 0.3, n, weights="uniform")}
+
+
+# 5, 11, 16 and 19 stored qubits run as 1, 2, 3 and 4 blocks
+@pytest.mark.parametrize("n", (5, 11, 16, 19))
+@pytest.mark.parametrize("basis", ("full", "half"))
+def test_rotating_transverse_blocks_match_per_qubit_reference(n, basis):
+    compiled = _CompiledProblem("qubo", transverse_problems(n)[basis])
+    assert compiled.costs.size == 1 << n
+    rng = np.random.default_rng(n + 1)
+    beta, gamma = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+    assert_transverse_matches_reference(compiled.simulate(beta, gamma), beta, gamma)
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_circuit_roster_takes_the_oracle_optimum_from_the_half_table(graph, seed):
+    inst = GRAPHS[graph](seed)
+    (record,) = harness._instance_records(
+        inst, "tts", [harness.SolverSpec("qaoa1", "qaoa", {"p": 1})], seed, harness.ORACLE_CAP)
+    assert record.status == "ok" and record.metrics["p_star"] > 0.0
+    expected = maxcut_qubo(inst).argmin_exhaustive()[1]
+    if "uniform" in graph:  # the half table sums each cut in its own order
+        assert abs(record.best_cost - expected) <= 1e-12 * abs(expected)
+    else:
+        assert record.best_cost == expected

@@ -701,3 +701,18 @@ def test_ansatz_wrapper_dispatch():
     assert dist.basis == "onehot"
     with pytest.raises(ValueError):
         QaoaAnsatz(kind="xy", depth=2, problem=inst, beta=[0.1], gamma=[0.3, 0.4])
+
+
+# 5, 11, 16 and 19 stored qubits run the transverse mixer as 1, 2, 3 and 4 blocks
+@pytest.mark.parametrize("n", (5, 11, 16, 19))
+@pytest.mark.parametrize("half", (False, True), ids=["full", "half"])
+def test_rotating_transverse_blocks_gradients_match_central_differences(n, half):
+    inst = gen_erdos_renyi(n + half, 0.4, seed=n, weights="uniform")
+    compiled = _CompiledProblem("qubo", inst if half else maxcut_qubo(inst))
+    assert compiled.costs.size == 1 << n
+    rng = make_rng(n)
+    beta, gamma = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+    _, d_beta, d_gamma = compiled.gap(beta, gamma, gradient=True)
+    fd_beta, fd_gamma = central_differences(compiled, beta, gamma)
+    assert np.abs(d_beta - fd_beta).max() < 1e-6
+    assert np.abs(d_gamma - fd_gamma).max() < 1e-6
