@@ -1,10 +1,13 @@
 """Classical heuristics and exhaustive oracles.
 
 All samplers return a :class:`~optbench.model.SampleSet` and are
-deterministic for a fixed seed.  Tabu search and local search step all
-restarts together as rows of one state matrix; simulated annealing does so
-for calls whose reads fill chunks of at least ``_MIN_BATCH_READS``, and runs
-smaller calls one read at a time, with the same random stream and samples.
+deterministic for a fixed seed.  Local search steps all restarts together
+as rows of one state matrix.  Simulated annealing does so for calls whose
+reads fill chunks of at least ``_MIN_BATCH_READS``, and runs smaller calls
+one read at a time, with the same random stream and samples.  Tabu search
+steps all restarts together when ``restarts * n`` exceeds
+``_MAX_SCALAR_TS``, and smaller calls one restart at a time over Python
+floats, with the same samples bit for bit.
 Simulated annealing, tabu search and local search re-evaluate the costs
 they record exactly against the input model, once per call: one
 ``evaluate_batch`` pass over all best states, timed as postprocess, so the
@@ -71,18 +74,24 @@ def _compile_quadratic(
 
 
 def _adjacency(inst: MaxCutInstance) -> np.ndarray:
-    """Dense symmetric weight matrix of a graph; parallel edges add up."""
+    """Dense symmetric weight matrix of a graph; parallel edges add up.
+
+    One unbuffered ``np.add.at`` scatters the edges as (u, v), then as
+    (v, u).  Edges run u < v, so each entry sums its weights in edge order.
+    """
     adjacency = np.zeros((inst.num_nodes, inst.num_nodes))
-    for u, v, w in inst.edges:
-        adjacency[u, v] += w
-        adjacency[v, u] += w
+    if inst.edges:
+        u, v, w = zip(*inst.edges)
+        np.add.at(adjacency, (u + v, v + u), w + w)
     return adjacency
 
 
 def _neighbor_lists(coupling: np.ndarray) -> list[list[tuple[int, float]]]:
     """Per variable, the (neighbor, coupling) pairs of its nonzero couplings."""
-    return [list(zip(np.flatnonzero(row).tolist(), row[row != 0.0].tolist()))
-            for row in coupling]
+    rows, cols = np.nonzero(coupling)
+    pairs = list(zip(cols.tolist(), coupling[rows, cols].tolist()))
+    bounds = np.searchsorted(rows, np.arange(coupling.shape[0] + 1)).tolist()
+    return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _bit_strings(states: np.ndarray) -> list[str]:
@@ -392,6 +401,15 @@ def simulated_annealing(
 # Tabu search
 # ----------------------------------------------------------------------
 
+# Calls with restarts * n up to this step one restart at a time over Python
+# floats, larger ones all restarts together.  Both paths cost about
+# c * restarts * n per move.  Timed per call (neighbour lists included, 5
+# graphs each, 2-core host), the scalar path broke even at restarts * n of
+# 100-120 for n = 10..14 (ER density 0.5), 126-153 for n = 30..60 and about
+# 180 for n = 20 (density 0.2); at one restart it took 0.16-0.46x the time.
+_MAX_SCALAR_TS = 128
+
+
 @dataclass
 class TsConfig:
     """Tabu search settings.
@@ -415,42 +433,91 @@ class TsConfig:
             raise ValueError(f"tenure must be >= 0, got {self.tenure}")
 
 
-def tabu_search(
-    model: BinaryPolynomial | IsingModel,
-    cfg: TsConfig | None = None,
-    starts: Sequence[str] | None = None,
-) -> SampleSet:
-    """Best-neighbor descent over single-bit flips with a FIFO tabu list.
+def _first_min(values: list[float], cost: float) -> tuple[int, float]:
+    """The first index of the least ``value + cost``, and that sum.
 
-    Each iteration moves to the lowest-cost non-tabu neighbor; a tabu move
-    is allowed when it improves the best solution of the restart
-    (aspiration).  If every move is tabu and none aspires, the
-    least-recently-forbidden variable is flipped.  One sample per restart.
-
-    All restarts step together as rows of one state matrix.  A variable is
-    tabu while its last flip is among the restart's last ``tenure`` moves.
-    The recorded moves name the least-recently-forbidden variable, and
-    after the loop they replay each restart's best state.
+    Rounding is monotone, so the least sum is the least value's.  A smaller
+    index whose larger value rounds to the same sum would come first; the
+    least value before the found index shows whether there is one.
     """
-    cfg = cfg or TsConfig()
-    watch = Stopwatch()
-    poly, constant, linear, coupling = _compile_quadratic(model)
-    n = poly.num_vars
-    tenure = cfg.tenure if cfg.tenure is not None else min(20, n)
-    iterations = cfg.iterations if cfg.iterations is not None else 5 * n
-    rng = make_rng(cfg.seed)
-    t_preprocess = watch.lap()
+    low = min(values)
+    index = values.index(low)
+    low += cost
+    if index and min(values[:index]) + cost == low:
+        index = [value + cost for value in values].index(low)
+    return index, low
 
-    restarts = cfg.restarts if starts is None else len(starts)
-    spin = np.empty((restarts, n))
-    field = np.empty((restarts, n))
-    cost = np.empty(restarts)
-    xs = (rng.integers(0, 2, (restarts, n)).astype(np.float64) if starts is None
-          else [_as_bits(start, n).astype(np.float64) for start in starts])
-    for r, x in enumerate(xs):
-        spin[r] = 1.0 - 2.0 * x
-        field[r] = linear + coupling @ x
-        cost[r] = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
+
+def _tabu_one_by_one(
+    spins: np.ndarray, fields: np.ndarray, costs: np.ndarray,
+    neighbors: list[list[tuple[int, float]]], iterations: int, tenure: int,
+) -> np.ndarray:
+    """Best spins of each restart, one restart at a time over Python floats.
+
+    A move's cost is ``gain + cost`` with ``gain = spin * field``: a spin of
+    +-1 multiplies exactly, so gains update as the batched kernel's fields
+    do and every candidate is its candidate (a zero may differ in sign,
+    which no comparison sees).  ``open_gain`` holds the gains with tabu
+    variables at inf; it is scanned when no move aspires, that is when no
+    cost beats the restart's best.  A flip updates the gains of the flipped
+    variable's neighbours only.
+    """
+    restarts, n = spins.shape
+    may_stall = 0 < tenure and n <= tenure
+    inf = math.inf
+    best_spins = np.empty((restarts, n))
+    for r in range(restarts):
+        spin = spins[r].tolist()
+        gain = (spins[r] * fields[r]).tolist()
+        open_gain = gain[:] if tenure else gain
+        cost = best_cost = float(costs[r])
+        best_spin = spin[:]
+        last = [-tenure - 1] * n
+        moves = []
+        for t in range(iterations):
+            # tabu at step t: last flip at or after the horizon
+            horizon = t - tenure
+            if tenure and min(gain) + cost >= best_cost:
+                # Nothing aspires: the first least cost among the moves not tabu.
+                move, low = _first_min(open_gain, cost)
+                if may_stall and last[move] >= horizon:
+                    move = moves[max(horizon, 0)]
+                    low = gain[move] + cost
+            else:
+                move, low = _first_min(gain, cost)
+            sign = spin[move]
+            spin[move] = -sign
+            gain[move] = -gain[move]
+            for j, weight in neighbors[move]:
+                gain[j] += spin[j] * sign * weight
+                if last[j] <= horizon:  # not tabu at step t + 1
+                    open_gain[j] = gain[j]
+            cost = low
+            moves.append(move)
+            last[move] = t
+            if tenure:
+                open_gain[move] = inf
+                # the move of step ``horizon`` leaves the list unless made again since
+                if horizon >= 0 and last[moves[horizon]] == horizon:
+                    open_gain[moves[horizon]] = gain[moves[horizon]]
+            if cost < best_cost:
+                best_cost = cost
+                best_spin = spin[:]
+        best_spins[r] = best_spin
+    return best_spins
+
+
+def _tabu_together(
+    spin: np.ndarray, field: np.ndarray, cost: np.ndarray, coupling: np.ndarray,
+    iterations: int, tenure: int,
+) -> np.ndarray:
+    """Best spins of all restarts, stepped together as rows of one state matrix.
+
+    A variable is tabu while its last flip is among the restart's last
+    ``tenure`` moves.  The recorded moves name the least-recently-forbidden
+    variable, and after the loop they replay each restart's best state.
+    """
+    restarts, n = spin.shape
     start_spin = spin.copy()
     best_cost = cost.copy()
     offsets = np.arange(restarts) * n
@@ -503,7 +570,54 @@ def tabu_search(
     # at its lowest cost: replay the moves that lead to it.
     replayed = moves[np.arange(iterations)[:, None] < costs.argmin(axis=0)]
     parity = np.bincount(replayed, minlength=restarts * n).reshape(restarts, n) % 2
-    best_spin = np.where(parity == 1, -start_spin, start_spin)
+    return np.where(parity == 1, -start_spin, start_spin)
+
+
+def tabu_search(
+    model: BinaryPolynomial | IsingModel,
+    cfg: TsConfig | None = None,
+    starts: Sequence[str] | None = None,
+) -> SampleSet:
+    """Best-neighbor descent over single-bit flips with a FIFO tabu list.
+
+    Each iteration moves to the lowest-cost non-tabu neighbor, the first
+    one on ties; a tabu move is allowed when it improves the best solution
+    of the restart (aspiration).  If every move is tabu and none aspires,
+    the least-recently-forbidden variable is flipped.  One sample per
+    restart; a model with no variables makes no moves and returns its
+    constant.
+
+    A call with ``restarts * n`` up to ``_MAX_SCALAR_TS`` steps one restart
+    at a time over Python floats; larger calls step all restarts together as
+    rows of one state matrix.  Both share the start draw and the exact
+    recheck and return the same samples, bit for bit.
+    """
+    cfg = cfg or TsConfig()
+    watch = Stopwatch()
+    poly, constant, linear, coupling = _compile_quadratic(model)
+    n = poly.num_vars
+    tenure = cfg.tenure if cfg.tenure is not None else min(20, n)
+    iterations = cfg.iterations if cfg.iterations is not None else 5 * n
+    rng = make_rng(cfg.seed)
+    restarts = cfg.restarts if starts is None else len(starts)
+    one_by_one = restarts * n <= _MAX_SCALAR_TS
+    neighbors = _neighbor_lists(coupling) if one_by_one else None
+    t_preprocess = watch.lap()
+
+    spin = np.empty((restarts, n))
+    field = np.empty((restarts, n))
+    cost = np.empty(restarts)
+    xs = (rng.integers(0, 2, (restarts, n)).astype(np.float64) if starts is None
+          else [_as_bits(start, n).astype(np.float64) for start in starts])
+    for r, x in enumerate(xs):
+        spin[r] = 1.0 - 2.0 * x
+        field[r] = linear + coupling @ x
+        cost[r] = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
+    steps = iterations if n else 0  # with no variables there is no move to make
+    if one_by_one:
+        best_spin = _tabu_one_by_one(spin, field, cost, neighbors, steps, tenure)
+    else:
+        best_spin = _tabu_together(spin, field, cost, coupling, steps, tenure)
     t_solve = watch.lap()
     sample_set = SampleSet.from_draws(
         n, _exact_draws(poly, best_spin < 0.0),
@@ -654,7 +768,8 @@ def goemans_williamson(
         cuts = edge_w @ crossing
     else:
         cuts = np.zeros(hyperplanes)
-    draws = list(zip(_bit_strings(assignments.T), (-cuts).tolist()))
+    # 0.0 - cut is -cut for every nonzero cut, and 0.0 (not -0.0) for a zero cut.
+    draws = list(zip(_bit_strings(assignments.T), (0.0 - cuts).tolist()))
     t_solve = watch.lap()
     info = {
         "solver": "gw",

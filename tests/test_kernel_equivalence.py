@@ -1,8 +1,8 @@
 """The vectorised kernels against the scalar references in conftest.py.
 
 Same seed and starts must give SA, TS and LS exactly the same samples and
-costs as the one-read-at-a-time loops, on SA's scalar and batched paths
-alike, and GW exactly the samples, costs and info of its per-edge loop.
+costs as the one-read-at-a-time loops, on SA's and TS's scalar and batched
+paths alike, and GW exactly the samples, costs and info of its per-edge loop.
 The exact recheck must go through BinaryPolynomial.evaluate_batch.  The
 blocked transverse circuit must match the one-qubit-per-pass loop to 1e-12
 in every amplitude, and the strided cost table the one-mask-per-term loop
@@ -14,6 +14,7 @@ exhaustive oracle's optimum.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -483,3 +484,124 @@ def test_circuit_roster_takes_the_oracle_optimum_from_the_half_table(graph, seed
         assert abs(record.best_cost - expected) <= 1e-12 * abs(expected)
     else:
         assert record.best_cost == expected
+
+
+# ----------------------------------------------------------------------
+# Tabu search one restart at a time against the batched kernel
+# ----------------------------------------------------------------------
+
+def ts_on_both_paths(monkeypatch, poly, cfg, starts=None):
+    """The samples, costs and info of one TS call on each path, forced by the cutoff."""
+    def refuse(*args):
+        raise AssertionError("the other TS path taken")
+
+    out = []
+    for cutoff, other in ((math.inf, "_tabu_together"), (-1, "_tabu_one_by_one")):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_MAX_SCALAR_TS", cutoff)
+            patch.setattr(solvers, other, refuse)
+            sample = tabu_search(poly, cfg, starts=starts)
+        out.append((sample.samples, sample.costs, sample.info))
+    return out
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("tenure", (0, 3, None, "above_n"))
+def test_ts_paths_match_each_other_and_reference(graph, seed, tenure, monkeypatch):
+    inst = GRAPHS[graph](seed)
+    tenure = inst.num_nodes + 3 if tenure == "above_n" else tenure
+    poly = maxcut_qubo(inst)
+    cfg = TsConfig(restarts=6, tenure=tenure, seed=seed)
+    one_by_one, together = ts_on_both_paths(monkeypatch, poly, cfg)
+    assert one_by_one == together
+    assert one_by_one[:2] == reference_ts(poly, restarts=6, tenure=tenure, seed=seed)
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_ts_paths_match_from_given_starts(graph, monkeypatch):
+    poly = maxcut_qubo(GRAPHS[graph](4))
+    rng = np.random.default_rng(11)
+    starts = ["".join(map(str, row)) for row in rng.integers(0, 2, (6, poly.num_vars))]
+    starts.append(starts[0])
+    cfg = TsConfig(iterations=30, tenure=4, seed=3)
+    one_by_one, together = ts_on_both_paths(monkeypatch, poly, cfg, starts)
+    assert one_by_one == together
+    assert one_by_one[:2] == reference_ts(poly, iterations=30, tenure=4, seed=3, starts=starts)
+
+
+@pytest.mark.parametrize("n", (30, 45, 60))
+@pytest.mark.parametrize("weights", ("unit", "uniform"))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_ts_paths_match_on_bsf_shaped_graphs(n, weights, seed, monkeypatch):
+    poly = maxcut_qubo(gen_erdos_renyi(n, 0.2, seed, weights=weights))
+    one_by_one, together = ts_on_both_paths(monkeypatch, poly, TsConfig(restarts=1, seed=seed))
+    assert one_by_one == together
+    assert one_by_one[:2] == reference_ts(poly, restarts=1, seed=seed)
+
+
+def test_ts_paths_match_where_rounding_ties_moves(monkeypatch):
+    # Next to a constant of 1e16, gains a few ulps apart add up to the same
+    # cost, so the first least cost is often not at the least gain.
+    rng = np.random.default_rng(5)
+    n = 12
+    terms = {(): 1e16, **{(i,): float(rng.normal()) for i in range(n)}}
+    terms.update({(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.4})
+    poly = BinaryPolynomial(n, terms)
+    for tenure in (0, 3, n):
+        cfg = TsConfig(restarts=4, iterations=80, tenure=tenure, seed=tenure)
+        one_by_one, together = ts_on_both_paths(monkeypatch, poly, cfg)
+        assert one_by_one == together
+
+
+@pytest.mark.parametrize("path", ("one_by_one", "together"))
+def test_ts_on_a_model_with_no_variables_returns_the_constant(path, monkeypatch):
+    monkeypatch.setattr(solvers, "_MAX_SCALAR_TS", math.inf if path == "one_by_one" else -1)
+    poly = BinaryPolynomial(0, {(): 1.5})
+    sample = tabu_search(poly, TsConfig(restarts=2, iterations=3, seed=1))
+    assert sample.best() == ("", 1.5)
+    assert sample.samples == {"": 2}
+
+
+def test_ts_takes_the_scalar_loop_for_one_restart_and_the_batch_for_many(monkeypatch):
+    taken = []
+
+    def spy(name):
+        kernel = getattr(solvers, name)
+
+        def call(*args):
+            taken.append(name)
+            return kernel(*args)
+        return call
+
+    for name in ("_tabu_one_by_one", "_tabu_together"):
+        monkeypatch.setattr(solvers, name, spy(name))
+    tabu_search(maxcut_qubo(gen_erdos_renyi(60, 0.2, 0)), TsConfig(restarts=1, seed=0))
+    tabu_search(maxcut_qubo(GRAPHS["regular-12"](0)), TsConfig(restarts=200, seed=0))
+    assert taken == ["_tabu_one_by_one", "_tabu_together"]
+
+
+def test_neighbor_lists_equal_the_per_row_construction():
+    poly = maxcut_qubo(GRAPHS["er-uniform-13"](1))
+    terms = dict(poly.terms)
+    terms.update({(13,): 0.5, (2, 14): -1.25})  # 13 has no neighbour, 14 one
+    _, _, _, coupling = solvers._compile_quadratic(BinaryPolynomial(15, terms))
+    expected = [[(j, float(coupling[i, j])) for j in range(15) if coupling[i, j] != 0.0]
+                for i in range(15)]
+    assert expected[13] == [] and expected[14] == [(2, -1.25)]
+    assert solvers._neighbor_lists(coupling) == expected
+
+
+def test_adjacency_equals_the_edge_loop():
+    # Each entry sums its weights in edge order: 1e16 + 1 - 1e16 is 0, not 1.
+    parallel = SimpleNamespace(num_nodes=4, edges=(
+        (0, 1, 1e16), (1, 3, 0.25), (0, 1, 1.0), (2, 3, -0.5), (0, 1, -1e16), (1, 3, 0.5)))
+    for inst in (parallel, gen_erdos_renyi(13, 0.5, 3, weights="uniform"),
+                 MaxCutInstance(3, ())):
+        expected = np.zeros((inst.num_nodes, inst.num_nodes))
+        for u, v, w in inst.edges:
+            expected[u, v] += w
+            expected[v, u] += w
+        assert solvers._adjacency(inst).tobytes() == expected.tobytes()
+    assert solvers._adjacency(parallel)[0, 1] == 0.0

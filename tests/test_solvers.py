@@ -323,6 +323,17 @@ def test_gw_flags_negative_weights():
     assert sample.info["negative_weights"] is True
 
 
+@pytest.mark.parametrize("num_nodes", (2, 5))
+def test_gw_zero_cut_costs_positive_zero(num_nodes):
+    from optbench import MaxCutInstance
+
+    inst = MaxCutInstance(num_nodes, ())
+    poly = maxcut_qubo(inst)
+    sample = goemans_williamson(inst, hyperplanes=3, seed=1)
+    for x, _, cost in sample.items():
+        assert math.copysign(1.0, cost) == math.copysign(1.0, poly.evaluate(x)) == 1.0
+
+
 # ----------------------------------------------------------------------
 # TSP greedy and oracle
 # ----------------------------------------------------------------------
