@@ -23,7 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -274,24 +274,30 @@ def build_instances(section: dict, master_seed: int) -> list:
         n = _number("sizes", size)
         for index in range(count):
             seed = derive_seed(master_seed, "instance", kind, size, index)
-            if kind == "regular":
-                inst = gen_regular(n, _number("degree", section.get("degree", 3)), seed)
-            elif kind == "erdos_renyi":
-                inst = gen_erdos_renyi(
-                    n,
-                    _number("density", section.get("density", 0.5), float),
-                    seed,
-                    weights=section.get("weights", "unit"),
-                )
-            elif kind == "tsp_circular":
-                inst = gen_tsp_circular(n, _number("sigma", section.get("sigma", 1.0), float),
-                                        seed)
-            elif kind == "tsp_planar":
-                inst = gen_tsp_planar(n, seed)
-            else:
-                raise ConfigError(f"unknown instance kind {kind!r}")
+            try:
+                if kind == "regular":
+                    inst = gen_regular(n, _number("degree", section.get("degree", 3)), seed)
+                elif kind == "erdos_renyi":
+                    inst = gen_erdos_renyi(
+                        n,
+                        _number("density", section.get("density", 0.5), float),
+                        seed,
+                        weights=section.get("weights", "unit"),
+                    )
+                elif kind == "tsp_circular":
+                    inst = gen_tsp_circular(n, _number("sigma", section.get("sigma", 1.0), float),
+                                            seed)
+                elif kind == "tsp_planar":
+                    inst = gen_tsp_planar(n, seed)
+                else:
+                    raise ConfigError(f"unknown instance kind {kind!r}")
+            except ValueError as exc:  # a malformed value or one out of the generator's range
+                raise ConfigError(f"[instances] section: {exc}") from None
             inst.metadata["label"] = f"{kind}-n{size}-{index:03d}"
             out.append(inst)
+    if not out:
+        raise ConfigError(f"[instances] section yields no instances "
+                          f"(sizes = {sizes}, count = {count})")
     return out
 
 
@@ -377,7 +383,7 @@ class RunRecord:
     metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return _sanitize(asdict(self))
+        return {f.name: _sanitize(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
@@ -752,64 +758,67 @@ def grid_search(
 NON_AGGREGATED_METRICS = {"qaoa_p", "terminated_early"}
 
 
-def _quantiles(values: list[float]) -> tuple[float, float, float]:
+def _quantiles(values: Sequence[float]) -> tuple[float, float, float]:
     """(median, 12.5th, 87.5th percentile): the 75% interval around the median."""
     finite = [v for v in values if not math.isinf(v) and not math.isnan(v)]
     if not finite:
         return math.inf, math.inf, math.inf
     arr = np.array(finite)
-    return (
-        float(np.median(arr)),
-        float(np.percentile(arr, 12.5)),
-        float(np.percentile(arr, 87.5)),
-    )
+    low, high = np.percentile(arr, [12.5, 87.5])
+    return float(np.median(arr)), float(low), float(high)
+
+
+def _index(records: Sequence[RunRecord]) -> tuple[dict, dict]:
+    """One pass over ``records``: metric -> solver -> the ``ok`` records that
+    carry that metric, in record order; and group -> the sizes of all its records."""
+    cells: dict[str, dict[str, list[RunRecord]]] = {}
+    group_sizes: dict[int, set[int]] = {}
+    for r in records:
+        if r.group is not None:
+            group_sizes.setdefault(r.group, set()).add(r.size)
+        if r.status == "ok":
+            for metric in r.metrics:
+                cells.setdefault(metric, {}).setdefault(r.solver, []).append(r)
+    return cells, group_sizes
+
+
+def _summary_rows(cells: dict, group_sizes: dict, metric: str) -> list[dict]:
+    by_group: dict[int, dict[str, list[float]]] = {}
+    for solver, cell in sorted(cells.get(metric, {}).items()):
+        for r in cell:
+            if r.group is not None:
+                by_group.setdefault(r.group, {}).setdefault(solver, []).append(r.metrics[metric])
+    rows = []
+    for group, by_solver in sorted(by_group.items()):
+        sizes = group_sizes[group]
+        for solver, values in by_solver.items():
+            median, low, high = _quantiles(values)
+            rows.append({
+                "group": group,
+                "sizes": f"{min(sizes)}-{max(sizes)}",
+                "solver": solver,
+                "count": len(values),
+                "finite": sum(1 for v in values if not math.isinf(v)),
+                "median": median,
+                "p12.5": low,
+                "p87.5": high,
+            })
+    return rows
 
 
 def summarize_groups(records: Sequence[RunRecord], metric: str) -> list[dict]:
     """Per (group, solver) table rows: count, median and 75% interval."""
-    rows = []
-    groups = sorted({r.group for r in records if r.group is not None})
-    solvers = sorted({r.solver for r in records})
-    for group in groups:
-        members = [r for r in records if r.group == group]
-        sizes = sorted({r.size for r in members})
-        for solver in solvers:
-            values = [
-                r.metrics[metric]
-                for r in members
-                if r.solver == solver and r.status == "ok" and metric in r.metrics
-            ]
-            if not values:
-                continue
-            median, low, high = _quantiles(values)
-            rows.append(
-                {
-                    "group": group,
-                    "sizes": f"{sizes[0]}-{sizes[-1]}",
-                    "solver": solver,
-                    "count": len(values),
-                    "finite": sum(1 for v in values if not math.isinf(v)),
-                    "median": median,
-                    "p12.5": low,
-                    "p87.5": high,
-                }
-            )
-    return rows
+    return _summary_rows(*_index(records), metric)
+
+
+def _fob(cells: dict) -> dict[str, float]:
+    return {solver: fob([r.metrics["c_hat"] for r in cell])
+            for solver, cell in sorted(cells.get("c_hat", {}).items())}
 
 
 def fob_by_solver(records: Sequence[RunRecord]) -> dict[str, float]:
     """Fraction of instances on which each solver matched the pooled best."""
-    solvers = sorted({r.solver for r in records})
-    out = {}
-    for solver in solvers:
-        values = [
-            r.metrics["c_hat"]
-            for r in records
-            if r.solver == solver and r.status == "ok" and "c_hat" in r.metrics
-        ]
-        if values:
-            out[solver] = fob(values)
-    return out
+    return _fob(_index(records)[0])
 
 
 def _format_table(rows: list[dict]) -> str:
@@ -836,94 +845,64 @@ def _fmt(value) -> str:
 def emit_report(records: Sequence[RunRecord], out_dir: str | Path) -> list[Path]:
     """Write records, group summaries and plot-ready data files.
 
-    Returns the list of files written: ``records.jsonl``, ``summary.txt``,
+    Returns the list of files written: ``records.jsonl``, ``fob.txt`` when
+    records carry ``c_hat`` (the pooled ``bsf`` scenario), ``summary.txt``,
     per-metric/per-solver ``plot_*.dat`` (size, median, 12.5th and 87.5th
-    percentiles) and, for pooled scenarios, ``fob.txt``.
+    percentiles) and, when two or more solvers have relative-error points,
+    ``pareto.dat``: each solver's median runtime (``tts``, else the solve
+    time) and median relative error, marking the non-dominated ones.
     """
     if not records:
         raise ValueError("no records to report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = [out / "records.jsonl"]
+    save_records(records, written[0])
 
-    records_path = out / "records.jsonl"
-    save_records(records, records_path)
-    written.append(records_path)
+    def write(name: str, text: str) -> None:
+        written.append(out / name)
+        written[-1].write_text(text)
 
-    metrics_present = sorted(
-        {m for r in records for m in r.metrics} - NON_AGGREGATED_METRICS
-    )
+    cells, group_sizes = _index(records)
+    metrics = sorted(cells.keys() - NON_AGGREGATED_METRICS)
     sections = []
-    for metric in metrics_present:
-        rows = summarize_groups(records, metric)
+    for metric in metrics:
+        rows = _summary_rows(cells, group_sizes, metric)
         if rows:
             sections.append(f"== {metric} ==\n" + _format_table(rows))
-    fob_map = fob_by_solver(records)
+    fob_map = _fob(cells)
     if fob_map:
-        fob_rows = [{"solver": s, "fob": v} for s, v in sorted(fob_map.items())]
-        sections.append("== fob ==\n" + _format_table(fob_rows))
-        fob_path = out / "fob.txt"
-        fob_path.write_text(_format_table(fob_rows))
-        written.append(fob_path)
-    summary_path = out / "summary.txt"
-    summary_path.write_text("\n".join(sections) if sections else "(no metrics)\n")
-    written.append(summary_path)
+        fob_table = _format_table([{"solver": s, "fob": v} for s, v in fob_map.items()])
+        sections.append("== fob ==\n" + fob_table)
+        write("fob.txt", fob_table)
+    write("summary.txt", "\n".join(sections) if sections else "(no metrics)\n")
 
-    solvers = sorted({r.solver for r in records})
-    for metric in metrics_present:
-        for solver in solvers:
+    for metric in metrics:
+        for solver, cell in sorted(cells[metric].items()):
             by_size: dict[int, list[float]] = {}
-            for r in records:
-                if r.solver == solver and r.status == "ok" and metric in r.metrics:
-                    by_size.setdefault(r.size, []).append(r.metrics[metric])
-            if not by_size:
-                continue
+            for r in cell:
+                by_size.setdefault(r.size, []).append(r.metrics[metric])
             lines = ["# size median p12.5 p87.5"]
-            for size in sorted(by_size):
-                median, low, high = _quantiles(by_size[size])
+            for size, values in sorted(by_size.items()):
+                median, low, high = _quantiles(values)
                 lines.append(f"{size} {_fmt(median)} {_fmt(low)} {_fmt(high)}")
-            plot_path = out / f"plot_{metric}_{solver}.dat"
-            plot_path.write_text("\n".join(lines) + "\n")
-            written.append(plot_path)
+            write(f"plot_{metric}_{solver}.dat", "\n".join(lines) + "\n")
 
-    pareto_path = _emit_pareto(records, solvers, out)
-    if pareto_path is not None:
-        written.append(pareto_path)
-    return written
-
-
-def _emit_pareto(records: Sequence[RunRecord], solvers: list[str],
-                 out: Path) -> Path | None:
-    """Per-solver (median runtime, median relative error) points, marking
-    the non-dominated ones."""
     points = {}
-    for solver in solvers:
-        runtimes, errors = [], []
-        for r in records:
-            if r.solver != solver or r.status != "ok":
-                continue
-            if "relative_error" not in r.metrics:
-                continue
-            runtime = r.metrics.get("tts", r.timing.get("solve"))
-            if runtime is None:
-                continue
-            runtimes.append(runtime)
-            errors.append(r.metrics["relative_error"])
-        if runtimes:
-            med_r, _, _ = _quantiles(runtimes)
-            med_e, _, _ = _quantiles(errors)
-            points[solver] = (med_r, med_e)
-    if len(points) < 2:
-        return None
-    front = set(pareto_front(list(points.values())))
-    lines = ["# solver runtime relative_error on_front"]
-    for solver, point in sorted(points.items()):
-        lines.append(
-            f"{solver} {_fmt(point[0])} {_fmt(point[1])} {int(point in front)}"
-        )
-    path = out / "pareto.dat"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    for solver, cell in sorted(cells.get("relative_error", {}).items()):
+        pairs = [(r.metrics.get("tts", r.timing.get("solve")), r.metrics["relative_error"])
+                 for r in cell]
+        pairs = [pair for pair in pairs if pair[0] is not None]
+        if pairs:
+            runtimes, errors = zip(*pairs)
+            points[solver] = (_quantiles(runtimes)[0], _quantiles(errors)[0])
+    if len(points) >= 2:
+        front = set(pareto_front(list(points.values())))
+        lines = ["# solver runtime relative_error on_front"]
+        for solver, point in points.items():
+            lines.append(f"{solver} {_fmt(point[0])} {_fmt(point[1])} {int(point in front)}")
+        write("pareto.dat", "\n".join(lines) + "\n")
+    return written
 
 
 # ----------------------------------------------------------------------

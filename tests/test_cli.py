@@ -305,6 +305,24 @@ def test_config_without_instances_is_config_error(tmp_path, capsys, command):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("kind = regular", "kind = erdos_renyi\ndensity = 1.5", "density must lie in (0, 1]"),
+    ("sizes = 6", "sizes = 7", "n * degree must be even"),
+    ("kind = regular\nsizes = 6", "kind = tsp_planar\nsizes = 2", "at least 3 locations"),
+    ("count = 2", "count = 0", "yields no instances"),
+    ("sizes = 6", "sizes =", "yields no instances"),
+], ids=["density", "odd-degree-sum", "tsp-size", "count-zero", "no-sizes"])
+@pytest.mark.parametrize("command", ["generate", "oracle", "tune", "run"])
+def test_bad_instance_parameters_exit_one_and_write_nothing(tmp_path, capsys, command,
+                                                            old, new, message):
+    template = (CONFIG + "\n[grid:sa]\nsweeps = 2, 5\n").replace(old, new)
+    cfg, out = write_config(tmp_path, template)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [instances] section") and message in err
+    assert not out.exists()  # rejected before any solver ran
+
+
 @pytest.mark.parametrize("key, old, new", [
     ("seed", "seed = 5", "seed = abc"),
     ("sizes", "sizes = 6", "sizes = six"),

@@ -485,6 +485,107 @@ def test_save_load_handles_infinity(tmp_path):
     assert load_records(path)[0].metrics["tts"] == math.inf
 
 
+def _report_records():
+    """Two groups, an even-count cell, an infinite TTS, a failed record, a
+    ``qaoa_p`` echo, bsf ``c_hat`` values and four solvers with relative errors."""
+    def record(solver, index, size, group, metrics, **fields):
+        return RunRecord(instance_id=f"g{index}", instance_hash=f"h{index}", solver=solver,
+                         solver_kind=solver, config_hash="c", seed=index, scenario="tts",
+                         size=size, group=group, metrics=metrics, **fields)
+
+    return [
+        record("sa", 0, 6, 0, {"tts": 0.5, "relative_error": 0.0, "c_hat": 1.0}),
+        record("sa", 1, 6, 0, {"tts": 1.5, "relative_error": 0.25, "c_hat": 1.25}),
+        record("sa", 2, 8, 0, {"tts": math.inf, "relative_error": 0.5, "c_hat": 1.5}),
+        record("sa", 3, 10, 1, {"tts": 2.0, "relative_error": 0.0, "c_hat": 1.0}),
+        record("ts", 0, 6, 0, {"tts": 0.25, "relative_error": 0.0, "c_hat": 1.0}),
+        record("ts", 1, 6, 0, {"tts": 9.0}, status="failed", error="RuntimeError: boom"),
+        record("ts", 2, 8, 0, {"tts": 3.0, "relative_error": 0.125, "c_hat": 1.125}),
+        record("ts", 3, 10, 1, {"tts": 4.0, "relative_error": 0.0, "c_hat": 1.0}),
+        # no tts: the pareto runtime is the solve time, and a record with neither is left out
+        record("ls", 0, 6, 0, {"relative_error": 0.75, "c_hat": 1.75}, timing={"solve": 5.0}),
+        record("ls", 3, 10, 1, {"relative_error": 0.0, "c_hat": 1.0}),
+        record("qaoa8", 0, 6, 0, {"p_star": 0.5, "tts": 1e-5, "qaoa_p": 8}),
+        record("qaoa8", 3, 10, 1, {"p_star": 0.0, "tts": math.inf, "qaoa_p": 8}),
+    ]
+
+
+def test_emit_report_contents(tmp_path):
+    written = emit_report(_report_records(), tmp_path)
+    assert [p.name for p in written] == [
+        "records.jsonl", "fob.txt", "summary.txt",
+        "plot_c_hat_ls.dat", "plot_c_hat_sa.dat", "plot_c_hat_ts.dat",
+        "plot_p_star_qaoa8.dat",
+        "plot_relative_error_ls.dat", "plot_relative_error_sa.dat",
+        "plot_relative_error_ts.dat",
+        "plot_tts_qaoa8.dat", "plot_tts_sa.dat", "plot_tts_ts.dat",
+        "pareto.dat",
+    ]
+    assert all(p.parent == tmp_path for p in written)
+    fob_lines = [
+        "solver  fob     ",
+        "ls      0.5     ",
+        "sa      0.5     ",
+        "ts      0.666667",
+        "",
+    ]
+    expected = {
+        "summary.txt": [
+            "== c_hat ==",
+            "group  sizes  solver  count  finite  median  p12.5    p87.5  ",
+            "0      6-8    ls      1      1       1.75    1.75     1.75   ",
+            "0      6-8    sa      3      3       1.25    1.0625   1.4375 ",
+            "0      6-8    ts      2      2       1.0625  1.01562  1.10938",
+            "1      10-10  ls      1      1       1       1        1      ",
+            "1      10-10  sa      1      1       1       1        1      ",
+            "1      10-10  ts      1      1       1       1        1      ",
+            "",
+            "== p_star ==",
+            "group  sizes  solver  count  finite  median  p12.5  p87.5",
+            "0      6-8    qaoa8   1      1       0.5     0.5    0.5  ",
+            "1      10-10  qaoa8   1      1       0       0      0    ",
+            "",
+            "== relative_error ==",
+            "group  sizes  solver  count  finite  median  p12.5     p87.5   ",
+            "0      6-8    ls      1      1       0.75    0.75      0.75    ",
+            "0      6-8    sa      3      3       0.25    0.0625    0.4375  ",
+            "0      6-8    ts      2      2       0.0625  0.015625  0.109375",
+            "1      10-10  ls      1      1       0       0         0       ",
+            "1      10-10  sa      1      1       0       0         0       ",
+            "1      10-10  ts      1      1       0       0         0       ",
+            "",
+            "== tts ==",
+            "group  sizes  solver  count  finite  median  p12.5    p87.5  ",
+            "0      6-8    qaoa8   1      1       1e-05   1e-05    1e-05  ",
+            "0      6-8    sa      3      2       1       0.625    1.375  ",
+            "0      6-8    ts      2      2       1.625   0.59375  2.65625",
+            "1      10-10  qaoa8   1      0       inf     inf      inf    ",
+            "1      10-10  sa      1      1       2       2        2      ",
+            "1      10-10  ts      1      1       4       4        4      ",
+            "",
+            "== fob ==",
+            *fob_lines,
+        ],
+        "plot_tts_sa.dat": [
+            "# size median p12.5 p87.5",
+            "6 1 0.625 1.375",
+            "8 inf inf inf",
+            "10 2 2 2",
+            "",
+        ],
+        "fob.txt": fob_lines,
+        "pareto.dat": [
+            "# solver runtime relative_error on_front",
+            "ls 5 0.75 0",
+            "sa 1.5 0.125 1",
+            "ts 3 0 1",
+            "",
+        ],
+    }
+    for name, lines in expected.items():
+        assert (tmp_path / name).read_text() == "\n".join(lines), name
+
+
 def test_instance_files_round_trip(tmp_path):
     from optbench import gen_tsp_circular
 
