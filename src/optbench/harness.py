@@ -56,6 +56,7 @@ from .qaoa import (
 from .solvers import (
     SaConfig,
     TsConfig,
+    _compile_quadratic,
     goemans_williamson,
     local_search_maxcut,
     simulated_annealing,
@@ -221,8 +222,11 @@ def _parse_grid(kind: str, key: str, text: str) -> list:
 
 
 def _number(key: str, value, cast=int):
-    """``cast(value)`` for the config key ``key``; a malformed value is a config error."""
+    """``cast(value)`` for the config key ``key``; a malformed value is a config error,
+    and so are a bool and, where an integer is due, a fractional or infinite float."""
     try:
+        if isinstance(value, bool) or cast is int and isinstance(value, float) and value % 1:
+            raise ValueError
         return cast(value)
     except (TypeError, ValueError):
         kind = {int: "an integer", float: "a number"}.get(cast, "a list of numbers")
@@ -255,8 +259,12 @@ def build_instances(section: dict, master_seed: int) -> list:
         listed = {folder: _manifest_hashes(folder) for folder in {p.parent for p in paths}}
         out = []
         for p in paths:
-            inst = (instance_from_dict(json.loads(p.read_text())) if p.suffix == ".json"
-                    else read_edge_list(p))
+            try:
+                inst = (instance_from_dict(json.loads(p.read_text())) if p.suffix == ".json"
+                        else read_edge_list(p))
+            except (ValueError, TypeError, KeyError) as exc:  # ParseError and JSON's too
+                raise ConfigError(f"malformed instance file {p}: "
+                                  f"{type(exc).__name__}: {exc}") from None
             expected = listed[p.parent].get(p.name)
             if expected is not None and instance_hash(inst) != expected:
                 raise ConfigError(f"instance file {p} has hash {instance_hash(inst)}, "
@@ -454,7 +462,7 @@ def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, poly: BinaryPol
     if spec.kind == "ls":
         return local_search_maxcut(inst, seed=seed, poly=poly, **kw)
     if spec.kind == "gw":
-        return goemans_williamson(inst, seed=seed, **kw)
+        return goemans_williamson(inst, seed=seed, poly=poly, **kw)
     if spec.kind == "exhaustive":
         watch = Stopwatch()
         x, cost = poly.argmin_exhaustive(**kw)
@@ -502,18 +510,18 @@ def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
                       max_calls: int | None = None) -> list[RunRecord]:
     """Every record of one instance under the ``tts`` or ``bsf`` protocol.
 
-    The objective (the negated cut) is compiled once and, for ``tts``, the
-    optimum c* is found once; every solver of the roster shares them, and
-    neither counts in any record's ``cpu_time``.  When a ``tts`` roster
-    holds a circuit and the instance is within ``oracle_cap``, the instance
-    is compiled once on its half basis: the sampling solvers take its
-    polynomial, c* is the least cost of its half table (a cut and its
-    complement cost the same) and every circuit runs on it.  Otherwise c*
-    comes from ``argmin_exhaustive``'s streamed chunks, and a failed
-    compile fails only the circuit records.  ``tts`` makes one solver call
-    at the record's seed; ``bsf`` repeats calls, each with its own derived
-    seed, until ``time_limit`` or ``max_calls``, then pools the best costs
-    of the roster.
+    The objective (the negated cut) and its solver arrays are compiled once
+    and, for ``tts``, the optimum c* is found once; every solver call shares
+    them, and none of it counts in any record's ``cpu_time`` or ``timing``.
+    When a ``tts`` roster holds a circuit and the instance is within
+    ``oracle_cap``, the instance is compiled once on its half basis: the
+    sampling solvers take its polynomial, c* is the least cost of its half
+    table (a cut and its complement cost the same) and every circuit runs on
+    it.  Otherwise c* comes from ``argmin_exhaustive``'s streamed chunks, and
+    a failed compile fails only the circuit records.  ``tts`` makes one
+    solver call at the record's seed; ``bsf`` repeats calls, each with its
+    own derived seed, until ``time_limit`` or ``max_calls``, then pools the
+    best costs of the roster.
     """
     iid, ihash = instance_id(inst), instance_hash(inst)
     records = [
@@ -539,6 +547,7 @@ def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
         else:
             poly = maxcut_qubo(inst)
             c_star = poly.argmin_exhaustive(cap=oracle_cap)[1] if scenario == "tts" else None
+        _compile_quadratic(poly)  # the arrays that every heuristic call shares
     except SizeCapError as exc:
         for record in records:
             record.status, record.error = "skipped", str(exc)

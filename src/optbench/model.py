@@ -69,9 +69,12 @@ class BinaryPolynomial:
     C(x) = sum over terms of coeff * prod_{i in term} x_i, with the empty
     term holding the constant.  Index tuples are sorted and deduplicated at
     construction (x_i^2 = x_i), zero coefficients are dropped.
+
+    A polynomial is immutable, so the arrays derived from its terms are built
+    once, at first use, and kept read-only in ``_derived`` for every caller.
     """
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "terms", "_derived")
 
     def __init__(
         self, num_vars: int, terms: Mapping[tuple[int, ...] | Iterable[int], float] | None = None
@@ -89,6 +92,7 @@ class BinaryPolynomial:
         self.terms: dict[tuple[int, ...], float] = {
             k: v for k, v in normalized.items() if v != 0.0
         }
+        self._derived: dict = {}
 
     @property
     def degree(self) -> int:
@@ -120,7 +124,10 @@ class BinaryPolynomial:
 
         ``positions`` are the terms' places in ``terms`` order, ``variables``
         is a (count, degree) index array and ``coeffs`` holds the coefficients.
+        Built once per polynomial; the arrays are read-only.
         """
+        if "by_degree" in self._derived:
+            return self._derived["by_degree"]
         count = len(self.terms)
         coeffs = np.fromiter(self.terms.values(), dtype=np.float64, count=count)
         degrees = np.fromiter(map(len, self.terms), dtype=np.intp, count=count)
@@ -132,6 +139,9 @@ class BinaryPolynomial:
             positions = np.flatnonzero(degrees == degree)
             variables = flat[(ends[positions] - degree)[:, None] + np.arange(degree)]
             groups[degree] = (positions, variables, coeffs[positions])
+            for array in groups[degree]:
+                array.flags.writeable = False
+        self._derived["by_degree"] = groups
         return groups
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ one read at a time, with the same random stream and samples.  Tabu search
 steps all restarts together when ``restarts * n`` exceeds
 ``_MAX_SCALAR_TS``, and smaller calls one restart at a time over Python
 floats, with the same samples bit for bit.
+A polynomial compiles once, at the first call on it, and every later call
+shares its arrays.  The harness compiles each instance's polynomial before
+its records start, so a record's preprocess excludes the shared compile.
 Simulated annealing, tabu search and local search re-evaluate the costs
 they record exactly against the input model, once per call: one
 ``evaluate_batch`` pass over all best states, timed as postprocess, so the
@@ -46,52 +49,49 @@ class RelaxationError(RuntimeError):
 # Shared quadratic-model compilation
 # ----------------------------------------------------------------------
 
-def _compile_quadratic(
-    model: BinaryPolynomial | IsingModel,
-) -> tuple[BinaryPolynomial, float, np.ndarray, np.ndarray]:
-    """Return (polynomial, constant, linear, symmetric coupling matrix).
+def _compile_quadratic(model: BinaryPolynomial | IsingModel) -> tuple[BinaryPolynomial, tuple]:
+    """Return the polynomial and its (constant, linear, coupling, neighbors).
 
-    The coupling matrix has zero diagonal and counts each pair once on each
-    side, so the local field of variable i is linear[i] + coupling[i] @ x.
+    The symmetric coupling matrix has zero diagonal and counts each pair
+    once on each side, so the local field of variable i is
+    linear[i] + coupling[i] @ x; ``neighbors[i]`` holds the (j, coupling)
+    pairs of i's nonzero couplings.  They are built once per polynomial,
+    read-only, and every later call on it shares them.
     """
     poly = model.to_polynomial() if isinstance(model, IsingModel) else model
+    if "quadratic" in poly._derived:
+        return poly, poly._derived["quadratic"]
     if poly.degree > 2:
         raise DegreeError(f"solver requires degree <= 2, model has degree {poly.degree}")
     n = poly.num_vars
-    linear = np.zeros(n)
-    coupling = np.zeros((n, n))
-    constant = 0.0
+    linear, coupling = np.zeros(n), np.zeros((n, n))
     for degree, (_, variables, coeffs) in poly.terms_by_degree().items():
-        if degree == 0:
-            constant = float(coeffs[0])
-        elif degree == 1:
+        if degree == 1:
             linear[variables[:, 0]] = coeffs
-        else:
+        elif degree == 2:
             i, j = variables.T
-            coupling[i, j] = coeffs
-            coupling[j, i] = coeffs
-    return poly, constant, linear, coupling
-
-
-def _adjacency(inst: MaxCutInstance) -> np.ndarray:
-    """Dense symmetric weight matrix of a graph; parallel edges add up.
-
-    One unbuffered ``np.add.at`` scatters the edges as (u, v), then as
-    (v, u).  Edges run u < v, so each entry sums its weights in edge order.
-    """
-    adjacency = np.zeros((inst.num_nodes, inst.num_nodes))
-    if inst.edges:
-        u, v, w = zip(*inst.edges)
-        np.add.at(adjacency, (u + v, v + u), w + w)
-    return adjacency
-
-
-def _neighbor_lists(coupling: np.ndarray) -> list[list[tuple[int, float]]]:
-    """Per variable, the (neighbor, coupling) pairs of its nonzero couplings."""
+            coupling[i, j] = coupling[j, i] = coeffs
+    linear.flags.writeable = coupling.flags.writeable = False
     rows, cols = np.nonzero(coupling)
     pairs = list(zip(cols.tolist(), coupling[rows, cols].tolist()))
-    bounds = np.searchsorted(rows, np.arange(coupling.shape[0] + 1)).tolist()
-    return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    neighbors = tuple(tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    compiled = poly._derived["quadratic"] = (poly.constant, linear, coupling, neighbors)
+    return poly, compiled
+
+
+def _start_states(rng: np.random.Generator, starts: Sequence[str] | None, runs: range,
+                  n: int) -> np.ndarray:
+    """The 0/1 float start state of each of ``runs``: its given start, else one draw."""
+    if starts is None:
+        return rng.integers(0, 2, (len(runs), n)).astype(np.float64)
+    return np.array([_as_bits(starts[r], n) for r in runs], dtype=np.float64).reshape(len(runs), n)
+
+
+def _start_fields(quadratic: tuple, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The local fields and the cost of the 0/1 state ``x``."""
+    constant, linear, coupling, _ = quadratic
+    return linear + coupling @ x, constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
 
 
 def _bit_strings(states: np.ndarray) -> list[str]:
@@ -171,9 +171,8 @@ class SaConfig:
             raise ValueError(f"kb must be > 0, got {self.kb}")
 
 
-def _probe_t0(
-    rng: np.random.Generator, linear: np.ndarray, coupling: np.ndarray, probes: int = 100
-) -> float:
+def _probe_t0(rng: np.random.Generator, quadratic: tuple, probes: int = 100) -> float:
+    _, linear, coupling, _ = quadratic
     n = linear.size
     if n == 0:
         return 1.0
@@ -184,13 +183,6 @@ def _probe_t0(
     deltas = (1.0 - 2.0 * states[rows, flips]) * (linear[flips] + fields[rows, flips])
     top = float(np.max(np.abs(deltas)))
     return top if top > 0.0 else 1.0
-
-
-def _start(rng: np.random.Generator, starts: Sequence[str] | None, read: int,
-           n: int) -> np.ndarray:
-    if starts is None:
-        return rng.integers(0, 2, n).astype(np.float64)
-    return _as_bits(starts[read], n).astype(np.float64)
 
 
 def _metropolis(delta: np.ndarray, uniforms: np.ndarray, kt: float) -> np.ndarray:
@@ -219,22 +211,22 @@ def _metropolis(delta: np.ndarray, uniforms: np.ndarray, kt: float) -> np.ndarra
 
 def _anneal_one_by_one(
     rng: np.random.Generator, starts: Sequence[str] | None, reads: int,
-    quadratic: tuple, neighbors: list[list[tuple[int, float]]], schedule: tuple,
+    quadratic: tuple, schedule: tuple,
 ) -> np.ndarray:
     """Best spins of ``reads`` reads, one at a time over Python floats.
 
     An accepted flip updates the local fields of the flipped variable's
     neighbours only.
     """
-    constant, linear, coupling = quadratic
+    neighbors = quadratic[3]
     sweeps, t0, alpha, kb = schedule
-    n = linear.size
+    n = len(neighbors)
     exp = math.exp
     best_spins = np.empty((reads, n))
     for read in range(reads):
-        x = _start(rng, starts, read, n)
-        field = (linear + coupling @ x).tolist()
-        cost = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
+        x = _start_states(rng, starts, range(read, read + 1), n)[0]
+        field, cost = _start_fields(quadratic, x)
+        field = field.tolist()
         spin = (1.0 - 2.0 * x).tolist()
         best_spin = spin[:]
         best_cost = cost
@@ -277,9 +269,9 @@ def _anneal_together(
     keeps its cost after every step; its best state is the first one at its
     lowest cost, replayed from the accepted flips.
     """
-    constant, linear, coupling = quadratic
+    coupling = quadratic[2]
     sweeps, t0, alpha, kb = schedule
-    count, n = len(reads), linear.size
+    count, n = len(reads), coupling.shape[0]
     steps = sweeps * n
     x = np.empty((count, n))
     orders = np.empty((count, sweeps, n), dtype=np.intp)
@@ -287,7 +279,7 @@ def _anneal_together(
     uniforms = np.empty((count, sweeps, n))
     shuffle, fill = rng.shuffle, rng.random
     for r, read in enumerate(reads):
-        x[r] = _start(rng, starts, read, n)
+        x[r] = _start_states(rng, starts, range(read, read + 1), n)[0]
         for order, uniform in zip(orders[r], uniforms[r]):
             shuffle(order)
             fill(out=uniform)
@@ -299,8 +291,7 @@ def _anneal_together(
     # after every step, the same additions the scalar loop makes.
     costs = np.empty((count, steps + 1))
     for r, row in enumerate(x):
-        field[r] = linear + coupling @ row
-        costs[r, 0] = constant + float(linear @ row) + 0.5 * float(row @ coupling @ row)
+        field[r], costs[r, 0] = _start_fields(quadratic, row)
     # Step t of every read: its variable, that variable's flat index in the
     # (count, n) spin and field matrices, and its uniform.
     variables = orders.reshape(count, steps).T
@@ -355,10 +346,10 @@ def simulated_annealing(
     """
     cfg = cfg or SaConfig()
     watch = Stopwatch()
-    poly, constant, linear, coupling = _compile_quadratic(model)
+    poly, quadratic = _compile_quadratic(model)
     n = poly.num_vars
     rng = make_rng(cfg.seed)
-    t_start = cfg.t0 if cfg.t0 is not None else _probe_t0(rng, linear, coupling)
+    t_start = cfg.t0 if cfg.t0 is not None else _probe_t0(rng, quadratic)
     if cfg.alpha is not None:
         alpha = cfg.alpha
     elif cfg.sweeps > 1:
@@ -371,13 +362,11 @@ def simulated_annealing(
     if cfg.kb * last == 0.0:
         raise ValueError(f"the schedule's temperature underflows to 0 by sweep {cfg.sweeps} "
                          f"(t0 = {t_start!r}, alpha = {alpha!r}, kb = {cfg.kb!r})")
-    quadratic = (constant, linear, coupling)
     schedule = (cfg.sweeps, t_start, alpha, cfg.kb)
     reads = cfg.reads if starts is None else len(starts)
     per_chunk = max(1, _CHUNK_DRAWS // max(1, 2 * cfg.sweeps * n))
     chunks = max(1, -(-reads // per_chunk))
     together = reads // chunks >= _MIN_BATCH_READS
-    neighbors = None if together else _neighbor_lists(coupling)
     t_preprocess = watch.lap()
 
     if together:
@@ -387,7 +376,7 @@ def simulated_annealing(
             for lo, hi in zip(bounds, bounds[1:])
         ])
     else:
-        best_spins = _anneal_one_by_one(rng, starts, reads, quadratic, neighbors, schedule)
+        best_spins = _anneal_one_by_one(rng, starts, reads, quadratic, schedule)
     t_solve = watch.lap()
     sample_set = SampleSet.from_draws(
         n, _exact_draws(poly, best_spins < 0.0),
@@ -450,7 +439,7 @@ def _first_min(values: list[float], cost: float) -> tuple[int, float]:
 
 def _tabu_one_by_one(
     spins: np.ndarray, fields: np.ndarray, costs: np.ndarray,
-    neighbors: list[list[tuple[int, float]]], iterations: int, tenure: int,
+    neighbors: tuple, iterations: int, tenure: int,
 ) -> np.ndarray:
     """Best spins of each restart, one restart at a time over Python floats.
 
@@ -594,30 +583,24 @@ def tabu_search(
     """
     cfg = cfg or TsConfig()
     watch = Stopwatch()
-    poly, constant, linear, coupling = _compile_quadratic(model)
+    poly, quadratic = _compile_quadratic(model)
     n = poly.num_vars
     tenure = cfg.tenure if cfg.tenure is not None else min(20, n)
     iterations = cfg.iterations if cfg.iterations is not None else 5 * n
     rng = make_rng(cfg.seed)
     restarts = cfg.restarts if starts is None else len(starts)
-    one_by_one = restarts * n <= _MAX_SCALAR_TS
-    neighbors = _neighbor_lists(coupling) if one_by_one else None
     t_preprocess = watch.lap()
 
-    spin = np.empty((restarts, n))
-    field = np.empty((restarts, n))
-    cost = np.empty(restarts)
-    xs = (rng.integers(0, 2, (restarts, n)).astype(np.float64) if starts is None
-          else [_as_bits(start, n).astype(np.float64) for start in starts])
+    xs = _start_states(rng, starts, range(restarts), n)
+    spin = 1.0 - 2.0 * xs
+    field, cost = np.empty((restarts, n)), np.empty(restarts)
     for r, x in enumerate(xs):
-        spin[r] = 1.0 - 2.0 * x
-        field[r] = linear + coupling @ x
-        cost[r] = constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
+        field[r], cost[r] = _start_fields(quadratic, x)
     steps = iterations if n else 0  # with no variables there is no move to make
-    if one_by_one:
-        best_spin = _tabu_one_by_one(spin, field, cost, neighbors, steps, tenure)
+    if restarts * n <= _MAX_SCALAR_TS:
+        best_spin = _tabu_one_by_one(spin, field, cost, quadratic[3], steps, tenure)
     else:
-        best_spin = _tabu_together(spin, field, cost, coupling, steps, tenure)
+        best_spin = _tabu_together(spin, field, cost, quadratic[2], steps, tenure)
     t_solve = watch.lap()
     sample_set = SampleSet.from_draws(
         n, _exact_draws(poly, best_spin < 0.0),
@@ -649,27 +632,22 @@ def local_search_maxcut(
     Gains are kept as local fields updated per move: exact for integer
     weights, and for real weights off by rounding only, which can matter
     just for a gain within a few ulps of zero.
-    ``poly`` is the instance's compiled objective (``maxcut_qubo(inst)``),
-    used for the exact recheck; it is built here when not given.
+    ``poly`` is the instance's ``maxcut_qubo(inst)``, built when not given:
+    its coupling, twice the weights, drives the sweeps, and it rechecks costs.
     """
     if starts is None and restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     watch = Stopwatch()
     n = inst.num_nodes
-    poly = poly if poly is not None else maxcut_qubo(inst)
-    adjacency = _adjacency(inst)
+    poly, (_, _, coupling, _) = _compile_quadratic(poly if poly is not None else maxcut_qubo(inst))
     rng = make_rng(seed)
     t_preprocess = watch.lap()
 
     total = restarts if starts is None else len(starts)
     # Node-major spins: entry (u, r) is +1 / -1 when node u of restart r is on side 0 / 1.
-    spin = np.empty((n, total))
-    xs = (rng.integers(0, 2, (total, n)) if starts is None
-          else [_as_bits(start, n).astype(np.float64) for start in starts])
-    for restart, x in enumerate(xs):
-        spin[:, restart] = 1 - 2 * x
-    # gain[u, r]: same-side minus cross weight at u, the cut gained by moving u.
-    field = adjacency @ spin
+    spin = np.ascontiguousarray((1.0 - 2.0 * _start_states(rng, starts, range(total), n)).T)
+    # gain[u, r]: same-side minus cross weight at u, twice the cut gained by moving u.
+    field = coupling @ spin
     gain = spin * field
     while (gain > 0.0).any():
         # One sweep in index order.  Nodes where no restart gains are skipped:
@@ -682,7 +660,7 @@ def local_search_maxcut(
             u += 1 + int(ahead[0])
             step = np.where(gain[u] > 0.0, 2.0 * spin[u], 0.0)
             spin[u] -= step
-            field -= np.outer(adjacency[u], step)
+            field -= np.outer(coupling[u], step)
             np.multiply(spin, field, out=gain)
     t_solve = watch.lap()
     sample_set = SampleSet.from_draws(n, _exact_draws(poly, spin.T < 0.0), info={"solver": "ls"})
@@ -701,6 +679,7 @@ def goemans_williamson(
     tol: float = 1e-7,
     patience: int = 50,
     max_sweeps: int = 20_000,
+    poly: BinaryPolynomial | None = None,
 ) -> SampleSet:
     """Low-rank cut relaxation plus random-hyperplane rounding.
 
@@ -711,12 +690,13 @@ def goemans_williamson(
     requires the relative objective change to stay below ``tol`` for
     ``patience`` consecutive sweeps.  Each hyperplane then signs the node
     vectors into one cut sample.  Relaxation time lands in t_preprocess,
-    rounding time in t_solve.
+    rounding time in t_solve.  ``poly`` is the instance's ``maxcut_qubo(inst)``,
+    built when not given; its coupling, twice the weights, gives each g_i.
     """
     watch = Stopwatch()
     n = inst.num_nodes
     rng = make_rng(seed)
-    adjacency = _adjacency(inst)
+    _, (_, _, coupling, _) = _compile_quadratic(poly if poly is not None else maxcut_qubo(inst))
     rank = min(n, math.ceil(math.sqrt(2.0 * n)) + 1)
     vectors = rng.normal(size=(n, rank))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -740,9 +720,9 @@ def goemans_williamson(
     converged = False
     for _ in range(max_sweeps):
         for i in range(n):
-            g = adjacency[i] @ vectors
+            g = coupling[i] @ vectors
             norm = math.sqrt(g.dot(g))
-            if norm > 1e-12:
+            if norm > 2e-12:  # |g_i| > 1e-12 for the undoubled weights
                 vectors[i] = -g / norm
         new_objective = relaxed_cut()
         residual = abs(new_objective - objective) / max(1.0, abs(new_objective))

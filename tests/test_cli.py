@@ -494,3 +494,37 @@ def test_an_edited_instance_file_is_a_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(files)]) == 1
     assert edited.name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, old, new, key", [
+    ("generate", "sizes = 6", "sizes = 6.5", "sizes"),
+    ("run", "sizes = 6", "sizes = 6.5", "sizes"),
+    ("run", "reads = 10", "reads = 2.5", "reads"),
+    ("run", "sweeps = 5", "sweeps = true", "sweeps"),
+    ("run", "sweeps = 5", "sweeps = 5\nt0 = true", "t0"),
+], ids=["generate-fractional-size", "fractional-size", "fractional-setting", "bool-setting",
+        "bool-number"])
+def test_fractional_integers_and_bool_numbers_are_config_errors(tmp_path, capsys, command,
+                                                               old, new, key):
+    cfg, out = write_config(tmp_path, CONFIG.replace(old, new))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("graph.txt", "6\n0 1 1.0\n"),
+    ("tour.json", '{"type": "tsp", '),
+], ids=["edge-list", "json"])
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_a_malformed_instance_file_is_a_config_error(tmp_path, capsys, command, name, text):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / name).write_text(text)
+    cfg, out = write_config(tmp_path, CONFIG.replace(
+        "kind = regular\nsizes = 6\ncount = 2\ndegree = 3", f"kind = files\nglob = {data}/*"))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+    assert not out.exists()

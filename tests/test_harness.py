@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from optbench import SampleSet, Timing, gen_erdos_renyi, gen_regular, harness, maxcut_qubo, merge
+from optbench import (BinaryPolynomial, SampleSet, Timing, gen_erdos_renyi, gen_regular, harness,
+                      maxcut_qubo, merge, solvers)
 from optbench.harness import (
     ConfigError,
     ExperimentConfig,
@@ -808,3 +809,48 @@ def test_a_malformed_manifest_is_a_config_error(tmp_path):
     (tmp_path / "manifest.json").write_text('[{"id": "a"}]')
     with pytest.raises(ConfigError, match="manifest"):
         harness.build_instances({"kind": "files", "glob": str(tmp_path / "*")}, 0)
+
+
+def test_bsf_builds_each_instances_arrays_once_before_any_call(monkeypatch):
+    # Each event names the polynomial it concerns: the builds of its term
+    # groups and of its quadratic arrays (a call that finds them cached is
+    # no build), then every solver call on it.
+    events = []
+    compile_quadratic = harness._compile_quadratic
+    terms_by_degree = BinaryPolynomial.terms_by_degree
+    run = harness.run_classical_solver
+
+    def spy_compile(poly):
+        built = "quadratic" not in poly._derived
+        result = compile_quadratic(poly)
+        if built:
+            events.append(("quadratic", id(poly)))
+        return result
+
+    def spy_groups(poly):
+        if "by_degree" not in poly._derived:
+            events.append(("by_degree", id(poly)))
+        return terms_by_degree(poly)
+
+    def spy_run(spec, inst, poly, seed):
+        events.append(("call", id(poly)))
+        return run(spec, inst, poly, seed)
+
+    for module in (harness, solvers):
+        monkeypatch.setattr(module, "_compile_quadratic", spy_compile)
+    monkeypatch.setattr(BinaryPolynomial, "terms_by_degree", spy_groups)
+    monkeypatch.setattr(harness, "run_classical_solver", spy_run)
+    cfg = ExperimentConfig(
+        scenario="bsf",
+        solvers=[SolverSpec("sa", "sa", {"reads": 1, "sweeps": 4}),
+                 SolverSpec("ts", "ts", {"restarts": 1}),
+                 SolverSpec("ls", "ls", {"restarts": 2}),
+                 SolverSpec("gw", "gw", {"hyperplanes": 10})],
+        instances=small_instances(n=8, count=2), seed=3, time_limit=60.0)
+    records = run_bsf_experiment(cfg, max_calls=3)
+    assert all(r.status == "ok" and r.calls == 3 for r in records)
+    polys = list(dict.fromkeys(key for _, key in events))
+    assert len(polys) == 2
+    for key in polys:
+        mine = [event for event, of in events if of == key]
+        assert mine == ["by_degree", "quadratic"] + ["call"] * 12

@@ -586,15 +586,16 @@ def test_neighbor_lists_equal_the_per_row_construction():
     poly = maxcut_qubo(GRAPHS["er-uniform-13"](1))
     terms = dict(poly.terms)
     terms.update({(13,): 0.5, (2, 14): -1.25})  # 13 has no neighbour, 14 one
-    _, _, _, coupling = solvers._compile_quadratic(BinaryPolynomial(15, terms))
+    _, (_, _, coupling, neighbors) = solvers._compile_quadratic(BinaryPolynomial(15, terms))
     expected = [[(j, float(coupling[i, j])) for j in range(15) if coupling[i, j] != 0.0]
                 for i in range(15)]
     assert expected[13] == [] and expected[14] == [(2, -1.25)]
-    assert solvers._neighbor_lists(coupling) == expected
+    assert [list(row) for row in neighbors] == expected
 
 
 def test_adjacency_equals_the_edge_loop():
-    # Each entry sums its weights in edge order: 1e16 + 1 - 1e16 is 0, not 1.
+    # The cut polynomial's coupling is twice the weight matrix, each entry
+    # summed in edge order: 2e16 + 2 - 2e16 is 0, not 2.
     parallel = SimpleNamespace(num_nodes=4, edges=(
         (0, 1, 1e16), (1, 3, 0.25), (0, 1, 1.0), (2, 3, -0.5), (0, 1, -1e16), (1, 3, 0.5)))
     for inst in (parallel, gen_erdos_renyi(13, 0.5, 3, weights="uniform"),
@@ -603,5 +604,19 @@ def test_adjacency_equals_the_edge_loop():
         for u, v, w in inst.edges:
             expected[u, v] += w
             expected[v, u] += w
-        assert solvers._adjacency(inst).tobytes() == expected.tobytes()
-    assert solvers._adjacency(parallel)[0, 1] == 0.0
+        _, (_, _, coupling, _) = solvers._compile_quadratic(maxcut_qubo(inst))
+        assert coupling.tobytes() == (2.0 * expected).tobytes()
+    assert solvers._compile_quadratic(maxcut_qubo(parallel))[1][2][0, 1] == 0.0
+
+
+def test_compiled_arrays_are_built_once_and_read_only():
+    poly = maxcut_qubo(GRAPHS["er-uniform-13"](2))
+    _, compiled = solvers._compile_quadratic(poly)
+    groups = poly.terms_by_degree()
+    assert solvers._compile_quadratic(poly)[1] is compiled
+    assert poly.terms_by_degree() is groups
+    _, linear, coupling, _ = compiled
+    for array in (linear, coupling, *(a for group in groups.values() for a in group)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert linear[0] != 0 and coupling[0].any()

@@ -14,6 +14,7 @@ from optbench import (
     TsConfig,
     TspInstance,
     cut_weight,
+    gen_erdos_renyi,
     gen_regular,
     gen_tsp_circular,
     gen_tsp_planar,
@@ -427,3 +428,13 @@ def test_tsp_exhaustive_returns_lexicographically_smallest_optimum(k):
         assert result.tour == min(tour for tour, length in tours.items() if length == best)
         assert result.optimal_length == best
         assert result.worst_length == max(tours.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ls_and_gw_give_the_same_samples_with_or_without_the_polynomial(seed):
+    inst = gen_erdos_renyi(12, 0.5, seed, weights="uniform")
+    poly = maxcut_qubo(inst)
+    for solve in (lambda **kw: local_search_maxcut(inst, restarts=20, seed=seed, **kw),
+                  lambda **kw: goemans_williamson(inst, hyperplanes=50, seed=seed, **kw)):
+        built, given = solve(), solve(poly=poly)
+        assert (built.samples, built.costs) == (given.samples, given.costs)
