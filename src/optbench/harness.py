@@ -251,9 +251,10 @@ def build_instances(section: dict, master_seed: int) -> list:
         if not pattern:
             raise ConfigError("instances kind 'files' needs a 'glob' key")
         # generate writes a graph as an edge list, a tour as JSON and a
-        # manifest of their hashes; oracle may write its table next to them
+        # manifest of their hashes; oracle may write its table next to them.
+        # Folders the glob matches are not instances.
         paths = [p for p in map(Path, sorted(glob.glob(pattern, recursive=True)))
-                 if p.name not in ("manifest.json", "oracle.jsonl")]
+                 if p.is_file() and p.name not in ("manifest.json", "oracle.jsonl")]
         if not paths:
             raise ConfigError(f"no instance files match {pattern!r}")
         listed = {folder: _manifest_hashes(folder) for folder in {p.parent for p in paths}}

@@ -33,8 +33,10 @@ x_{n-1} = 0: the cut cost, the uniform start and the transverse mixer all
 commute with the global flip X^n, so psi(x) = psi(not x) at every step
 (Shaydulin, Hadfield, Hogg & Safro, arXiv:2012.04713).  Its state is
 normalised over the half, so the expected cost, the gap and the gradients
-keep their formulas, and ``simulate`` mirrors the half into the same
-full-basis output as the full circuit's.  The half table sums each cut in
+keep their formulas.  ``simulate``'s output stays on the half: p_star, the
+expected cost and the norm come from the 2**(n-1) stored amplitudes and the
+half table, and the full-basis amplitudes, probabilities and costs are
+mirrored from the half only when read.  The half table sums each cut in
 its own order, so these outputs agree with the full circuit's to 1e-12
 rather than bit for bit.  The cap counts stored qubits, which lets a
 Max-Cut instance reach 27 qubits at the memory of a 26-qubit polynomial.
@@ -79,6 +81,10 @@ class OutputDistribution:
     cost of every basis state.  For tour problems ``lengths``/``feasible``
     carry the decoded walk length and constraint check per state (length is
     NaN where undecodable).
+
+    A Max-Cut circuit run on its half basis returns a ``_HalfOutput``,
+    which keeps the 2**(n-1) stored states and builds the full-basis
+    ``amplitudes``, ``probabilities`` and ``costs`` only when they are read.
     """
 
     basis: str
@@ -96,6 +102,38 @@ class OutputDistribution:
 
     def norm(self) -> float:
         return float(self.probabilities.sum())
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """The full-basis array of a half-basis one: state x and its complement
+    2**n - 1 - x share one entry, so the upper half is the lower one reversed."""
+    return np.concatenate([half, half[::-1]])
+
+
+class _HalfOutput(OutputDistribution):
+    """Output of a Max-Cut circuit, kept on the half basis x_{n-1} = 0.
+
+    ``half_amplitudes`` are already scaled by sqrt(1/2), so each entry is its
+    full-basis amplitude and ``half_probabilities`` its full-basis probability.
+    ``expected_cost`` and ``norm`` sum over the half and double, and the
+    full-basis arrays are mirrored at first read (and kept), bit for bit the
+    arrays a full-basis output would hold.
+    """
+
+    def __init__(self, half_amplitudes: np.ndarray, half_probabilities: np.ndarray,
+                 half_costs: np.ndarray, p_star: float, num_qubits: int) -> None:
+        self.basis, self.p_star, self.num_qubits = "full", p_star, num_qubits
+        self._half = half_amplitudes, half_probabilities, half_costs
+
+    amplitudes = functools.cached_property(lambda self: _mirror(self._half[0]))
+    probabilities = functools.cached_property(lambda self: _mirror(self._half[1]))
+    costs = functools.cached_property(lambda self: _mirror(self._half[2]))
+
+    def expected_cost(self) -> float:
+        return 2.0 * float(self._half[1] @ self._half[2])
+
+    def norm(self) -> float:
+        return 2.0 * float(self._half[1].sum())
 
 
 def _check_schedule(beta, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -174,6 +212,11 @@ def _slot_digits(k: int, base: int) -> list[np.ndarray]:
     return [(idx // base ** t % base).astype(np.int16) for t in range(k)]
 
 
+def _onehot_states(digits: list[np.ndarray], k: int) -> np.ndarray:
+    """Full-basis index sum_t 2**(k*t + d_t) of the one-hot state of each digit tuple d."""
+    return sum(np.int64(1) << (slot * k + digit) for slot, digit in enumerate(digits))
+
+
 class _CompiledProblem:
     """One problem compiled for the encoding ``kind`` (see the module docstring).
 
@@ -240,17 +283,12 @@ class _CompiledProblem:
         inst, k = self.problem, self.k
         if self.kind == "perm":
             locs = forms.tour_permutations(k).T
-        elif self.kind == "xy":
-            locs = [digit + 1 for digit in _slot_digits(k, k)]
         elif self.kind == "hobo":
             values = _slot_digits(k, 1 << forms.hobo_bits_per_slot(k))
             locs = [value % k + 1 for value in values]
-        else:  # qubo: the hot bit of each one-hot block, -1 where a block is not one-hot
-            position = np.full(1 << k, -1, dtype=np.int16)
-            position[1 << np.arange(k)] = np.arange(k)
-            slots = [position[block] for block in _slot_digits(k, 1 << k)]
-            decodable = np.logical_and.reduce([slot >= 0 for slot in slots])
-            locs = [np.maximum(slot, 0) + 1 for slot in slots]
+        else:  # xy, and qubo on its k**k decodable states: slot t's hot bit is d_t
+            digits = _slot_digits(k, k)
+            locs = [digit + 1 for digit in digits]
         self.lengths = forms.walk_lengths(inst.distances, locs)
         # A state is feasible when its slots visit every location once (and,
         # per encoding, every slot integer is in range or every block one-hot).
@@ -265,10 +303,12 @@ class _CompiledProblem:
             pair_viol = sum(count * (count - 1) // 2 for count in uses)
             self.costs = a * self.lengths + b * (range_viol + pair_viol)
             self.feasible &= range_viol == 0
-        else:
+        else:  # qubo: a state with a block that is not one-hot decodes to no walk
             self.costs = forms.tsp_onehot_qubo(inst, a=a, b=b).cost_vector()
-            self.lengths[~decodable] = np.nan
-            self.feasible &= decodable
+            states = _onehot_states(digits, k)
+            lengths, self.lengths = self.lengths, np.full(self.costs.size, np.nan)
+            feasible, self.feasible = self.feasible, np.zeros(self.costs.size, dtype=bool)
+            self.lengths[states], self.feasible[states] = lengths, feasible
 
     @classmethod
     def stack(cls, parts: list[_CompiledProblem]) -> _CompiledProblem:
@@ -471,27 +511,28 @@ class _CompiledProblem:
         cost).
         """
         beta, gamma = _check_schedule(beta, gamma)
-        psi, costs = self.evolve(beta, gamma), self.costs
+        psi = self.evolve(beta, gamma)
         if self.lengths is None and optimal_cost is None:
             optimal_cost = float(self._levels[0][0])
-        if self.half:  # state x and its complement 2**n - 1 - x share one amplitude
-            self.__dict__.pop("_levels", None)  # the level index goes before the mirror comes
-            psi = np.concatenate([psi, psi[::-1]])
+        if self.half:  # each stored state stands for itself and its complement
             psi *= math.sqrt(0.5)
-            costs = np.concatenate([costs, costs[::-1]])
         probs = np.abs(psi)
         probs *= probs
         if self.lengths is None:
-            optimal = costs <= optimal_cost + 1e-9
+            optimal = self.costs <= optimal_cost + 1e-9
         else:
             l_star = self.lengths[self.feasible].min()
             optimal = self.feasible & (self.lengths <= l_star + 1e-9)
+        picked = probs[optimal]
+        if self.half:  # summed in the order of the mirrored full basis
+            return _HalfOutput(psi, probs, self.costs,
+                               float(_mirror(picked).sum()), self.num_qubits)
         return OutputDistribution(
             basis=self.basis,
             probabilities=probs,
             amplitudes=psi,
-            costs=costs,
-            p_star=float(probs[optimal].sum()),
+            costs=self.costs,
+            p_star=float(picked.sum()),
             num_qubits=self.num_qubits,
             k=self.k,
             feasible=self.feasible,
@@ -593,8 +634,7 @@ def onehot_state_index(sequence, k: int) -> int:
 def embed_onehot_state(amplitudes: np.ndarray, k: int) -> np.ndarray:
     """Lift a k**k subspace vector into the full 2**(k*k) statevector."""
     full = np.zeros(1 << (k * k), dtype=np.complex128)
-    full[sum(np.int64(1) << (slot * k + digit)
-             for slot, digit in enumerate(_slot_digits(k, k)))] = amplitudes
+    full[_onehot_states(_slot_digits(k, k), k)] = amplitudes
     return full
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from optbench import MaxCutInstance, TspInstance, maxcut_qubo
+from optbench.formulations import tour_length
 from optbench.model import SampleSet, Stopwatch, Timing
 from optbench.solvers import RelaxationError
 
@@ -358,6 +359,26 @@ def reference_tsp_exhaustive(inst: TspInstance) -> tuple[tuple[int, ...], float,
             best, best_tour = length, perm
         worst = max(worst, length)
     return best_tour, best, worst
+
+
+def reference_onehot_decode(inst: TspInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Walk length and feasibility of every state of the one-hot QUBO basis.
+
+    Bit k*t + j of a state set means that slot t visits location j + 1.  A
+    state whose k-bit blocks are all one-hot has the length of its decoded
+    walk, and is feasible when that walk visits every location once; any
+    other state has length NaN and is infeasible.
+    """
+    k = inst.num_locations - 1
+    lengths = np.full(1 << (k * k), np.nan)
+    feasible = np.zeros(1 << (k * k), dtype=bool)
+    for x in range(1 << (k * k)):
+        blocks = [[j for j in range(k) if x >> (k * t + j) & 1] for t in range(k)]
+        if all(len(hot) == 1 for hot in blocks):
+            locs = [hot[0] + 1 for hot in blocks]
+            lengths[x] = tour_length(inst, locs)
+            feasible[x] = sorted(locs) == list(range(1, k + 1))
+    return lengths, feasible
 
 
 # ----------------------------------------------------------------------

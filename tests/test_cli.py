@@ -528,3 +528,27 @@ def test_a_malformed_instance_file_is_a_config_error(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and name in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_folders_that_the_files_glob_matches_are_skipped(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    graphs = tmp_path / "graphs.cfg"
+    graphs.write_text(CONFIG.format(out=tmp_path / "unused"))
+    assert main(["generate", "--config", str(graphs), "--out", str(data)]) == 0
+    (data / "sub").mkdir()
+    (data / "sub" / "graph.txt").write_text("6\n0 1 1.0\n")  # malformed, and never read
+    files = CONFIG.replace("kind = regular\nsizes = 6\ncount = 2\ndegree = 3",
+                           f"kind = files\nglob = {data}/*")
+    cfg, out = write_config(tmp_path, files)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    if command == "generate":
+        assert len(json.loads((out / "manifest.json").read_text())) == 2
+    else:
+        records = load_records(out / "records.jsonl")
+        assert len(records) == 4 and all(r.status == "ok" for r in records)
+    # a glob that matches only a folder matches no instance file
+    cfg, out = write_config(tmp_path, files.replace(f"{data}/*", f"{data}/su*"))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "no instance files match" in capsys.readouterr().err

@@ -2,10 +2,11 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from optbench import (BinaryPolynomial, SampleSet, Timing, gen_erdos_renyi, gen_regular, harness,
-                      maxcut_qubo, merge, solvers)
+                      maxcut_qubo, merge, qaoa, solvers)
 from optbench.harness import (
     ConfigError,
     ExperimentConfig,
@@ -405,6 +406,36 @@ def test_grid_runs_oracle_once_per_tuning_instance(oracle_calls):
     result = grid_search(spec, {"sweeps": [1, 2]}, small_instances(count=2), master_seed=0)
     assert len(result.table) == 2
     assert len(oracle_calls) == 2
+
+
+def test_grid_of_circuit_cells_sorts_the_shared_half_table_once(monkeypatch):
+    # every cell runs on the one half-basis compile of the graph, whose level
+    # index is built by one argsort of its 2**11 costs and kept
+    sorted_sizes = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    result = grid_search(SolverSpec("qaoa", "qaoa"), {"p": [1, 2, 3]},
+                         [gen_regular(12, 3, seed=4)], master_seed=0)
+    assert len(result.table) == 3 and result.best_params is not None
+    assert sorted_sizes.count(1 << 11) == 1
+
+
+def test_a_circuit_record_mirrors_no_state_sized_array(monkeypatch):
+    # the record reads p* and the expected cost, both from the half basis;
+    # only p*'s few optimal entries go through the full-basis mirror
+    mirrored = []
+    mirror = qaoa._mirror
+    monkeypatch.setattr(qaoa, "_mirror", lambda half: mirrored.append(half.size) or mirror(half))
+    cfg = ExperimentConfig(scenario="tts", solvers=[SolverSpec("qaoa8", "qaoa", {"p": 8})],
+                           instances=[gen_regular(12, 3, seed=2)], seed=1)
+    (record,) = run_tts_experiment(cfg)
+    assert record.status == "ok" and {"p_star", "ar"} <= set(record.metrics)
+    assert mirrored and max(mirrored) < 1 << 6
 
 
 def test_grid_empty_rejected():

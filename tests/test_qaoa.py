@@ -26,6 +26,7 @@ from optbench import (
     tsp_exhaustive,
     tts_layers,
 )
+from optbench import qaoa
 from optbench.formulations import hobo_cost, tsp_onehot_qubo
 from optbench.instances import make_rng
 from optbench.qaoa import (
@@ -43,6 +44,7 @@ from conftest import (
     dense_two_qubit,
     dense_uniform,
     dense_xy_gate,
+    reference_onehot_decode,
 )
 
 
@@ -625,6 +627,87 @@ def test_evolve_gathers_the_cost_phase_without_a_state_sized_index_copy():
     index = compiled._levels[1]
     assert index.dtype == np.uint8
     assert peak <= 2 * psi.nbytes + compiled.costs.nbytes + index.nbytes + (1 << 20)
+
+
+# ----------------------------------------------------------------------
+# A half-basis output stays on the half; the one-hot tour table comes from
+# its k**k decodable states
+# ----------------------------------------------------------------------
+
+def test_half_basis_simulate_peak_stays_near_the_stored_state():
+    # the compile, the level index, evolve's two state vectors and the half
+    # probabilities; a full-basis mirror inside simulate would need 4.6 states
+    import tracemalloc
+
+    n = 18
+    inst = gen_regular(n, 3, seed=0)
+    beta, gamma = expand_generator(GeneratorParams.ramp(), 4)
+    tracemalloc.start()
+    try:
+        dist = qaoa_qubo_simulate(inst, beta, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < dist.p_star <= 1.0
+    assert peak <= 3.25 * (1 << (n - 1)) * 16
+
+
+def explicit_mirror(half: np.ndarray) -> np.ndarray:
+    """Full-basis entry x is the stored entry of x or, above the half, of its complement."""
+    size = 2 * half.size
+    x = np.arange(size)
+    return half[np.where(x < half.size, x, size - 1 - x)]
+
+
+@pytest.mark.parametrize("inst", [
+    gen_regular(10, 3, seed=1),
+    gen_erdos_renyi(11, 0.4, seed=3, weights="uniform"),
+    MaxCutInstance(2, ((0, 1, 1.0),)),
+], ids=["regular", "weighted", "n2"])
+def test_half_basis_output_reads_back_the_mirror_of_the_half(inst):
+    beta, gamma = np.array([0.4, -0.3, 0.9]), np.array([0.2, 0.7, -0.5])
+    compiled = _CompiledProblem("qubo", inst)
+    amplitudes = explicit_mirror(compiled.evolve(beta, gamma) * math.sqrt(0.5))
+    probabilities = np.abs(amplitudes)
+    probabilities *= probabilities
+    costs = explicit_mirror(compiled.costs)
+    levels = np.unique(costs)
+    # the least cost by default, then given, then a level above it, which
+    # takes in more states whose order counts in the sum
+    for optimal_cost in (None, float(levels[0]), float(levels[-1 if levels.size < 2 else 1])):
+        dist = compiled.simulate(beta, gamma, optimal_cost)
+        threshold = (levels[0] if optimal_cost is None else optimal_cost) + 1e-9
+        assert dist.p_star == float(probabilities[costs <= threshold].sum())
+        assert (dist.basis, dist.num_qubits) == ("full", inst.num_nodes)
+        assert dist.amplitudes.tobytes() == amplitudes.tobytes()
+        assert dist.probabilities.tobytes() == probabilities.tobytes()
+        assert dist.costs.tobytes() == costs.tobytes()
+        scale = max(1.0, float(np.abs(costs).max()))
+        assert abs(dist.expected_cost() - float(probabilities @ costs)) <= 1e-12 * scale
+        assert abs(dist.norm() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("shape", ("planar", "circular"))
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_onehot_qubo_tour_table_matches_the_brute_force_decoder(k, shape, seed):
+    inst = (gen_tsp_planar(k + 1, seed=seed) if shape == "planar"
+            else gen_tsp_circular(k + 1, 0.3, seed=seed))
+    compiled = _CompiledProblem("qubo", inst)
+    lengths, feasible = reference_onehot_decode(inst)
+    assert compiled.lengths.dtype == lengths.dtype and compiled.feasible.dtype == bool
+    assert compiled.lengths.tobytes() == lengths.tobytes()  # NaN pattern included
+    assert compiled.feasible.tobytes() == feasible.tobytes()
+
+
+def test_onehot_qubo_tour_compile_never_enumerates_the_full_basis_digits(monkeypatch):
+    bases = []
+    slot_digits = qaoa._slot_digits
+    monkeypatch.setattr(qaoa, "_slot_digits",
+                        lambda k, base: bases.append((k, base)) or slot_digits(k, base))
+    for k in (2, 3, 4):
+        _CompiledProblem("qubo", gen_tsp_planar(k + 1, seed=k))
+    assert bases == [(2, 2), (3, 3), (4, 4)]
 
 
 # ----------------------------------------------------------------------
