@@ -6,7 +6,8 @@ mixing layer, for t = 1..p:
 * ``qubo``  -- full 2**n statevector, transverse mixer exp(-i * beta * H_M)
   with H_M = -sum_i sigma_x_i, i.e. cos(beta) I + i sin(beta) sigma_x per
   qubit, started from the uniform superposition (the mixer ground state).
-  A Max-Cut instance runs on the half basis x_{n-1} = 0 (see below).
+  A flip-symmetric polynomial, such as a Max-Cut instance's, runs on the
+  half basis x_{n-1} = 0 (see below).
 * ``hobo``  -- same mixer over k * ceil(log2 k) qubits carrying integer
   slot encodings of a tour.
 * ``xy``    -- simulated inside the one-hot subspace (k blocks of k qubits,
@@ -28,20 +29,24 @@ rotating the qubit order so that the next block's qubits come lowest.  The
 trainer stacks the problems of one qubit count and state size into one
 compiled problem, whose rows run through the same gates in one pass.
 
-A Max-Cut instance compiled for qubo keeps only the 2**(n-1) states with
-x_{n-1} = 0: the cut cost, the uniform start and the transverse mixer all
-commute with the global flip X^n, so psi(x) = psi(not x) at every step
-(Shaydulin, Hadfield, Hogg & Safro, arXiv:2012.04713).  Its state is
+A qubo polynomial of degree <= 2 whose cost is flip-symmetric, C(not x) =
+C(x), keeps only the 2**(n-1) states with x_{n-1} = 0: the cost, the
+uniform start and the transverse mixer all commute with the global flip
+X^n, so psi(x) = psi(not x) at every step (Shaydulin, Hadfield, Hogg &
+Safro, arXiv:2012.04713).  The rule follows the cost, not the input's
+type: a Max-Cut instance compiles to its cut polynomial, which meets it,
+while a tour QUBO or a polynomial with a field does not.  The state is
 normalised over the half, so the expected cost, the gap and the gradients
 keep their formulas.  ``simulate``'s output stays on the half: p_star, the
 expected cost and the norm come from the 2**(n-1) stored amplitudes and the
 half table, and the full-basis amplitudes, probabilities and costs are
-mirrored from the half only when read.  The half table sums each cut in
-its own order, so these outputs agree with the full circuit's to 1e-12
-rather than bit for bit.  The cap counts stored qubits, which lets a
-Max-Cut instance reach 27 qubits at the memory of a 26-qubit polynomial.
-The half table holds the optimum value too (a cut and its complement cost
-the same), so the harness takes a circuit's c* from its compiled table.
+mirrored from the half only when read.  The half table sums each state's
+terms in its own order, so these outputs agree with the full circuit's to
+1e-12 rather than bit for bit.  The cap counts stored qubits, which lets a
+flip-symmetric polynomial reach 27 variables at the memory of a 26-qubit
+asymmetric one.  The half table holds the optimum value too (a state and
+its complement cost the same), so the harness takes a circuit's c* from
+its compiled table.
 
 Success probability p_star is the exact mass on optimal basis states
 (cost within 1e-9 of the optimum; for tours, feasible states within 1e-9
@@ -82,7 +87,7 @@ class OutputDistribution:
     carry the decoded walk length and constraint check per state (length is
     NaN where undecodable).
 
-    A Max-Cut circuit run on its half basis returns a ``_HalfOutput``,
+    A circuit run on its half basis returns a ``_HalfOutput``,
     which keeps the 2**(n-1) stored states and builds the full-basis
     ``amplitudes``, ``probabilities`` and ``costs`` only when they are read.
     """
@@ -111,7 +116,7 @@ def _mirror(half: np.ndarray) -> np.ndarray:
 
 
 class _HalfOutput(OutputDistribution):
-    """Output of a Max-Cut circuit, kept on the half basis x_{n-1} = 0.
+    """Output of a flip-symmetric circuit, kept on the half basis x_{n-1} = 0.
 
     ``half_amplitudes`` are already scaled by sqrt(1/2), so each entry is its
     full-basis amplitude and ``half_probabilities`` its full-basis probability.
@@ -170,8 +175,8 @@ def xy_pair_rotation(beta: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 # kind -> (basis, default cap).  The cap bounds the stored qubit count on the
-# full basis (n - 1 for a Max-Cut instance on the half basis) and the number
-# of basis states otherwise.
+# full basis (n - 1 for a flip-symmetric polynomial on the half basis) and the
+# number of basis states otherwise.
 _ENCODINGS = {
     "qubo": ("full", 26),
     "hobo": ("full", 26),
@@ -217,14 +222,36 @@ def _onehot_states(digits: list[np.ndarray], k: int) -> np.ndarray:
     return sum(np.int64(1) << (slot * k + digit) for slot, digit in enumerate(digits))
 
 
+def _flip_symmetric(poly: BinaryPolynomial) -> bool:
+    """Whether C(1 - x) = C(x) for every x; only a polynomial of degree <= 2 with a variable.
+
+    Flipping every bit adds a constant minus sum_i (2 a_i + sum_j b_ij) x_i to
+    C, a_i the linear and b_ij the pair coefficients, and the constant is half
+    the sum of these per-variable sums: C is flip-symmetric exactly when each
+    vanishes.  A sum counts as zero within 1e-12 of its terms' absolute sum,
+    since a weighted cut polynomial's a_i = -sum_j w_ij is rounded.
+    """
+    if poly.num_vars == 0 or poly.degree > 2:
+        return False
+    parts = [[] for _ in range(poly.num_vars)]
+    for term, coeff in poly.terms.items():
+        if len(term) == 1:
+            parts[term[0]].append(2.0 * coeff)
+        elif term:
+            parts[term[0]].append(coeff)
+            parts[term[1]].append(coeff)
+    return all(abs(math.fsum(part)) <= 1e-12 * math.fsum(map(abs, part)) for part in parts)
+
+
 class _CompiledProblem:
     """One problem compiled for the encoding ``kind`` (see the module docstring).
 
     Holds the diagonal cost of every basis state and, for a tour, each
     state's decoded walk length (NaN where undecodable) and feasibility.
-    A qubo problem is a polynomial, a Max-Cut instance (its cut polynomial
-    on the half basis x_{n-1} = 0, with ``half`` set) or a tour (its one-hot
-    QUBO); an xy problem is a tour or a polynomial
+    A qubo problem is a polynomial, a Max-Cut instance (its cut polynomial)
+    or a tour (its one-hot QUBO); a polynomial that ``_flip_symmetric``
+    accepts runs on the half basis x_{n-1} = 0, with ``half`` set.  An xy
+    problem is a tour or a polynomial
     over k*k variables; hobo and perm problems are tours.  ``a``/``b``
     override the tour penalties and ``cap`` the encoding's size cap.
 
@@ -238,8 +265,7 @@ class _CompiledProblem:
                  k: int | None = None, cap: int | None = None) -> None:
         if kind not in _ENCODINGS:
             raise ValueError(f"unknown encoding kind {kind!r}")
-        half = isinstance(problem, MaxCutInstance) and kind == "qubo"
-        if half:
+        if isinstance(problem, MaxCutInstance) and kind == "qubo":
             problem = forms.maxcut_qubo(problem)
         tour = isinstance(problem, TspInstance)
         if tour:
@@ -249,6 +275,7 @@ class _CompiledProblem:
         elif kind == "xy" and (k is None or problem.num_vars != k * k):
             raise ValueError(f"a polynomial over {problem.num_vars} variables needs"
                              f" k with k*k variables for the xy encoding, got k = {k}")
+        half = kind == "qubo" and not tour and _flip_symmetric(problem)
         self.kind, self.problem, self.k, self.half = kind, problem, k, half
         self.basis, default_cap = _ENCODINGS[kind]
         cap = default_cap if cap is None else cap
@@ -577,8 +604,9 @@ def qaoa_qubo_simulate(
 ) -> OutputDistribution:
     """Full-statevector run of a (possibly higher-order) diagonal cost model.
 
-    ``model`` may also be a Max-Cut instance, run on the half basis, or a
-    problem already compiled for the qubo encoding.
+    A flip-symmetric model runs on the half basis (see the module
+    docstring).  ``model`` may also be a Max-Cut instance, run as its cut
+    polynomial, or a problem already compiled for the qubo encoding.
     """
     if not isinstance(model, _CompiledProblem):
         model = _CompiledProblem("qubo", model, cap=cap)
@@ -767,8 +795,10 @@ def train_generator(
 
     Runs a quasi-Newton (L-BFGS-B) search from the given start (the linear
     ramp by default) plus ``random_restarts`` seeded random starts, and
-    returns the best coefficients seen anywhere.  A Max-Cut instance runs on
-    the half basis (see the module docstring).  The problems of one qubit
+    returns the best coefficients seen anywhere.  A flip-symmetric
+    polynomial, such as a Max-Cut instance's, runs on the half basis (see
+    the module docstring), so a cut polynomial trains bit for bit as its
+    instance.  The problems of one qubit
     count and state size run as stacks of at most 2**14 amplitudes: each point runs one
     forward pass per stack for the gaps and one adjoint (backward) pass for
     their exact gradients, chained to the coefficients through the
@@ -787,8 +817,8 @@ def train_generator(
     degree_len = init.theta_beta.size
     # The stacks, each with its problems' training-set positions.  Problems
     # wait in a group per basis, qubit count and state size (a half-basis
-    # n-node Max-Cut and a full (n-1)-variable polynomial share a state size,
-    # not a mixer); a group is stacked and let go as soon as it is full, so
+    # n-variable and a full (n-1)-variable polynomial share a state size, not
+    # a mixer); a group is stacked and let go as soon as it is full, so
     # only one stack's copy of cost tables is made at a time.
     stacks, groups = [], {}
 

@@ -9,7 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from optbench import MaxCutInstance, TspInstance, maxcut_qubo
+from optbench import BinaryPolynomial, MaxCutInstance, TspInstance, maxcut_qubo, qaoa
 from optbench.formulations import tour_length
 from optbench.model import SampleSet, Stopwatch, Timing
 from optbench.solvers import RelaxationError
@@ -413,3 +413,32 @@ def reference_cost_vector(poly, start: int = 0, stop: int | None = None) -> np.n
         mask = np.uint64(sum(1 << i for i in term))
         costs[(idx & mask) == mask] += coeff
     return costs
+
+
+# ----------------------------------------------------------------------
+# The half basis: which polynomials have one, and the full circuit of those
+# that do.
+# ----------------------------------------------------------------------
+
+def reference_flip_symmetric(poly) -> bool:
+    """Whether ``poly`` has a variable to drop and costs every state as its complement.
+
+    State 2**n - 1 - x is the complement of x, so the cost vector must equal
+    its reverse, to 1e-12 of the largest cost.
+    """
+    if poly.num_vars == 0:
+        return False
+    costs = reference_cost_vector(poly)
+    return bool(np.abs(costs - costs[::-1]).max() <= 1e-12 * np.abs(costs).max())
+
+
+def plus_field(poly, coeff: float = 1e-6):
+    """``poly`` plus ``coeff`` * x_0, which breaks its flip symmetry."""
+    return BinaryPolynomial(poly.num_vars, {**poly.terms, (0,): poly.terms.get((0,), 0.0) + coeff})
+
+
+def compile_full_basis(poly, cap: int | None = None):
+    """``poly`` compiled for qubo on the full basis, even when it is flip-symmetric."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qaoa, "_flip_symmetric", lambda poly: False)
+        return qaoa._CompiledProblem("qubo", poly, cap=cap)

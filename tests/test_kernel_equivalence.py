@@ -7,7 +7,9 @@ The exact recheck must go through BinaryPolynomial.evaluate_batch.  The
 blocked transverse circuit must match the one-qubit-per-pass loop to 1e-12
 in every amplitude, and the strided cost table the one-mask-per-term loop
 bit for bit.  A Max-Cut circuit on the half basis must match the full
-circuit of its polynomial to 1e-12 in every output and gradient.  The level
+circuit of its polynomial to 1e-12 in every output and gradient.  The
+half-basis rule must agree with conftest.py's brute-force flip check, and a
+cut polynomial must run, and train, bit for bit as its instance.  The level
 index from one sort must equal np.unique and np.searchsorted bit for bit,
 and the c* that a circuit roster takes from the half table must be the
 exhaustive oracle's optimum.
@@ -21,6 +23,7 @@ import pytest
 
 from optbench import (
     BinaryPolynomial,
+    IsingModel,
     MaxCutInstance,
     SaConfig,
     SizeCapError,
@@ -36,12 +39,17 @@ from optbench import (
     qaoa_qubo_simulate,
     simulated_annealing,
     tabu_search,
+    train_generator,
+    tsp_onehot_qubo,
 )
-from optbench import harness, solvers
+from optbench import harness, qaoa, solvers
 from optbench.qaoa import _CompiledProblem, embed_onehot_state
 
 from conftest import (
+    compile_full_basis,
+    plus_field,
     reference_cost_vector,
+    reference_flip_symmetric,
     reference_gw,
     reference_ls,
     reference_sa,
@@ -368,7 +376,7 @@ def test_gw_matches_reference(graph, seed):
 def assert_half_matches_full(inst, beta, gamma):
     """Every output of the half compile of ``inst`` against the full compile of its polynomial."""
     half = _CompiledProblem("qubo", inst)
-    full = _CompiledProblem("qubo", maxcut_qubo(inst))
+    full = compile_full_basis(maxcut_qubo(inst))
     assert half.costs.size * 2 == full.costs.size
     for optimal_cost in (None, float(full.costs.min())):
         ours = half.simulate(beta, gamma, optimal_cost)
@@ -408,10 +416,78 @@ def test_half_basis_maxcut_circuit_at_the_edges(inst):
 
 def test_half_basis_cap_counts_stored_qubits():
     inst = gen_regular(6, 3, seed=0)
-    dist = qaoa_qubo_simulate(inst, [0.3], [0.2], cap=5)
-    assert dist.amplitudes.size == 1 << 6
+    poly = maxcut_qubo(inst)
+    for model in (inst, poly):  # the instance runs as its cut polynomial
+        assert qaoa_qubo_simulate(model, [0.3], [0.2], cap=5).amplitudes.size == 1 << 6
+    with pytest.raises(SizeCapError, match="6 qubits exceed"):
+        qaoa_qubo_simulate(plus_field(poly), [0.3], [0.2], cap=5)
     with pytest.raises(SizeCapError):
-        qaoa_qubo_simulate(maxcut_qubo(inst), [0.3], [0.2], cap=5)
+        compile_full_basis(poly, cap=5)
+
+
+# ----------------------------------------------------------------------
+# The half basis follows the cost: every flip-symmetric polynomial of
+# degree <= 2 runs on it, an instance through its cut polynomial
+# ----------------------------------------------------------------------
+
+def flip_cases() -> dict:
+    """Polynomials by name, each with whether it is flip-symmetric."""
+    symmetric = {f"cut-{name}": maxcut_qubo(make(0)) for name, make in GRAPHS.items()}
+    rng = np.random.default_rng(5)
+    for n in (5, 8):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        couplings = {pair: float(rng.normal()) for pair in pairs}
+        symmetric[f"ising-{n}"] = IsingModel(n, np.zeros(n), couplings, 0.3).to_polynomial()
+    cases = {name: (poly, True) for name, poly in symmetric.items()}
+    cases.update({f"{name}+field": (plus_field(poly), False) for name, poly in symmetric.items()})
+    for k in (3, 4):
+        cases[f"tour-k{k}"] = (tsp_onehot_qubo(gen_tsp_planar(k + 1, seed=k)), False)
+    cases["cubic"] = (BinaryPolynomial(4, {(0, 1, 2): 1.0, (1, 3): 1.0, (3,): -0.5}), False)
+    cases["no-variable"] = (BinaryPolynomial(0, {(): 2.0}), False)
+    cases["one-variable"] = (BinaryPolynomial(1, {(): 2.0}), True)
+    cases["one-variable-field"] = (BinaryPolynomial(1, {(0,): -1.0}), False)
+    return cases
+
+
+FLIP_CASES = flip_cases()
+
+
+@pytest.mark.parametrize("name", FLIP_CASES)
+def test_reference_flip_symmetry_compares_each_state_with_its_complement(name):
+    poly, expected = FLIP_CASES[name]
+    assert reference_flip_symmetric(poly) is expected
+
+
+@pytest.mark.parametrize("name", FLIP_CASES)
+def test_flip_symmetry_rule_agrees_with_the_reference(name):
+    poly, expected = FLIP_CASES[name]
+    assert qaoa._flip_symmetric(poly) is reference_flip_symmetric(poly) is expected
+    assert _CompiledProblem("qubo", poly).half is expected
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("p", (1, 3))
+def test_cut_polynomial_circuit_is_its_instance_circuit_bit_for_bit(graph, p):
+    inst = GRAPHS[graph](p)
+    rng = np.random.default_rng(10 + p)
+    beta, gamma = rng.uniform(-2, 2, p), rng.uniform(-2, 2, p)
+    ours = qaoa_qubo_simulate(maxcut_qubo(inst), beta, gamma)
+    theirs = qaoa_qubo_simulate(inst, beta, gamma)
+    assert (ours.p_star, ours.expected_cost()) == (theirs.p_star, theirs.expected_cost())
+    for name in ("amplitudes", "probabilities", "costs"):
+        assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+    for dist in (ours, theirs):
+        assert_transverse_matches_reference(dist, beta, gamma)
+
+
+def test_train_generator_on_cut_polynomials_is_training_on_their_instances():
+    instances = [make(0) for make in GRAPHS.values()]
+    ours = train_generator([maxcut_qubo(inst) for inst in instances], "qubo", p=2, budget=60)
+    theirs = train_generator(instances, "qubo", p=2, budget=60)
+    assert (ours.objective, ours.evaluations, ours.budget_exhausted) == (
+        theirs.objective, theirs.evaluations, theirs.budget_exhausted)
+    assert ours.params.theta_beta.tobytes() == theirs.params.theta_beta.tobytes()
+    assert ours.params.theta_gamma.tobytes() == theirs.params.theta_gamma.tobytes()
 
 
 def test_level_index_above_uint16_is_uint32_and_the_phase_stays_bitwise(monkeypatch):

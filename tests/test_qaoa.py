@@ -39,11 +39,13 @@ from optbench.qaoa import (
 )
 
 from conftest import (
+    compile_full_basis,
     dense_phase,
     dense_single_qubit,
     dense_two_qubit,
     dense_uniform,
     dense_xy_gate,
+    plus_field,
     reference_onehot_decode,
 )
 
@@ -506,13 +508,14 @@ def test_train_generator_rejects_a_budget_below_one(budget):
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind, problems", [
-    ("qubo", [maxcut_qubo(gen_regular(8, 3, seed=s)) for s in range(3)]),
+    ("qubo", [plus_field(maxcut_qubo(gen_regular(8, 3, seed=s)), 0.5) for s in range(3)]),
     ("qubo", [gen_regular(8, 3, seed=s) for s in range(3)]),  # Max-Cut on the half basis
     ("hobo", [gen_tsp_planar(4, seed=s) for s in range(3)]),
     ("xy", [gen_tsp_planar(4, seed=s) for s in range(3)]),  # 27 states: rows start unaligned
     ("perm", [gen_tsp_planar(5, seed=s) for s in range(3)]),
-    # two different problems: unit-weight cuts and real-weight terms share no levels
-    ("qubo", [maxcut_qubo(gen_regular(6, 3, seed=0)),
+    # two different full-basis problems: half-integer cuts and real-weight
+    # terms share no levels
+    ("qubo", [plus_field(maxcut_qubo(gen_regular(6, 3, seed=0)), 0.5),
               BinaryPolynomial(6, {(0, 1): 0.7, (2,): -1.3, (3, 4, 5): 2.1, (): 0.25})]),
 ], ids=["qubo", "qubo-half", "hobo", "xy", "perm", "two-problems"])
 @pytest.mark.parametrize("p", [1, 3])
@@ -551,12 +554,14 @@ def test_stack_with_a_zero_optimum_row_raises_before_running_a_circuit(monkeypat
 
 
 @pytest.mark.parametrize("cap, sizes, point", [
-    # one stack per state size, each run in training-set order of its first problem
-    (None, [6, 8, 6, 8, 8], [(2, 1 << 6), (3, 1 << 8)]),
-    # a 128-amplitude cap stacks n = 6 graphs in pairs and runs each n = 8
-    # graph alone; a stack runs from the point it fills, a partial one last
+    # one stack per state size, each run in training-set order of its first
+    # problem; a cut polynomial runs on its half basis
+    (None, [6, 8, 6, 8, 8], [(2, 1 << 5), (3, 1 << 7)]),
+    # a 128-amplitude cap stacks n = 6 graphs (32 stored amplitudes) in fours
+    # and runs each n = 8 graph alone; a stack runs from the point it fills,
+    # a partial one last
     (128, [6, 8, 6, 8, 6, 6, 8, 6],
-     [(1, 1 << 8), (2, 1 << 6), (1, 1 << 8), (2, 1 << 6), (1, 1 << 8), (1, 1 << 6)]),
+     [(1, 1 << 7), (1, 1 << 7), (4, 1 << 5), (1, 1 << 7), (1, 1 << 5)]),
 ])
 def test_train_generator_runs_one_gap_call_per_stack(monkeypatch, cap, sizes, point):
     # n = 6 and n = 8 graphs interleaved; the objective is the training-set
@@ -581,10 +586,11 @@ def test_train_generator_runs_one_gap_call_per_stack(monkeypatch, cap, sizes, po
 
 
 def test_train_generator_keeps_half_and_full_problems_of_one_state_size_apart(monkeypatch):
-    # A half-basis 8-node Max-Cut and a full 7-variable polynomial both hold
-    # 2**7 amplitudes but differ in their mixers: each runs as its own stack,
-    # whose gap is the problem's own.
-    problems = [gen_regular(8, 3, seed=0), maxcut_qubo(gen_erdos_renyi(7, 0.5, seed=1))]
+    # A half-basis 8-node Max-Cut and a full 7-variable polynomial (a cut
+    # plus a field) both hold 2**7 amplitudes but differ in their mixers:
+    # each runs as its own stack, whose gap is the problem's own.
+    problems = [gen_regular(8, 3, seed=0),
+                plus_field(maxcut_qubo(gen_erdos_renyi(7, 0.5, seed=1)), 0.5)]
     stacks = []
     gap = _CompiledProblem.gap
 
@@ -599,14 +605,14 @@ def test_train_generator_keeps_half_and_full_problems_of_one_state_size_apart(mo
     beta, gamma = expand_generator(both.params, 2)
     gaps = [_CompiledProblem("qubo", problem).gap(beta, gamma) for problem in problems]
     assert both.objective == float(np.mean(gaps))
-    full_gap = _CompiledProblem("qubo", maxcut_qubo(problems[0])).gap(beta, gamma)
+    full_gap = compile_full_basis(maxcut_qubo(problems[0])).gap(beta, gamma)
     assert abs(gaps[0] - full_gap) <= 1e-12
 
 
 def test_one_problem_stack_views_its_cost_table():
     part = _CompiledProblem("qubo", maxcut_qubo(gen_regular(6, 3, seed=0)))
     stacked = _CompiledProblem.stack([part])
-    assert stacked.costs.shape == (1, 1 << 6)
+    assert stacked.costs.shape == (1, 1 << 5)
     assert np.shares_memory(stacked.costs, part.costs)
 
 
@@ -791,7 +797,8 @@ def test_ansatz_wrapper_dispatch():
 @pytest.mark.parametrize("half", (False, True), ids=["full", "half"])
 def test_rotating_transverse_blocks_gradients_match_central_differences(n, half):
     inst = gen_erdos_renyi(n + half, 0.4, seed=n, weights="uniform")
-    compiled = _CompiledProblem("qubo", inst if half else maxcut_qubo(inst))
+    compiled = (_CompiledProblem("qubo", inst) if half
+                else compile_full_basis(maxcut_qubo(inst)))
     assert compiled.costs.size == 1 << n
     rng = make_rng(n)
     beta, gamma = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
