@@ -170,26 +170,101 @@ class BinaryPolynomial:
             costs[start:start + chunk] = np.add.accumulate(parts, axis=1)[:, -1]
         return costs
 
+    def quadratic_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense ``(linear, coupling)`` arrays of a polynomial of degree <= 2.
+
+        ``linear[i]`` is the coefficient of x_i.  The symmetric ``coupling``
+        has a zero diagonal and holds the coefficient of x_i x_j at both
+        (i, j) and (j, i), so the local field of variable i is
+        linear[i] + coupling[i] @ x.  Built once per polynomial; both arrays
+        are read-only.
+        """
+        if "quadratic_form" in self._derived:
+            return self._derived["quadratic_form"]
+        if self.degree > 2:
+            raise DegreeError(f"dense form requires degree <= 2, model has degree {self.degree}")
+        n = self.num_vars
+        linear, coupling = np.zeros(n), np.zeros((n, n))
+        for degree, (_, variables, coeffs) in self.terms_by_degree().items():
+            if degree == 1:
+                linear[variables[:, 0]] = coeffs
+            elif degree == 2:
+                i, j = variables.T
+                coupling[i, j] = coupling[j, i] = coeffs
+        linear.flags.writeable = coupling.flags.writeable = False
+        self._derived["quadratic_form"] = (linear, coupling)
+        return linear, coupling
+
+    def _fills_by_doubling(self) -> bool:
+        """Whether every partial sum of every cost is an exact integer.
+
+        True for degree <= 2 with integer coefficients, the constant included,
+        whose absolute values sum below 2**53: then any order of the sums
+        gives the term-order cost bit for bit.  Decided once per polynomial.
+        """
+        if "doubling" not in self._derived:
+            coeffs = self.terms.values()
+            self._derived["doubling"] = (
+                self.degree <= 2 and all(c.is_integer() for c in coeffs)
+                and sum(abs(int(c)) for c in coeffs) < 1 << 53)
+        return self._derived["doubling"]
+
+    def _double_fill(self, block: np.ndarray, pos: int) -> None:
+        """Write the costs of the aligned block of states starting at ``pos``.
+
+        The bits of ``pos`` above the block are fixed: their constant and
+        their fields on the block's bits are added once.  Then, for each bit
+        k of the block, costs[2^k : 2^(k+1)] = costs[:2^k] + field_k +
+        sum_{j<k} b_jk x_j, the bracket itself built by doubling inside its
+        destination half, so the fill takes O(2^width) adds and no scratch.
+        """
+        linear, coupling = self.quadratic_form()
+        width = block.size.bit_length() - 1
+        n = self.num_vars
+        fixed = np.fromiter((pos >> i & 1 for i in range(n)), np.float64, n)
+        field = linear[:width] + coupling[:width] @ fixed
+        block[0] = self.constant + fixed @ (linear + np.tril(coupling, -1) @ fixed)
+        for k in range(width):
+            half = block[1 << k:2 << k]
+            half[0] = field[k]
+            for j in range(k):
+                np.add(half[:1 << j], coupling[j, k], out=half[1 << j:2 << j])
+            np.add(half, block[:1 << k], out=half)
+
     def cost_vector(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Costs of all basis states in [start, stop), indexed canonically.
 
-        Filled by aligned power-of-two blocks: each term whose bits above the
-        block are set adds its coefficient, in term order, to the strided view
-        where its bits within the block are 1, so any range gives the same sums.
+        Raises ValueError unless 0 <= start <= stop <= 2**num_vars.  The range
+        is filled by aligned power-of-two blocks.  A polynomial of degree <= 2
+        whose coefficients, the constant included, are integers with absolute
+        values summing below 2**53 fills each block by doubling, in O(2^n)
+        adds: every partial sum is then an exact integer, so the table is bit
+        for bit the term-order one.  Any other polynomial adds each term whose
+        bits above the block are set, in term order, to the strided view where
+        its bits within the block are 1, in O(terms * 2^n) adds; either way any
+        range gives the same sums.
         """
+        size = 1 << self.num_vars
         if stop is None:
-            stop = 1 << self.num_vars
-        costs = np.full(max(stop - start, 0), self.constant)
+            stop = size
+        if not 0 <= start <= stop <= size:
+            raise ValueError(f"state range [{start}, {stop}) needs 0 <= start <= stop <= {size}")
+        doubling = self._fills_by_doubling()
+        costs = np.empty(stop - start) if doubling else np.full(stop - start, self.constant)
         pos = start
         while pos < stop:
             width = (stop - pos).bit_length() - 1
             while pos % (1 << width):
                 width -= 1
-            bits = costs[pos - start:pos - start + (1 << width)].reshape((2,) * width).T
-            for term, coeff in self.terms.items():  # axis i of ``bits`` is bit i
-                if term and all(pos >> i & 1 for i in term if i >= width):
-                    view = bits[(*(1 if i in term else slice(None) for i in range(width)), ...)]
-                    view += coeff
+            block = costs[pos - start:pos - start + (1 << width)]
+            if doubling:
+                self._double_fill(block, pos)
+            else:
+                bits = block.reshape((2,) * width).T
+                for term, coeff in self.terms.items():  # axis i of ``bits`` is bit i
+                    if term and all(pos >> i & 1 for i in term if i >= width):
+                        view = bits[(*(1 if i in term else slice(None) for i in range(width)), ...)]
+                        view += coeff
             pos += 1 << width
         return costs
 
@@ -197,7 +272,11 @@ class BinaryPolynomial:
         """Globally minimal assignment by full enumeration.
 
         Ties are broken by lexicographically smallest bitstring (exact float
-        cost ties only).  Raises SizeCapError above ``cap`` variables.
+        cost ties only).  Raises SizeCapError above ``cap`` variables.  The
+        costs come from ``cost_vector`` in 2^20-state chunks: O(2^n) adds for
+        a degree <= 2 polynomial with integer coefficients whose absolute
+        values sum below 2**53, which fills by doubling, and O(terms * 2^n)
+        adds for any other.
         """
         n = self.num_vars
         if n > cap:

@@ -52,29 +52,21 @@ class RelaxationError(RuntimeError):
 def _compile_quadratic(model: BinaryPolynomial | IsingModel) -> tuple[BinaryPolynomial, tuple]:
     """Return the polynomial and its (constant, linear, coupling, neighbors).
 
-    The symmetric coupling matrix has zero diagonal and counts each pair
-    once on each side, so the local field of variable i is
+    ``linear`` and ``coupling`` are the polynomial's own read-only
+    ``quadratic_form()``, so the local field of variable i is
     linear[i] + coupling[i] @ x; ``neighbors[i]`` holds the (j, coupling)
-    pairs of i's nonzero couplings.  They are built once per polynomial,
-    read-only, and every later call on it shares them.
+    pairs of i's nonzero couplings.  They are built once per polynomial and
+    every later call on it shares them.
     """
     poly = model.to_polynomial() if isinstance(model, IsingModel) else model
     if "quadratic" in poly._derived:
         return poly, poly._derived["quadratic"]
     if poly.degree > 2:
         raise DegreeError(f"solver requires degree <= 2, model has degree {poly.degree}")
-    n = poly.num_vars
-    linear, coupling = np.zeros(n), np.zeros((n, n))
-    for degree, (_, variables, coeffs) in poly.terms_by_degree().items():
-        if degree == 1:
-            linear[variables[:, 0]] = coeffs
-        elif degree == 2:
-            i, j = variables.T
-            coupling[i, j] = coupling[j, i] = coeffs
-    linear.flags.writeable = coupling.flags.writeable = False
+    linear, coupling = poly.quadratic_form()
     rows, cols = np.nonzero(coupling)
     pairs = list(zip(cols.tolist(), coupling[rows, cols].tolist()))
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    bounds = np.searchsorted(rows, np.arange(poly.num_vars + 1)).tolist()
     neighbors = tuple(tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
     compiled = poly._derived["quadratic"] = (poly.constant, linear, coupling, neighbors)
     return poly, compiled

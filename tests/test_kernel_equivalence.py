@@ -5,9 +5,10 @@ costs as the one-read-at-a-time loops, on SA's and TS's scalar and batched
 paths alike, and GW exactly the samples, costs and info of its per-edge loop.
 The exact recheck must go through BinaryPolynomial.evaluate_batch.  The
 blocked transverse circuit must match the one-qubit-per-pass loop to 1e-12
-in every amplitude, and the strided cost table the one-mask-per-term loop
-bit for bit.  A Max-Cut circuit on the half basis must match the full
-circuit of its polynomial to 1e-12 in every output and gradient.  The
+in every amplitude, and the cost table the one-mask-per-term loop bit for
+bit, whether it fills by doubling (integer QUBOs) or term by term.  A
+Max-Cut circuit on the half basis must match the full circuit of its
+polynomial to 1e-12 in every output and gradient.  The
 half-basis rule must agree with conftest.py's brute-force flip check, and a
 cut polynomial must run, and train, bit for bit as its instance.  The level
 index from one sort must equal np.unique and np.searchsorted bit for bit,
@@ -359,6 +360,130 @@ def test_argmin_exhaustive_across_chunks_matches_enumeration():
     assert optima[0][0] == "0" and optima[0][-1] == "1"
 
 
+UNIT_GRAPHS = [name for name in GRAPHS if "uniform" not in name]
+
+
+def assert_ranges_are_reference(poly, ranges):
+    """Each [start, stop) table equals the mask reference as uint64 views."""
+    for start, stop in ranges:
+        expected = reference_cost_vector(poly, start, stop).view(np.uint64)
+        assert poly.cost_vector(start, stop).view(np.uint64).tolist() == expected.tolist()
+
+
+def assert_table_is_reference(poly, doubling, rng, windows=6):
+    """The fill path is as expected; the full table and random windows equal the reference."""
+    assert poly._fills_by_doubling() is doubling
+    size = 1 << poly.num_vars
+    starts = rng.integers(0, size + 1, windows).tolist()
+    assert_ranges_are_reference(
+        poly, [(0, size)] + [(start, int(rng.integers(start, size + 1))) for start in starts])
+
+
+@pytest.mark.parametrize("graph", UNIT_GRAPHS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_doubling_fill_is_bitwise_reference_on_cut_polynomials(graph, seed):
+    poly = maxcut_qubo(GRAPHS[graph](seed))
+    assert_table_is_reference(poly, True, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_doubling_fill_is_bitwise_reference_on_integer_ising(seed):
+    rng = np.random.default_rng(seed)
+    n = 11
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    model = IsingModel(n, rng.integers(-3, 4, n).astype(float),
+                       {pair: float(rng.choice([-2, -1, 1, 3])) for pair in pairs},
+                       offset=float(rng.integers(-5, 6)))
+    assert_table_is_reference(model.to_polynomial(), True, rng)
+
+
+@pytest.mark.parametrize("n", (2, 5, 9, 12))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_doubling_fill_is_bitwise_reference_on_integer_qubos(n, seed):
+    rng = np.random.default_rng(100 * n + seed)
+    poly = random_polynomial(n, 2, 3 * n, rng, integer=True)
+    assert_table_is_reference(poly, True, rng, windows=10)
+
+
+@pytest.mark.parametrize("terms", ({}, {(): 3.0}, {(): -2.0}, {(0,): -2.0}, {(0,): 4.0, (): -4.0}),
+                         ids=("zero", "constant", "negative-constant", "field", "field-to-zero"))
+def test_doubling_fill_covers_zero_and_one_variable(terms):
+    # Every range of 0 and 1 variables; the sum -4 + 4 must be +0.0, as in term order.
+    for n in (0, 1) if all(not term for term in terms) else (1,):
+        poly = BinaryPolynomial(n, terms)
+        assert poly._fills_by_doubling()
+        states = range((1 << n) + 1)
+        assert_ranges_are_reference(poly, [(a, b) for a in states for b in states if a <= b])
+
+
+@pytest.mark.parametrize("n", (22, 23, 24))
+def test_doubling_fill_windows_with_high_bits_set(n):
+    # Small windows of large tables, aligned and not, whose bits above the
+    # window's blocks are set; each block adds the fixed bits' constant and fields.
+    inst = gen_regular(n, 3, n) if n % 2 == 0 else gen_erdos_renyi(n, 0.15, n)
+    poly = maxcut_qubo(inst)
+    assert poly._fills_by_doubling()
+    rng = np.random.default_rng(n)
+    top = 1 << n
+    ranges = [(top - 4096, top), (top // 2 + 1024, top // 2 + 3072), (top - 3, top - 1)]
+    for _ in range(8):
+        start = int(rng.integers(0, top - 5000))
+        ranges.append((start, start + int(rng.integers(0, 5000))))
+    assert_ranges_are_reference(poly, ranges)
+
+
+def without_doubling(poly):
+    """A copy of ``poly`` whose tables take the term path."""
+    copy = BinaryPolynomial(poly.num_vars, poly.terms)
+    copy._derived["doubling"] = False
+    return copy
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_argmin_exhaustive_is_unchanged_by_the_doubling_fill(graph, seed):
+    poly = maxcut_qubo(GRAPHS[graph](seed))
+    assert poly.argmin_exhaustive() == without_doubling(poly).argmin_exhaustive()
+
+
+def test_argmin_exhaustive_across_chunks_is_unchanged_by_the_doubling_fill():
+    # 21 variables take two 2**20 chunks; the second one's fixed bit 20 is set.
+    rng = np.random.default_rng(5)
+    poly = random_polynomial(21, 2, 80, rng, integer=True)
+    assert poly._fills_by_doubling()
+    assert poly.argmin_exhaustive() == without_doubling(poly).argmin_exhaustive()
+    cut = maxcut_qubo(gen_erdos_renyi(21, 0.2, 5))
+    assert cut.argmin_exhaustive() == without_doubling(cut).argmin_exhaustive()
+
+
+@pytest.mark.parametrize("case", ("uniform-cut", "degree-3", "tour-k3"))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_term_path_keeps_polynomials_outside_the_doubling_rule(case, seed):
+    rng = np.random.default_rng(seed)
+    if case == "uniform-cut":
+        poly = maxcut_qubo(GRAPHS["er-uniform-10"](seed))
+    elif case == "degree-3":
+        terms = dict(random_polynomial(10, 2, 20, rng, integer=True).terms)
+        terms[(1, 4, 7)] = -2.0
+        poly = BinaryPolynomial(10, terms)
+    else:
+        poly = tsp_onehot_qubo(gen_tsp_planar(4, seed=seed))
+        assert poly.num_vars == 9
+    assert_table_is_reference(poly, False, rng)
+
+
+def test_doubling_rule_needs_the_sum_bound():
+    # In term order entry 3 is ((2**53 + 1) + 1) - 1 = 2**53 - 1; in doubling
+    # order it would be (2**53 + 1) + (1 - 1) = 2**53.
+    terms = {(): 2.0 ** 53, (0,): 1.0, (1,): 1.0, (0, 1): -1.0}
+    poly = BinaryPolynomial(2, terms)
+    assert_table_is_reference(poly, False, np.random.default_rng(0))
+    assert poly.cost_vector()[3] == 2.0 ** 53 - 1
+    forced = BinaryPolynomial(2, terms)
+    forced._derived["doubling"] = True
+    assert forced.cost_vector()[3] == 2.0 ** 53
+
+
 @pytest.mark.parametrize("graph", GRAPHS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gw_matches_reference(graph, seed):
@@ -683,6 +808,17 @@ def test_adjacency_equals_the_edge_loop():
         _, (_, _, coupling, _) = solvers._compile_quadratic(maxcut_qubo(inst))
         assert coupling.tobytes() == (2.0 * expected).tobytes()
     assert solvers._compile_quadratic(maxcut_qubo(parallel))[1][2][0, 1] == 0.0
+
+
+def test_solver_compile_shares_the_polynomials_dense_form():
+    poly = maxcut_qubo(GRAPHS["regular-12"](0))
+    linear, coupling = poly.quadratic_form()
+    _, (_, compiled_linear, compiled_coupling, _) = solvers._compile_quadratic(poly)
+    assert compiled_linear is linear and compiled_coupling is coupling
+    assert poly.quadratic_form()[0] is linear
+    for array in (linear, coupling):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_compiled_arrays_are_built_once_and_read_only():

@@ -201,6 +201,16 @@ def test_cost_vector_matches_evaluate():
         assert costs[index] == pytest.approx(poly.evaluate(x), abs=1e-12)
 
 
+@pytest.mark.parametrize("start, stop", ((6, 12), (-2, 3), (5, 2)),
+                         ids=("past-the-last-state", "negative-start", "stop-before-start"))
+@pytest.mark.parametrize("constant", (0.5, 1.0), ids=("term-path", "doubling"))
+def test_cost_vector_rejects_ranges_outside_the_states(start, stop, constant):
+    poly = BinaryPolynomial(3, {(0,): 1.0, (0, 2): 2.0, (): constant})
+    with pytest.raises(ValueError, match="0 <= start <= stop <= 8"):
+        poly.cost_vector(start, stop)
+    assert poly.cost_vector(8, 8).size == 0 and poly.cost_vector(0, 8).size == 8
+
+
 # ----------------------------------------------------------------------
 # Sample sets and merging
 # ----------------------------------------------------------------------
