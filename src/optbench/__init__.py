@@ -47,19 +47,16 @@ from .model import (
     merge,
 )
 from .qaoa import (
+    CompiledProblem,
     GeneratorParams,
     LayerCountUnavailable,
     LayerLedger,
     OutputDistribution,
-    QaoaAnsatz,
     edge_coloring,
     expand_generator,
     layer_ledger,
-    qaoa_hobo_tsp_simulate,
-    qaoa_perm_simulate,
     qaoa_qubo_simulate,
     qaoa_tsp_simulate,
-    qaoa_xy_simulate,
     train_generator,
     tts_layers,
 )

@@ -46,8 +46,8 @@ from .metrics import (MetricContext, approximation_ratio, bsf_relative, equal_fr
                       fob, pareto_front, tts, tts_oh)
 from .model import ORACLE_CAP, BinaryPolynomial, SampleSet, SizeCapError, Stopwatch, Timing, merge
 from .qaoa import (
+    CompiledProblem,
     GeneratorParams,
-    _CompiledProblem,
     expand_generator,
     layer_ledger,
     qaoa_qubo_simulate,
@@ -136,7 +136,8 @@ def derive_seed(master_seed: int, *keys) -> int:
 @dataclass
 class SolverSpec:
     """A roster entry.  ``params`` stay as given (they define the records'
-    ``config_hash``); ``kwargs`` holds them cast by ``SOLVER_PARAMS``."""
+    ``config_hash``); ``kwargs`` holds them cast by ``SOLVER_PARAMS``, every
+    float and list entry finite."""
 
     name: str
     kind: str
@@ -153,6 +154,10 @@ class SolverSpec:
                                   f"{key!r} (it takes {', '.join(types)})")
         self.kwargs = {key: _number(f"{key} of solver {self.name!r}", value, types[key])
                        for key, value in self.params.items()}
+        for key, value in self.kwargs.items():
+            if types[key] is not int and not np.isfinite(value).all():
+                raise ConfigError(f"{key} of solver {self.name!r} must be finite, "
+                                  f"got {self.params[key]!r}")
 
 
 @dataclass
@@ -475,7 +480,7 @@ def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, poly: BinaryPol
     raise ConfigError(f"solver kind {spec.kind!r} is not a sampling solver")
 
 
-def _qaoa_metrics(inst: MaxCutInstance, circuit: _CompiledProblem, ctx: MetricContext,
+def _qaoa_metrics(inst: MaxCutInstance, circuit: CompiledProblem, ctx: MetricContext,
                   p: int = 8, theta_beta: np.ndarray | None = None,
                   theta_gamma: np.ndarray | None = None,
                   seconds_per_layer: float = SECONDS_PER_CNOT_LAYER) -> dict:
@@ -540,7 +545,7 @@ def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
         if (scenario == "tts" and any(spec.kind == "qaoa" for spec in solvers)
                 and inst.num_nodes <= oracle_cap):
             try:
-                circuit = _CompiledProblem("qubo", inst)
+                circuit = CompiledProblem("qubo", inst)
             except Exception as exc:  # raised again by each circuit record
                 failure = exc
         if circuit is not None:
@@ -616,12 +621,6 @@ def _bsf_calls(record: RunRecord, spec: SolverSpec, inst: MaxCutInstance,
     if spec.kind == "exhaustive":
         record.metrics["terminated_early"] = True
     return merge(*samples), len(samples)
-
-
-def _tts_task(args) -> RunRecord:
-    """One ``tts`` record: the per-instance worker with a one-solver roster."""
-    inst, spec, master_seed, oracle_cap = args
-    return _instance_records(inst, "tts", [spec], master_seed, oracle_cap)[0]
 
 
 def _run_protocol(cfg: ExperimentConfig, scenario: str,

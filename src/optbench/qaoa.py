@@ -9,15 +9,21 @@ mixing layer, for t = 1..p:
   A flip-symmetric polynomial, such as a Max-Cut instance's, runs on the
   half basis x_{n-1} = 0 (see below).
 * ``hobo``  -- same mixer over k * ceil(log2 k) qubits carrying integer
-  slot encodings of a tour.
+  slot encodings of a tour.  A state costs A times the walk length of its
+  decoded slots (integers wrap modulo k) plus B per slot integer >= k and
+  B per unordered slot pair naming the same location.
 * ``xy``    -- simulated inside the one-hot subspace (k blocks of k qubits,
   dimension k**k): brick-wall two-local XY rotations within each block,
-  started from a product of W states.
+  started from a product of W states, which is uniform over the subspace;
+  no mass ever leaves it.  A tour costs A * walk length + B * sum_loc
+  (1 - uses)**2 there (the per-slot one-hot penalty vanishes), and a
+  polynomial over k*k variables is evaluated on the embedded states.
 * ``perm``  -- simulated in the permutation basis (dimension k!): the
-  projector mixer exp(-i * beta |s><s|) applied analytically, started from
-  the uniform permutation state |s>.
+  projector mixer exp(-i * beta |s><s|) applied analytically, psi <- psi +
+  (exp(-i * beta) - 1) <s|psi> s, started from the uniform permutation
+  state |s>, so no infeasible state is ever reached.
 
-Each (problem, encoding) pair compiles once to a ``_CompiledProblem``, which
+Each (problem, encoding) pair compiles once to a ``CompiledProblem``, which
 every simulator and the generator trainer run through one state-evolution
 routine with one mixer method per basis (transverse, xy, projector).  The
 trainer's adjoint gradient un-applies the same mixer methods on its backward
@@ -243,17 +249,20 @@ def _flip_symmetric(poly: BinaryPolynomial) -> bool:
     return all(abs(math.fsum(part)) <= 1e-12 * math.fsum(map(abs, part)) for part in parts)
 
 
-class _CompiledProblem:
+class CompiledProblem:
     """One problem compiled for the encoding ``kind`` (see the module docstring).
 
-    Holds the diagonal cost of every basis state and, for a tour, each
-    state's decoded walk length (NaN where undecodable) and feasibility.
+    The one compiled form behind every circuit: it holds the diagonal cost
+    of every basis state and, for a tour, each state's decoded walk length
+    (NaN where undecodable) and feasibility, and it applies the encoding's
+    mixer.  :meth:`simulate` runs a schedule and :meth:`gap` serves the
+    trainer; compile once and run as many schedules as needed.
     A qubo problem is a polynomial, a Max-Cut instance (its cut polynomial)
     or a tour (its one-hot QUBO); a polynomial that ``_flip_symmetric``
     accepts runs on the half basis x_{n-1} = 0, with ``half`` set.  An xy
-    problem is a tour or a polynomial
-    over k*k variables; hobo and perm problems are tours.  ``a``/``b``
-    override the tour penalties and ``cap`` the encoding's size cap.
+    problem is a tour or a polynomial over k*k variables (pass ``k``); hobo
+    and perm problems are tours.  ``a``/``b`` override the tour penalties
+    (perm reads only ``a``) and ``cap`` the encoding's size cap.
 
     ``costs`` has shape (*stack, size): the stack shape is () for one
     problem and (G,) for G problems of one kind and state size built by
@@ -338,7 +347,7 @@ class _CompiledProblem:
             self.lengths[states], self.feasible[states] = lengths, feasible
 
     @classmethod
-    def stack(cls, parts: list[_CompiledProblem]) -> _CompiledProblem:
+    def stack(cls, parts: list[CompiledProblem]) -> CompiledProblem:
         """The problems ``parts``, of one kind, qubit count and state size, as one stack's rows.
 
         The stack keeps what ``gap`` reads, not the tours behind ``simulate``;
@@ -592,7 +601,7 @@ class _CompiledProblem:
 
 
 # ----------------------------------------------------------------------
-# Simulators of the four encodings
+# Entry points and one-hot state helpers
 # ----------------------------------------------------------------------
 
 def qaoa_qubo_simulate(
@@ -608,49 +617,23 @@ def qaoa_qubo_simulate(
     docstring).  ``model`` may also be a Max-Cut instance, run as its cut
     polynomial, or a problem already compiled for the qubo encoding.
     """
-    if not isinstance(model, _CompiledProblem):
-        model = _CompiledProblem("qubo", model, cap=cap)
+    if not isinstance(model, CompiledProblem):
+        model = CompiledProblem("qubo", model, cap=cap)
     return model.simulate(beta, gamma, optimal_cost)
 
 
-def qaoa_hobo_tsp_simulate(
+def qaoa_tsp_simulate(
     inst: TspInstance,
+    kind: str,
     beta,
     gamma,
     a: float | None = None,
     b: float | None = None,
-    cap: int = _ENCODINGS["hobo"][1],
 ) -> OutputDistribution:
-    """Integer-encoded tour circuit over k * ceil(log2 k) qubits.
-
-    The diagonal cost of a basis state is A times the walk length of its
-    decoded slot sequence plus B per slot integer >= k and B per unordered
-    slot pair naming the same location (integers wrap modulo k for the
-    walk, see :mod:`optbench.formulations`).
-    """
-    compiled = _CompiledProblem("hobo", inst, a=a, b=b, cap=cap)
-    return compiled.simulate(beta, gamma)
-
-
-def qaoa_xy_simulate(
-    problem: TspInstance | BinaryPolynomial,
-    beta,
-    gamma,
-    k: int | None = None,
-    a: float | None = None,
-    b: float | None = None,
-    cap: int = _ENCODINGS["xy"][1],
-) -> OutputDistribution:
-    """One-hot-preserving circuit simulated in the k**k block subspace.
-
-    For a tour instance the diagonal cost is the one-hot objective
-    restricted to the subspace: A * walk length + B * sum_loc (1 - uses)^2
-    (the per-slot one-hot penalty vanishes identically).  A generic
-    polynomial over k*k variables is evaluated directly on the embedded
-    one-hot basis states.  The initial state, a product of W states, is
-    uniform over the subspace, and no mass ever leaves it.
-    """
-    compiled = _CompiledProblem("xy", problem, a=a, b=b, k=k, cap=cap)
+    """Run one of the four tour encodings: qubo, hobo, xy or perm."""
+    compiled = CompiledProblem(kind, inst, a=a, b=b)
+    if kind == "qubo":  # the plain qubo simulator runs the compiled one-hot QUBO
+        return qaoa_qubo_simulate(compiled, beta, gamma)
     return compiled.simulate(beta, gamma)
 
 
@@ -664,62 +647,6 @@ def embed_onehot_state(amplitudes: np.ndarray, k: int) -> np.ndarray:
     full = np.zeros(1 << (k * k), dtype=np.complex128)
     full[_onehot_states(_slot_digits(k, k), k)] = amplitudes
     return full
-
-
-def qaoa_perm_simulate(
-    inst: TspInstance,
-    beta,
-    gamma,
-    a: float | None = None,
-    cap: int = _ENCODINGS["perm"][1],
-) -> OutputDistribution:
-    """Projector-mixer circuit over the k! feasible permutations.
-
-    The mixer exp(-i * beta |s><s|) acts analytically:
-    psi <- psi + (exp(-i*beta) - 1) <s|psi> s with s the uniform
-    permutation state, so no infeasible state can ever be reached.
-    """
-    compiled = _CompiledProblem("perm", inst, a=a, cap=cap)
-    return compiled.simulate(beta, gamma)
-
-
-def qaoa_tsp_simulate(
-    inst: TspInstance,
-    kind: str,
-    beta,
-    gamma,
-    a: float | None = None,
-    b: float | None = None,
-) -> OutputDistribution:
-    """Run one of the four tour encodings: qubo, hobo, xy or perm."""
-    compiled = _CompiledProblem(kind, inst, a=a, b=b)
-    if kind == "qubo":  # the plain qubo simulator runs the compiled one-hot QUBO
-        return qaoa_qubo_simulate(compiled, beta, gamma)
-    return compiled.simulate(beta, gamma)
-
-
-@dataclass
-class QaoaAnsatz:
-    """One configured circuit: encoding kind, problem binding and schedule."""
-
-    kind: str
-    depth: int
-    problem: BinaryPolynomial | TspInstance
-    beta: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))
-        self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=np.float64))
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.beta.size != self.depth or self.gamma.size != self.depth:
-            raise ValueError("schedule lengths must equal the depth")
-
-    def simulate(self) -> OutputDistribution:
-        if self.kind != "qubo" and not isinstance(self.problem, TspInstance):
-            raise ValueError(f"kind {self.kind!r} requires a tour instance")
-        return _CompiledProblem(self.kind, self.problem).simulate(self.beta, self.gamma)
 
 
 # ----------------------------------------------------------------------
@@ -824,11 +751,11 @@ def train_generator(
 
     def build(group: list) -> None:
         positions, parts = zip(*group)
-        stacks.append((list(positions), _CompiledProblem.stack(list(parts))))
+        stacks.append((list(positions), CompiledProblem.stack(list(parts))))
         group.clear()
 
     for position, problem in enumerate(train_set):
-        compiled = _CompiledProblem(kind, problem)
+        compiled = CompiledProblem(kind, problem)
         size = compiled.costs.size
         group = groups.setdefault((compiled.basis, compiled.num_qubits, size), [])
         group.append((position, compiled))

@@ -155,12 +155,12 @@ class SaConfig:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.reads < 1:
             raise ValueError(f"reads must be >= 1, got {self.reads}")
-        if self.t0 is not None and self.t0 <= 0.0:
-            raise ValueError(f"t0 must be > 0, got {self.t0}")
+        if self.t0 is not None and not 0.0 < self.t0 < math.inf:
+            raise ValueError(f"t0 must be finite and > 0, got {self.t0}")
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.kb <= 0.0:
-            raise ValueError(f"kb must be > 0, got {self.kb}")
+        if not 0.0 < self.kb < math.inf:
+            raise ValueError(f"kb must be finite and > 0, got {self.kb}")
 
 
 def _probe_t0(rng: np.random.Generator, quadratic: tuple, probes: int = 100) -> float:

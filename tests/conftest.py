@@ -441,4 +441,4 @@ def compile_full_basis(poly, cap: int | None = None):
     """``poly`` compiled for qubo on the full basis, even when it is flip-symmetric."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qaoa, "_flip_symmetric", lambda poly: False)
-        return qaoa._CompiledProblem("qubo", poly, cap=cap)
+        return qaoa.CompiledProblem("qubo", poly, cap=cap)

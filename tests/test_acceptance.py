@@ -25,10 +25,8 @@ from optbench import (
     goemans_williamson,
     layer_ledger,
     maxcut_qubo,
-    qaoa_perm_simulate,
     qaoa_qubo_simulate,
     qaoa_tsp_simulate,
-    qaoa_xy_simulate,
     tsp_combined_error,
     tsp_exhaustive,
     tts,
@@ -46,7 +44,7 @@ from optbench.harness import (
     summarize_groups,
 )
 from optbench.instances import make_rng
-from optbench.qaoa import _CompiledProblem, embed_onehot_state, train_generator
+from optbench.qaoa import CompiledProblem, embed_onehot_state, train_generator
 
 from test_model import random_poly
 
@@ -140,9 +138,9 @@ def test_c03_qaoa_correctness():
     for trial in range(25):
         beta = rng.uniform(0, math.pi, 2)
         gamma = rng.uniform(0, 2 * math.pi, 2)
-        perm_dist = qaoa_perm_simulate(inst4, beta, gamma)
+        perm_dist = qaoa_tsp_simulate(inst4, "perm", beta, gamma)
         assert feasibility_ratio(perm_dist) == 1.0
-        xy_dist = qaoa_xy_simulate(inst4, beta, gamma)
+        xy_dist = qaoa_tsp_simulate(inst4, "xy", beta, gamma)
         embedded = embed_onehot_state(xy_dist.amplitudes, 4)
         onehot_mask = np.zeros(embedded.size, dtype=bool)
         for digits in itertools.product(range(4), repeat=4):
@@ -161,7 +159,7 @@ def test_c03_qaoa_correctness():
     inst3 = gen_tsp_planar(4, seed=34)
     beta = rng.uniform(0, math.pi, 2)
     gamma = rng.uniform(0, 2 * math.pi, 2)
-    dist = qaoa_xy_simulate(inst3, beta, gamma)
+    dist = qaoa_tsp_simulate(inst3, "xy", beta, gamma)
     embedded = embed_onehot_state(dist.amplitudes, 3)
     costs = tsp_onehot_qubo(inst3).cost_vector()
     psi = np.zeros(512, dtype=np.complex128)
@@ -375,7 +373,7 @@ def test_c09_tsp_combined_error():
         inst = gen_tsp_planar(5, seed=900 + index)  # k = 4
         oracle = tsp_exhaustive(inst)
         ctx = MetricContext(l_star=oracle.optimal_length, l_worst=oracle.worst_length)
-        dist = qaoa_perm_simulate(inst, [0.0], [0.0])  # uniform over permutations
+        dist = qaoa_tsp_simulate(inst, "perm", [0.0], [0.0])  # uniform over permutations
         exact = tsp_combined_error(dist, ctx)
         draws = rng.choice(dist.costs.size, size=100_000, p=dist.probabilities)
         contributions = (dist.lengths[draws] - ctx.l_star) / (
@@ -412,7 +410,7 @@ def test_c10_generator_training():
     tb, tg = expand_generator(result.params, 4)
 
     def gaps(problems, beta, gamma):
-        return [_CompiledProblem("qubo", poly).gap(beta, gamma) for poly in problems]
+        return [CompiledProblem("qubo", poly).gap(beta, gamma) for poly in problems]
 
     train_trained = float(np.mean(gaps(train, tb, tg)))
     train_ramp = float(np.mean(gaps(train, rb, rg)))

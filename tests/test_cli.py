@@ -367,6 +367,28 @@ def test_run_bsf_roster_with_a_circuit_solver_is_config_error(tmp_path, capsys):
     assert not out.exists()  # nothing ran
 
 
+NON_FINITE = {"t0-nan": ("[solver:sa]", "t0 = nan"), "kb-nan": ("[solver:sa]", "kb = nan"),
+              "t0-inf": ("[solver:sa]", "t0 = inf"),
+              "seconds-per-layer-nan": ("[solver:qaoa2]", "seconds_per_layer = nan"),
+              "theta-nan": ("[solver:qaoa2]", "theta_beta = 1,-1,0,0,nan")}
+
+
+@pytest.mark.parametrize("command, section, setting", [
+    *(pytest.param(command, *case, id=f"{command}-{name}")
+      for command in ("run", "tune") for name, case in NON_FINITE.items()),
+    pytest.param("tune", "[grid:sa]", "t0 = 1, nan", id="tune-grid-cell-nan"),
+])
+def test_non_finite_solver_parameters_exit_one_and_write_nothing(tmp_path, capsys, command,
+                                                                 section, setting):
+    # these ran, wrote ok records and exited 0: NaN passes every "> 0" check
+    template = CONFIG + "\n[solver:qaoa2]\nkind = qaoa\np = 2\n\n[grid:sa]\nsweeps = 2, 5\n"
+    cfg, out = write_config(tmp_path, template.replace(f"{section}\n", f"{section}\n{setting}\n"))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and setting.split()[0] in err and "finite" in err
+    assert not out.exists()
+
+
 TWO_GRID_CONFIG = GRID_CONFIG + """
 [solver:ls]
 kind = ls

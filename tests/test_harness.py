@@ -12,7 +12,7 @@ from optbench.harness import (
     ExperimentConfig,
     RunRecord,
     SolverSpec,
-    _tts_task,
+    _instance_records,
     config_hash,
     derive_seed,
     emit_report,
@@ -30,6 +30,8 @@ from optbench.harness import (
     summarize_groups,
     write_instance_files,
 )
+
+from conftest import brute_force_cut
 
 
 def small_instances(n=6, count=4, base_seed=0):
@@ -104,7 +106,7 @@ def test_tts_zero_hit_heuristic_records_infinite_tts():
         poly = maxcut_qubo(inst)
         _, best = poly.argmin_exhaustive()
         spec = SolverSpec("ls1", "ls", {"restarts": 1})
-        record = _tts_task((inst, spec, seed, 26))
+        record = _instance_records(inst, "tts", [spec], seed, 26)[0]
         if record.metrics["p_star"] == 0.0:
             assert record.metrics["tts"] == math.inf
             payload = record.to_dict()
@@ -698,6 +700,15 @@ def test_solver_spec_rejects_unknown_parameter_by_name():
     ("sa", {"t0": [1, 2]}),
     ("gw", {"tol": "tight"}),
     ("qaoa", {"theta_beta": "1,x"}),
+    # not finite: NaN passes every "> 0" check, and SA at t0 = nan accepted
+    # every uphill move
+    ("sa", {"t0": "nan"}),
+    ("sa", {"t0": math.inf}),
+    ("sa", {"kb": math.nan}),
+    ("gw", {"tol": "-inf"}),
+    ("qaoa", {"seconds_per_layer": math.nan}),
+    ("qaoa", {"theta_beta": [1.0, math.nan]}),
+    ("qaoa", {"theta_gamma": [0, math.inf]}),
 ])
 def test_solver_spec_rejects_malformed_value(kind, params):
     (key,) = params
@@ -711,7 +722,7 @@ def test_solver_spec_casts_once_and_hashes_raw_params():
     assert type(spec.kwargs["t0"]) is float
     assert spec.params == {"reads": "7", "t0": 2, "kb": 1}
     inst = small_instances(count=1)[0]
-    record = _tts_task((inst, spec, 3, 26))
+    record = _instance_records(inst, "tts", [spec], 3, 26)[0]
     assert record.config_hash == config_hash({"reads": "7", "t0": 2, "kb": 1})
     assert record.status == "ok" and record.total_draws == 7
 
@@ -724,7 +735,7 @@ def test_grid_search_rejects_unknown_key_before_running(oracle_calls):
 
 def _qaoa_record(params):
     spec = SolverSpec("q", "qaoa", {"p": 3, **params})
-    return _tts_task((small_instances(count=1)[0], spec, 0, 26))
+    return _instance_records(small_instances(count=1)[0], "tts", [spec], 0, 26)[0]
 
 
 def test_qaoa_lone_theta_is_used_and_the_other_is_the_ramp():
@@ -835,6 +846,25 @@ def test_an_instance_file_must_match_its_manifest_hash(tmp_path):
     assert inst.metadata["label"] == "extra" and inst.edges[0][2] == 2.0
 
 
+def test_a_gset_file_runs_a_tts_roster_through_kind_files(tmp_path):
+    # Gset (rudy) format: a header "n m", then 1-based "u v w" lines with
+    # signed integer weights; here a cube with +-1 weights
+    path = tmp_path / "cube.gset"
+    path.write_text("8 12\n1 2 1\n1 3 -1\n1 5 1\n2 4 1\n2 6 -1\n3 4 1\n3 7 1\n"
+                    "4 8 -1\n5 6 1\n5 7 -1\n6 8 1\n7 8 1\n")
+    (inst,) = harness.build_instances({"kind": "files", "glob": str(tmp_path / "*")}, 0)
+    assert inst.num_nodes == 8 and inst.edges[:2] == ((0, 1, 1.0), (0, 2, -1.0))
+    roster = [SolverSpec("sa", "sa", {"reads": 20, "sweeps": 5}),
+              SolverSpec("ts", "ts", {"restarts": 2}), SolverSpec("ls", "ls", {"restarts": 5}),
+              SolverSpec("gw", "gw", {"hyperplanes": 20}), SolverSpec("exhaustive", "exhaustive"),
+              SolverSpec("qaoa2", "qaoa", {"p": 2})]
+    records = run_tts_experiment(ExperimentConfig(scenario="tts", solvers=roster,
+                                                  instances=[inst], seed=1))
+    assert [r.status for r in records] == ["ok"] * len(roster)
+    (exhaustive,) = [r for r in records if r.solver == "exhaustive"]
+    assert exhaustive.best_cost == -brute_force_cut(inst)[1]
+
+
 def test_a_malformed_manifest_is_a_config_error(tmp_path):
     write_instance_files(small_instances(count=1), tmp_path)
     (tmp_path / "manifest.json").write_text('[{"id": "a"}]')
@@ -885,3 +915,26 @@ def test_bsf_builds_each_instances_arrays_once_before_any_call(monkeypatch):
     for key in polys:
         mine = [event for event, of in events if of == key]
         assert mine == ["by_degree", "quadratic"] + ["call"] * 12
+
+
+# ----------------------------------------------------------------------
+# Metamorphic check: seeds derive from solver names, not roster positions
+# ----------------------------------------------------------------------
+
+def test_reversing_a_tts_roster_leaves_every_non_timing_output_unchanged():
+    roster = [SolverSpec("sa", "sa", {"reads": 20, "sweeps": 5}),
+              SolverSpec("ts", "ts", {"restarts": 2}), SolverSpec("ls", "ls", {"restarts": 2}),
+              SolverSpec("gw", "gw", {"hyperplanes": 5}), SolverSpec("exhaustive", "exhaustive"),
+              SolverSpec("qaoa2", "qaoa", {"p": 2})]
+    instances = [gen_erdos_renyi(9, 0.5, seed, weights="uniform") for seed in range(2)]
+
+    def outputs(solvers):
+        cfg = ExperimentConfig(scenario="tts", solvers=solvers, instances=instances, seed=7)
+        return {(r.instance_id, r.solver): (
+            r.status, r.best_cost, r.total_draws, r.calls,
+            {key: value for key, value in r.metrics.items() if key not in ("tts", "tts_oh")})
+            for r in run_tts_experiment(cfg)}
+
+    forward = outputs(roster)
+    assert len(forward) == 12 and all(out[0] == "ok" for out in forward.values())
+    assert outputs(roster[::-1]) == forward

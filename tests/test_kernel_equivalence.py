@@ -36,15 +36,15 @@ from optbench import (
     goemans_williamson,
     local_search_maxcut,
     maxcut_qubo,
-    qaoa_hobo_tsp_simulate,
     qaoa_qubo_simulate,
+    qaoa_tsp_simulate,
     simulated_annealing,
     tabu_search,
     train_generator,
     tsp_onehot_qubo,
 )
 from optbench import harness, qaoa, solvers
-from optbench.qaoa import _CompiledProblem, embed_onehot_state
+from optbench.qaoa import CompiledProblem, embed_onehot_state
 
 from conftest import (
     compile_full_basis,
@@ -299,7 +299,7 @@ def test_transverse_circuit_with_more_levels_than_uint16_holds():
 def test_hobo_tour_circuit_matches_per_qubit_reference(k):
     rng = np.random.default_rng(k)
     beta, gamma = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
-    dist = qaoa_hobo_tsp_simulate(gen_tsp_planar(k + 1, seed=k), beta, gamma)
+    dist = qaoa_tsp_simulate(gen_tsp_planar(k + 1, seed=k), "hobo", beta, gamma)
     assert_transverse_matches_reference(dist, beta, gamma)
 
 
@@ -308,7 +308,7 @@ def test_level_phase_is_bitwise_cost_phase(kind):
     problem = gen_tsp_planar(5, seed=3)
     if kind == "qubo":
         problem = random_polynomial(12, 3, 40, np.random.default_rng(3))
-    compiled = _CompiledProblem(kind, problem)
+    compiled = CompiledProblem(kind, problem)
     levels, index = compiled._levels
     for gamma in (0.37, -1.9):
         phase = np.take(np.exp(-1j * gamma * levels), index, mode="clip")
@@ -338,7 +338,7 @@ def test_xy_cost_table_is_bitwise_embedded_cost_vector(k):
     full = embed_onehot_state(np.arange(1.0, k ** k + 1), k)
     support = np.flatnonzero(full)  # full index of each one-hot state, in embedding order
     expected = poly.cost_vector()[support[np.argsort(full[support].real)]]
-    costs = _CompiledProblem("xy", poly, k=k).costs
+    costs = CompiledProblem("xy", poly, k=k).costs
     assert costs.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
@@ -500,7 +500,7 @@ def test_gw_matches_reference(graph, seed):
 
 def assert_half_matches_full(inst, beta, gamma):
     """Every output of the half compile of ``inst`` against the full compile of its polynomial."""
-    half = _CompiledProblem("qubo", inst)
+    half = CompiledProblem("qubo", inst)
     full = compile_full_basis(maxcut_qubo(inst))
     assert half.costs.size * 2 == full.costs.size
     for optimal_cost in (None, float(full.costs.min())):
@@ -587,7 +587,7 @@ def test_reference_flip_symmetry_compares_each_state_with_its_complement(name):
 def test_flip_symmetry_rule_agrees_with_the_reference(name):
     poly, expected = FLIP_CASES[name]
     assert qaoa._flip_symmetric(poly) is reference_flip_symmetric(poly) is expected
-    assert _CompiledProblem("qubo", poly).half is expected
+    assert CompiledProblem("qubo", poly).half is expected
 
 
 @pytest.mark.parametrize("graph", GRAPHS)
@@ -618,11 +618,11 @@ def test_train_generator_on_cut_polynomials_is_training_on_their_instances():
 def test_level_index_above_uint16_is_uint32_and_the_phase_stays_bitwise(monkeypatch):
     rng = np.random.default_rng(7)
     poly = BinaryPolynomial(17, {(i,): rng.normal() for i in range(17)})
-    compiled = _CompiledProblem("qubo", poly)
+    compiled = CompiledProblem("qubo", poly)
     levels, index = compiled._levels
     assert levels.size > 1 << 16 and index.dtype == np.uint32
     # with the mixer left out, evolve's state is the start times the cost phase
-    monkeypatch.setattr(_CompiledProblem, "_mix",
+    monkeypatch.setattr(CompiledProblem, "_mix",
                         lambda self, psi, spare, beta, adjoint=False: (psi, spare, 0.0))
     start = np.full(compiled.costs.size, 1.0 / math.sqrt(compiled.costs.size), dtype=np.complex128)
     for gamma in (0.37, -1.9):
@@ -646,7 +646,7 @@ def test_level_index_from_one_sort_equals_unique_and_searchsorted(distinct, dtyp
     picks = rng.integers(0, distinct, (*stack, 1 << 17))  # every level tied many times
     picks.reshape(-1)[:distinct] = np.arange(distinct)
     costs = values[rng.permuted(picks, axis=-1)]
-    compiled = _CompiledProblem.__new__(_CompiledProblem)  # the index reads only the costs
+    compiled = CompiledProblem.__new__(CompiledProblem)  # the index reads only the costs
     compiled.costs = costs
     levels, index = compiled._levels
     expected = np.unique(costs)
@@ -666,7 +666,7 @@ def transverse_problems(n):
 @pytest.mark.parametrize("n", (5, 11, 16, 19))
 @pytest.mark.parametrize("basis", ("full", "half"))
 def test_rotating_transverse_blocks_match_per_qubit_reference(n, basis):
-    compiled = _CompiledProblem("qubo", transverse_problems(n)[basis])
+    compiled = CompiledProblem("qubo", transverse_problems(n)[basis])
     assert compiled.costs.size == 1 << n
     rng = np.random.default_rng(n + 1)
     beta, gamma = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)

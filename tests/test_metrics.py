@@ -13,8 +13,7 @@ from optbench import (
     fob,
     gen_tsp_circular,
     pareto_front,
-    qaoa_hobo_tsp_simulate,
-    qaoa_perm_simulate,
+    qaoa_tsp_simulate,
     tsp_combined_error,
     tsp_exhaustive,
     tts,
@@ -95,7 +94,7 @@ def test_ttt_partial_fraction():
 
 def test_ttt_on_distribution_counts_mass():
     inst = gen_tsp_circular(4, 0.4, seed=0)
-    dist = qaoa_perm_simulate(inst, [0.0], [0.0])
+    dist = qaoa_tsp_simulate(inst, "perm", [0.0], [0.0])
     reps = ttt(dist, float(np.median(dist.costs)))
     assert reps >= 1.0
 
@@ -192,13 +191,13 @@ def test_ar_zero_optimum_rejected():
 
 def test_feasibility_perm_distribution_is_one():
     inst = gen_tsp_circular(4, 0.3, seed=1)
-    dist = qaoa_perm_simulate(inst, [0.7], [0.4])
+    dist = qaoa_tsp_simulate(inst, "perm", [0.7], [0.4])
     assert feasibility_ratio(dist) == pytest.approx(1.0)
 
 
 def test_feasibility_uniform_hobo_fraction():
     inst = gen_tsp_circular(4, 0.3, seed=2)  # k = 3
-    dist = qaoa_hobo_tsp_simulate(inst, [0.0], [0.0])
+    dist = qaoa_tsp_simulate(inst, "hobo", [0.0], [0.0])
     assert feasibility_ratio(dist) == pytest.approx(6 / 64)
 
 
@@ -231,7 +230,7 @@ def test_combined_error_uniform_square_matches_enumeration(unit_square):
     tours = brute_force_tours(unit_square)
     l_star, l_worst = min(tours.values()), max(tours.values())
     ctx = MetricContext(l_star=l_star, l_worst=l_worst)
-    dist = qaoa_perm_simulate(unit_square, [0.0], [0.0])
+    dist = qaoa_tsp_simulate(unit_square, "perm", [0.0], [0.0])
     expected = np.mean([(l - l_star) / (l_worst - l_star) for l in tours.values()])
     assert tsp_combined_error(dist, ctx) == pytest.approx(expected, abs=1e-12)
 
@@ -245,7 +244,7 @@ def test_combined_error_degenerate_span_rejected():
 def test_combined_error_distribution_vs_sampling(unit_square):
     result = tsp_exhaustive(unit_square)
     ctx = MetricContext(l_star=result.optimal_length, l_worst=result.worst_length)
-    dist = qaoa_perm_simulate(unit_square, [0.4], [0.9])
+    dist = qaoa_tsp_simulate(unit_square, "perm", [0.4], [0.9])
     exact = tsp_combined_error(dist, ctx)
     rng = make_rng(17)
     draws = rng.choice(dist.costs.size, size=100_000, p=dist.probabilities)

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optbench import (
     BinaryPolynomial,
+    CompiledProblem,
     GeneratorParams,
     LayerCountUnavailable,
     MaxCutInstance,
@@ -17,11 +20,8 @@ from optbench import (
     gen_tsp_planar,
     layer_ledger,
     maxcut_qubo,
-    qaoa_hobo_tsp_simulate,
-    qaoa_perm_simulate,
     qaoa_qubo_simulate,
     qaoa_tsp_simulate,
-    qaoa_xy_simulate,
     train_generator,
     tsp_exhaustive,
     tts_layers,
@@ -30,8 +30,6 @@ from optbench import qaoa
 from optbench.formulations import hobo_cost, tsp_onehot_qubo
 from optbench.instances import make_rng
 from optbench.qaoa import (
-    QaoaAnsatz,
-    _CompiledProblem,
     embed_onehot_state,
     onehot_state_index,
     xy_pair_rotation,
@@ -72,7 +70,7 @@ def test_zero_schedule_uniform_p_star_counts_optima():
 
 def test_hobo_uniform_feasibility_fraction():
     inst = gen_tsp_circular(4, 0.5, seed=1)  # k = 3, two bits per slot
-    dist = qaoa_hobo_tsp_simulate(inst, [0.0], [0.0])
+    dist = qaoa_tsp_simulate(inst, "hobo", [0.0], [0.0])
     assert float(dist.probabilities[dist.feasible].sum()) == pytest.approx(6 / 64)
 
 
@@ -146,7 +144,7 @@ def test_xy_subspace_matches_full_statevector_k3():
     rng = make_rng(8)
     beta = rng.uniform(0, math.pi, 2)
     gamma = rng.uniform(0, 2 * math.pi, 2)
-    dist = qaoa_xy_simulate(inst, beta, gamma)
+    dist = qaoa_tsp_simulate(inst, "xy", beta, gamma)
     embedded = embed_onehot_state(dist.amplitudes, k)
 
     poly = tsp_onehot_qubo(inst)
@@ -171,7 +169,7 @@ def test_xy_mass_never_leaves_subspace():
     for _ in range(5):
         beta = rng.uniform(0, math.pi, 3)
         gamma = rng.uniform(0, 2 * math.pi, 3)
-        dist = qaoa_xy_simulate(inst, beta, gamma)
+        dist = qaoa_tsp_simulate(inst, "xy", beta, gamma)
         assert dist.norm() == pytest.approx(1.0, abs=1e-9)
         # per-block marginals stay normalized because the basis is the subspace
         assert dist.probabilities.size == 4 ** 4
@@ -181,8 +179,8 @@ def test_xy_generic_polynomial_costs_match_embedding():
     inst = gen_tsp_circular(4, 0.6, seed=6)
     k = 3
     poly = tsp_onehot_qubo(inst)
-    dist = qaoa_xy_simulate(poly, [0.1], [0.2], k=k)
-    direct = qaoa_xy_simulate(inst, [0.1], [0.2])
+    dist = CompiledProblem("xy", poly, k=k).simulate([0.1], [0.2])
+    direct = qaoa_tsp_simulate(inst, "xy", [0.1], [0.2])
     assert np.allclose(dist.costs, direct.costs, atol=1e-9)
     assert np.allclose(dist.probabilities, direct.probabilities, atol=1e-12)
 
@@ -191,7 +189,7 @@ def test_xy_diagonal_cost_equals_onehot_qubo_on_embedded_states():
     inst = gen_tsp_circular(4, 1.1, seed=7)
     k = 3
     poly = tsp_onehot_qubo(inst)
-    dist = qaoa_xy_simulate(inst, [0.0], [0.0])
+    dist = qaoa_tsp_simulate(inst, "xy", [0.0], [0.0])
     for digits in itertools.product(range(k), repeat=k):
         index = onehot_state_index([d + 1 for d in digits], k)
         bits = ["0"] * (k * k)
@@ -208,21 +206,21 @@ def test_xy_diagonal_cost_equals_onehot_qubo_on_embedded_states():
 
 def test_perm_mixer_two_pi_is_identity():
     inst = gen_tsp_circular(5, 0.7, seed=9)
-    ref = qaoa_perm_simulate(inst, [0.0], [0.4])
-    dist = qaoa_perm_simulate(inst, [2 * math.pi], [0.4])
+    ref = qaoa_tsp_simulate(inst, "perm", [0.0], [0.4])
+    dist = qaoa_tsp_simulate(inst, "perm", [2 * math.pi], [0.4])
     assert np.allclose(dist.amplitudes, ref.amplitudes, atol=1e-9)
 
 
 def test_perm_zero_gamma_stays_uniform():
     inst = gen_tsp_circular(5, 0.7, seed=9)
-    dist = qaoa_perm_simulate(inst, [1.3], [0.0])
+    dist = qaoa_tsp_simulate(inst, "perm", [1.3], [0.0])
     size = dist.probabilities.size
     assert np.max(np.abs(dist.probabilities - 1.0 / size)) < 1e-12
 
 
 def test_perm_support_is_feasible_only():
     inst = gen_tsp_planar(5, seed=12)
-    dist = qaoa_perm_simulate(inst, [0.8], [0.5])
+    dist = qaoa_tsp_simulate(inst, "perm", [0.8], [0.5])
     assert dist.probabilities.size == math.factorial(4)
     assert bool(np.all(dist.feasible))
     assert float(dist.probabilities[dist.feasible].sum()) == pytest.approx(1.0)
@@ -231,7 +229,7 @@ def test_perm_support_is_feasible_only():
 def test_perm_costs_scale_tour_lengths():
     inst = gen_tsp_circular(4, 0.5, seed=13)
     a = 0.25
-    dist = qaoa_perm_simulate(inst, [0.1], [0.2], a=a)
+    dist = CompiledProblem("perm", inst, a=a).simulate([0.1], [0.2])
     assert np.allclose(dist.costs, a * dist.lengths)
 
 
@@ -241,7 +239,7 @@ def test_perm_costs_scale_tour_lengths():
 
 def test_hobo_costs_match_scalar_decomposition():
     inst = gen_tsp_circular(4, 0.9, seed=14)  # k = 3, 6 qubits
-    dist = qaoa_hobo_tsp_simulate(inst, [0.0], [0.0])
+    dist = qaoa_tsp_simulate(inst, "hobo", [0.0], [0.0])
     for index in range(64):
         x = "".join("1" if (index >> i) & 1 else "0" for i in range(6))
         assert dist.costs[index] == pytest.approx(hobo_cost(inst, x), abs=1e-9)
@@ -249,7 +247,7 @@ def test_hobo_costs_match_scalar_decomposition():
 
 def test_hobo_feasible_costs_cross_check_oracle():
     inst = gen_tsp_planar(5, seed=15)  # k = 4, power of two: no range violations
-    dist = qaoa_hobo_tsp_simulate(inst, [0.0], [0.0])
+    dist = qaoa_tsp_simulate(inst, "hobo", [0.0], [0.0])
     a, _ = __import__("optbench").tsp_default_penalties(inst)
     result = tsp_exhaustive(inst)
     feasible_costs = dist.costs[dist.feasible]
@@ -269,7 +267,7 @@ def test_least_feasible_length_is_the_exhaustive_optimum_bit_for_bit(k):
         for inst in (gen_tsp_planar(k + 1, seed=seed), gen_tsp_circular(k + 1, 0.3, seed=seed)):
             optimum = tsp_exhaustive(inst).optimal_length
             for kind in TOUR_KINDS_BY_K[k]:
-                compiled = _CompiledProblem(kind, inst)
+                compiled = CompiledProblem(kind, inst)
                 assert np.count_nonzero(compiled.feasible) == math.factorial(k)
                 assert compiled.lengths[compiled.feasible].min() == optimum
 
@@ -308,7 +306,7 @@ def test_norm_preserved_at_random_parameters(kind):
 def test_size_caps():
     inst = gen_tsp_planar(9, seed=0)  # k = 8 -> 64 one-hot qubits
     with pytest.raises(SizeCapError):
-        qaoa_xy_simulate(inst, [0.1], [0.1])
+        qaoa_tsp_simulate(inst, "xy", [0.1], [0.1])
     with pytest.raises(SizeCapError):
         qaoa_qubo_simulate(BinaryPolynomial(30, {(0,): 1.0}), [0.1], [0.1])
 
@@ -350,9 +348,7 @@ def test_train_generator_dominates_ramp_start():
     result = train_generator([poly], "qubo", p=1, budget=400, seed=0)
     ramp = GeneratorParams.ramp()
     beta, gamma = expand_generator(ramp, 1)
-    from optbench.qaoa import _CompiledProblem
-
-    ramp_gap = _CompiledProblem("qubo", poly).gap(beta, gamma)
+    ramp_gap = CompiledProblem("qubo", poly).gap(beta, gamma)
     assert result.objective <= ramp_gap + 1e-12
     assert result.evaluations <= 400
 
@@ -403,8 +399,8 @@ def test_gap_rejects_zero_optimum_before_running_a_circuit(monkeypatch):
     def refuse(self, beta, gamma):
         raise AssertionError("circuit run")
 
-    compiled = _CompiledProblem("qubo", maxcut_qubo(MaxCutInstance(3, ())))
-    monkeypatch.setattr(_CompiledProblem, "evolve", refuse)
+    compiled = CompiledProblem("qubo", maxcut_qubo(MaxCutInstance(3, ())))
+    monkeypatch.setattr(CompiledProblem, "evolve", refuse)
     with pytest.raises(ValueError, match="zero optimal cost"):
         compiled.gap(np.array([0.1]), np.array([0.2]))
 
@@ -413,9 +409,7 @@ def test_gradient_step_stability():
     # Central differences at 1e-4 agree with a Richardson-style smaller
     # step to within 1e-3 relative norm at random coefficient points.
     problems = [maxcut_qubo(gen_regular(6, 3, seed=3))]
-    from optbench.qaoa import _CompiledProblem
-
-    compiled = _CompiledProblem("qubo", problems[0])
+    compiled = CompiledProblem("qubo", problems[0])
     rng = make_rng(30)
 
     def objective(theta):
@@ -459,7 +453,7 @@ def central_differences(compiled, beta, gamma, h=1e-5):
 ], ids=["qubo", "qubo-1-qubit", "hobo", "xy-k3", "xy-k4", "perm"])
 @pytest.mark.parametrize("p", [1, 3])
 def test_adjoint_gradient_matches_central_differences(kind, problem, p):
-    compiled = _CompiledProblem(kind, problem)
+    compiled = CompiledProblem(kind, problem)
     rng = make_rng(p)
     beta, gamma = rng.uniform(-1, 1, p), rng.uniform(-1, 1, p)
     value, d_beta, d_gamma = compiled.gap(beta, gamma, gradient=True)
@@ -475,13 +469,13 @@ def test_train_generator_charges_each_gradient_as_central_differences(monkeypatc
     # a point costs 1 evaluation and its gradient 2 * len(theta) = 20; a point
     # whose gradient does not fit is evaluated, fills the budget and stops the search
     runs = []
-    gap = _CompiledProblem.gap
+    gap = CompiledProblem.gap
 
     def counting_gap(self, beta, gamma, gradient=False):
         runs.append(gradient)
         return gap(self, beta, gamma, gradient)
 
-    monkeypatch.setattr(_CompiledProblem, "gap", counting_gap)
+    monkeypatch.setattr(CompiledProblem, "gap", counting_gap)
     problems = [maxcut_qubo(gen_regular(6, 3, seed=0))]
     result = train_generator(problems, "qubo", p=2, budget=budget, seed=0)
     assert result.evaluations == budget and result.budget_exhausted
@@ -520,8 +514,8 @@ def test_train_generator_rejects_a_budget_below_one(budget):
 ], ids=["qubo", "qubo-half", "hobo", "xy", "perm", "two-problems"])
 @pytest.mark.parametrize("p", [1, 3])
 def test_stack_rows_equal_standalone_gaps_bit_for_bit(kind, problems, p):
-    parts = [_CompiledProblem(kind, problem) for problem in problems]
-    stack = _CompiledProblem.stack(parts)
+    parts = [CompiledProblem(kind, problem) for problem in problems]
+    stack = CompiledProblem.stack(parts)
     rng = make_rng(p)
     beta, gamma = rng.uniform(-1, 1, p), rng.uniform(-1, 1, p)
     values, d_beta, d_gamma = stack.gap(beta, gamma, gradient=True)
@@ -535,20 +529,20 @@ def test_stack_rows_equal_standalone_gaps_bit_for_bit(kind, problems, p):
 
 
 def test_stack_rejects_mixed_state_sizes():
-    parts = [_CompiledProblem("qubo", maxcut_qubo(gen_regular(n, 3, seed=0))) for n in (6, 8)]
+    parts = [CompiledProblem("qubo", maxcut_qubo(gen_regular(n, 3, seed=0))) for n in (6, 8)]
     with pytest.raises(ValueError, match="state size"):
-        _CompiledProblem.stack(parts)
+        CompiledProblem.stack(parts)
 
 
 def test_stack_with_a_zero_optimum_row_raises_before_running_a_circuit(monkeypatch):
     def refuse(self, beta, gamma):
         raise AssertionError("circuit run")
 
-    stack = _CompiledProblem.stack([
-        _CompiledProblem("qubo", maxcut_qubo(gen_regular(4, 3, seed=0))),
-        _CompiledProblem("qubo", maxcut_qubo(MaxCutInstance(4, ()))),  # every cut costs 0
+    stack = CompiledProblem.stack([
+        CompiledProblem("qubo", maxcut_qubo(gen_regular(4, 3, seed=0))),
+        CompiledProblem("qubo", maxcut_qubo(MaxCutInstance(4, ()))),  # every cut costs 0
     ])
-    monkeypatch.setattr(_CompiledProblem, "evolve", refuse)
+    monkeypatch.setattr(CompiledProblem, "evolve", refuse)
     with pytest.raises(ValueError, match="zero optimal cost"):
         stack.gap(np.array([0.1]), np.array([0.2]), gradient=True)
 
@@ -568,7 +562,7 @@ def test_train_generator_runs_one_gap_call_per_stack(monkeypatch, cap, sizes, po
     # mean of the standalone gaps at the returned theta
     problems = [maxcut_qubo(gen_regular(n, 3, seed=s)) for s, n in enumerate(sizes)]
     stack_rows = []
-    gap = _CompiledProblem.gap
+    gap = CompiledProblem.gap
 
     def recording_gap(self, beta, gamma, gradient=False):
         stack_rows.append(self.costs.shape)
@@ -576,12 +570,12 @@ def test_train_generator_runs_one_gap_call_per_stack(monkeypatch, cap, sizes, po
 
     if cap is not None:
         monkeypatch.setattr("optbench.qaoa._STACK_AMPLITUDES", cap)
-    monkeypatch.setattr(_CompiledProblem, "gap", recording_gap)
+    monkeypatch.setattr(CompiledProblem, "gap", recording_gap)
     result = train_generator(problems, "qubo", p=2, budget=60, seed=0, random_restarts=1)
     monkeypatch.undo()
     assert stack_rows == point * (len(stack_rows) // len(point))
     beta, gamma = expand_generator(result.params, 2)
-    gaps = [_CompiledProblem("qubo", problem).gap(beta, gamma) for problem in problems]
+    gaps = [CompiledProblem("qubo", problem).gap(beta, gamma) for problem in problems]
     assert result.objective == float(np.mean(gaps))
 
 
@@ -592,26 +586,26 @@ def test_train_generator_keeps_half_and_full_problems_of_one_state_size_apart(mo
     problems = [gen_regular(8, 3, seed=0),
                 plus_field(maxcut_qubo(gen_erdos_renyi(7, 0.5, seed=1)), 0.5)]
     stacks = []
-    gap = _CompiledProblem.gap
+    gap = CompiledProblem.gap
 
     def recording_gap(self, beta, gamma, gradient=False):
         stacks.append((self.num_qubits, self.half, self.costs.shape))
         return gap(self, beta, gamma, gradient)
 
-    monkeypatch.setattr(_CompiledProblem, "gap", recording_gap)
+    monkeypatch.setattr(CompiledProblem, "gap", recording_gap)
     both = train_generator(problems, "qubo", p=2, budget=60, seed=0, random_restarts=1)
     monkeypatch.undo()
     assert set(stacks) == {(8, True, (1, 1 << 7)), (7, False, (1, 1 << 7))}
     beta, gamma = expand_generator(both.params, 2)
-    gaps = [_CompiledProblem("qubo", problem).gap(beta, gamma) for problem in problems]
+    gaps = [CompiledProblem("qubo", problem).gap(beta, gamma) for problem in problems]
     assert both.objective == float(np.mean(gaps))
     full_gap = compile_full_basis(maxcut_qubo(problems[0])).gap(beta, gamma)
     assert abs(gaps[0] - full_gap) <= 1e-12
 
 
 def test_one_problem_stack_views_its_cost_table():
-    part = _CompiledProblem("qubo", maxcut_qubo(gen_regular(6, 3, seed=0)))
-    stacked = _CompiledProblem.stack([part])
+    part = CompiledProblem("qubo", maxcut_qubo(gen_regular(6, 3, seed=0)))
+    stacked = CompiledProblem.stack([part])
     assert stacked.costs.shape == (1, 1 << 5)
     assert np.shares_memory(stacked.costs, part.costs)
 
@@ -624,7 +618,7 @@ def test_evolve_gathers_the_cost_phase_without_a_state_sized_index_copy():
     poly = maxcut_qubo(gen_regular(18, 3, seed=0))
     tracemalloc.start()
     try:
-        compiled = _CompiledProblem("qubo", poly)
+        compiled = CompiledProblem("qubo", poly)
         tracemalloc.reset_peak()
         psi = compiled.evolve(np.array([0.3, -0.2]), np.array([0.1, 0.4]))
         peak = tracemalloc.get_traced_memory()[1]
@@ -672,7 +666,7 @@ def explicit_mirror(half: np.ndarray) -> np.ndarray:
 ], ids=["regular", "weighted", "n2"])
 def test_half_basis_output_reads_back_the_mirror_of_the_half(inst):
     beta, gamma = np.array([0.4, -0.3, 0.9]), np.array([0.2, 0.7, -0.5])
-    compiled = _CompiledProblem("qubo", inst)
+    compiled = CompiledProblem("qubo", inst)
     amplitudes = explicit_mirror(compiled.evolve(beta, gamma) * math.sqrt(0.5))
     probabilities = np.abs(amplitudes)
     probabilities *= probabilities
@@ -699,7 +693,7 @@ def test_half_basis_output_reads_back_the_mirror_of_the_half(inst):
 def test_onehot_qubo_tour_table_matches_the_brute_force_decoder(k, shape, seed):
     inst = (gen_tsp_planar(k + 1, seed=seed) if shape == "planar"
             else gen_tsp_circular(k + 1, 0.3, seed=seed))
-    compiled = _CompiledProblem("qubo", inst)
+    compiled = CompiledProblem("qubo", inst)
     lengths, feasible = reference_onehot_decode(inst)
     assert compiled.lengths.dtype == lengths.dtype and compiled.feasible.dtype == bool
     assert compiled.lengths.tobytes() == lengths.tobytes()  # NaN pattern included
@@ -712,7 +706,7 @@ def test_onehot_qubo_tour_compile_never_enumerates_the_full_basis_digits(monkeyp
     monkeypatch.setattr(qaoa, "_slot_digits",
                         lambda k, base: bases.append((k, base)) or slot_digits(k, base))
     for k in (2, 3, 4):
-        _CompiledProblem("qubo", gen_tsp_planar(k + 1, seed=k))
+        CompiledProblem("qubo", gen_tsp_planar(k + 1, seed=k))
     assert bases == [(2, 2), (3, 3), (4, 4)]
 
 
@@ -782,14 +776,13 @@ def test_tts_layers_edge_cases():
     assert tts_layers(dist, ledger) == total * 7
 
 
-def test_ansatz_wrapper_dispatch():
+def test_compiled_problem_dispatch():
     inst = gen_tsp_circular(4, 0.5, seed=2)
-    ansatz = QaoaAnsatz(kind="xy", depth=2, problem=inst,
-                        beta=[0.1, 0.2], gamma=[0.3, 0.4])
-    dist = ansatz.simulate()
+    compiled = CompiledProblem("xy", inst)
+    dist = compiled.simulate([0.1, 0.2], [0.3, 0.4])
     assert dist.basis == "onehot"
     with pytest.raises(ValueError):
-        QaoaAnsatz(kind="xy", depth=2, problem=inst, beta=[0.1], gamma=[0.3, 0.4])
+        compiled.simulate([0.1], [0.3, 0.4])
 
 
 # 5, 11, 16 and 19 stored qubits run the transverse mixer as 1, 2, 3 and 4 blocks
@@ -797,7 +790,7 @@ def test_ansatz_wrapper_dispatch():
 @pytest.mark.parametrize("half", (False, True), ids=["full", "half"])
 def test_rotating_transverse_blocks_gradients_match_central_differences(n, half):
     inst = gen_erdos_renyi(n + half, 0.4, seed=n, weights="uniform")
-    compiled = (_CompiledProblem("qubo", inst) if half
+    compiled = (CompiledProblem("qubo", inst) if half
                 else compile_full_basis(maxcut_qubo(inst)))
     assert compiled.costs.size == 1 << n
     rng = make_rng(n)
@@ -806,3 +799,46 @@ def test_rotating_transverse_blocks_gradients_match_central_differences(n, half)
     fd_beta, fd_gamma = central_differences(compiled, beta, gamma)
     assert np.abs(d_beta - fd_beta).max() < 1e-6
     assert np.abs(d_gamma - fd_gamma).max() < 1e-6
+
+
+# ----------------------------------------------------------------------
+# Metamorphic check: relabelling a graph's nodes leaves the circuit unchanged
+# ----------------------------------------------------------------------
+
+def relabelled(inst: MaxCutInstance, rng) -> MaxCutInstance:
+    """``inst`` with its nodes renamed by a random permutation drawn from ``rng``."""
+    name = rng.permutation(inst.num_nodes)
+    edges = ((int(min(name[u], name[v])), int(max(name[u], name[v])), w)
+             for u, v, w in inst.edges)
+    return MaxCutInstance(inst.num_nodes, tuple(sorted(edges)))
+
+
+def assert_relabelling_invariant(inst: MaxCutInstance, seed: int, p: int, weights: str) -> None:
+    # The cost, the start and the mixer commute with a permutation of the
+    # qubits (arXiv:2012.04713), so c*, p* and the expected cost stay; the
+    # cost table is permuted, and only its summation order changes.
+    rng = make_rng(seed)
+    ours, theirs = CompiledProblem("qubo", inst), CompiledProblem("qubo", relabelled(inst, rng))
+    if weights == "unit":
+        assert ours.costs.min() == theirs.costs.min()
+    else:
+        assert theirs.costs.min() == pytest.approx(ours.costs.min(), rel=1e-12, abs=0.0)
+    beta, gamma = rng.uniform(-1, 1, p), rng.uniform(-1, 1, p)
+    dist, relabelled_dist = ours.simulate(beta, gamma), theirs.simulate(beta, gamma)
+    assert relabelled_dist.p_star == pytest.approx(dist.p_star, abs=1e-12)
+    assert relabelled_dist.expected_cost() == pytest.approx(dist.expected_cost(), abs=1e-12)
+
+
+@given(n=st.integers(2, 16), density=st.sampled_from((0.3, 0.6, 1.0)),
+       weights=st.sampled_from(("unit", "uniform")), p=st.integers(1, 3),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_relabelling_nodes_leaves_c_star_p_star_and_expected_cost(n, density, weights, p, seed):
+    assert_relabelling_invariant(gen_erdos_renyi(n, density, seed, weights=weights), seed, p,
+                                 weights)
+
+
+@pytest.mark.parametrize("weights", ("unit", "uniform"))
+def test_relabelling_invariance_at_22_nodes(weights):
+    # 2**21 stored states: a size the reference loops do not reach
+    assert_relabelling_invariant(gen_erdos_renyi(22, 0.3, 5, weights=weights), 5, 2, weights)

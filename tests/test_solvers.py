@@ -163,6 +163,13 @@ def test_sa_config_validation():
         SaConfig(alpha=1.5)
     with pytest.raises(ValueError):
         SaConfig(t0=0.0)
+    # A NaN or infinite temperature accepts every uphill move: on
+    # maxcut_qubo(gen_erdos_renyi(40, 0.3, 1)), 50 reads of 50 sweeps at seed 0
+    # found -131 with t0 = nan and -146 with t0 = inf, against -161 by default.
+    for key in ("t0", "kb"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                SaConfig(**{key: value})
 
 
 # ----------------------------------------------------------------------
