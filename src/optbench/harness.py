@@ -56,7 +56,6 @@ from .qaoa import (
 from .solvers import (
     SaConfig,
     TsConfig,
-    _compile_quadratic,
     goemans_williamson,
     local_search_maxcut,
     simulated_annealing,
@@ -136,8 +135,7 @@ def derive_seed(master_seed: int, *keys) -> int:
 @dataclass
 class SolverSpec:
     """A roster entry.  ``params`` stay as given (they define the records'
-    ``config_hash``); ``kwargs`` holds them cast by ``SOLVER_PARAMS``, every
-    float and list entry finite."""
+    ``config_hash``); ``kwargs`` holds them cast by ``SOLVER_PARAMS``."""
 
     name: str
     kind: str
@@ -154,10 +152,6 @@ class SolverSpec:
                                   f"{key!r} (it takes {', '.join(types)})")
         self.kwargs = {key: _number(f"{key} of solver {self.name!r}", value, types[key])
                        for key, value in self.params.items()}
-        for key, value in self.kwargs.items():
-            if types[key] is not int and not np.isfinite(value).all():
-                raise ConfigError(f"{key} of solver {self.name!r} must be finite, "
-                                  f"got {self.params[key]!r}")
 
 
 @dataclass
@@ -177,8 +171,8 @@ class ExperimentConfig:
             raise ConfigError(f"scenario must be 'tts' or 'bsf', got {self.scenario!r}")
         if not self.solvers:
             raise ConfigError("solver roster is empty")
-        if self.scenario == "bsf" and self.time_limit <= 0.0:
-            raise ConfigError("bsf scenarios need time_limit > 0")
+        if self.scenario == "bsf" and not 0.0 < self.time_limit < math.inf:
+            raise ConfigError(f"bsf scenarios need 0 < time_limit < inf, got {self.time_limit!r}")
         circuits = [s.name for s in self.solvers if s.kind == "qaoa"]
         if self.scenario == "bsf" and circuits:
             raise ConfigError(f"solver {circuits[0]!r} of kind qaoa is not a sampling solver, "
@@ -228,14 +222,26 @@ def _parse_grid(kind: str, key: str, text: str) -> list:
 
 def _number(key: str, value, cast=int):
     """``cast(value)`` for the config key ``key``; a malformed value is a config error,
-    and so are a bool and, where an integer is due, a fractional or infinite float."""
+    and so are a bool, where an integer is due a fractional or infinite float, and
+    a non-finite float or list entry."""
     try:
         if isinstance(value, bool) or cast is int and isinstance(value, float) and value % 1:
             raise ValueError
-        return cast(value)
+        number = cast(value)
     except (TypeError, ValueError):
         kind = {int: "an integer", float: "a number"}.get(cast, "a list of numbers")
         raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
+    if cast is not int and not np.isfinite(number).all():
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
+
+
+def _known_keys(section: str, keys: Iterable[str], known: tuple[str, ...]) -> None:
+    """A key of the ``[section]`` section that nothing reads is a config error."""
+    for key in keys:
+        if key not in known:
+            raise ConfigError(f"[{section}] section has no key {key!r} "
+                              f"(it takes {', '.join(known)})")
 
 
 def load_config(path: str | Path) -> configparser.ConfigParser:
@@ -248,6 +254,8 @@ def load_config(path: str | Path) -> configparser.ConfigParser:
 
 def build_instances(section: dict, master_seed: int) -> list:
     """Materialize the instance dataset described by an [instances] section."""
+    _known_keys("instances", section, ("kind", "sizes", "count", "degree", "density", "weights",
+                                       "sigma", "glob"))
     kind = section.get("kind")
     if kind is None:
         raise ConfigError("[instances] section needs a 'kind' key")
@@ -331,9 +339,13 @@ def _manifest_hashes(folder: Path) -> dict[str, str]:
 def _config_instances(parser: configparser.ConfigParser,
                       seed: int | None = None) -> tuple[int, list]:
     """The master seed (``seed``, else [experiment] seed, else 0) and the
-    dataset of the [instances] section."""
+    dataset of the [instances] section; a key of either section that nothing
+    reads is a config error."""
     if "instances" not in parser:
         raise ConfigError("config needs an [instances] section")
+    if "experiment" in parser:
+        _known_keys("experiment", parser["experiment"], ("scenario", "seed", "time_limit",
+                                                         "oracle_cap", "groups", "output", "jobs"))
     if seed is None:
         seed = parser.get("experiment", "seed", fallback="0")
     seed = _number("seed", seed)
@@ -553,7 +565,7 @@ def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
         else:
             poly = maxcut_qubo(inst)
             c_star = poly.argmin_exhaustive(cap=oracle_cap)[1] if scenario == "tts" else None
-        _compile_quadratic(poly)  # the arrays that every heuristic call shares
+        poly.neighbors()  # with the dense form, the arrays that every heuristic call shares
     except SizeCapError as exc:
         for record in records:
             record.status, record.error = "skipped", str(exc)
@@ -623,10 +635,10 @@ def _bsf_calls(record: RunRecord, spec: SolverSpec, inst: MaxCutInstance,
     return merge(*samples), len(samples)
 
 
-def _run_protocol(cfg: ExperimentConfig, scenario: str,
-                  max_calls: int | None = None) -> list[RunRecord]:
-    """Run the per-instance worker over ``cfg.instances``, serially or in a pool."""
-    work = partial(_instance_records, scenario=scenario, solvers=cfg.solvers,
+def _run_protocol(cfg: ExperimentConfig, max_calls: int | None = None) -> list[RunRecord]:
+    """Run the per-instance worker of ``cfg.scenario`` over ``cfg.instances``,
+    serially or in a pool."""
+    work = partial(_instance_records, scenario=cfg.scenario, solvers=cfg.solvers,
                    master_seed=cfg.seed, oracle_cap=cfg.oracle_cap,
                    time_limit=cfg.time_limit, max_calls=max_calls)
     if cfg.jobs > 1:
@@ -641,7 +653,9 @@ def _run_protocol(cfg: ExperimentConfig, scenario: str,
 
 def run_tts_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
     """Fixed-read protocol with oracle-based success probabilities."""
-    return _run_protocol(cfg, "tts")
+    if cfg.scenario != "tts":
+        raise ConfigError(f"run_tts_experiment needs a tts config, got {cfg.scenario!r}")
+    return _run_protocol(cfg)
 
 
 def run_bsf_experiment(cfg: ExperimentConfig, max_calls: int | None = None) -> list[RunRecord]:
@@ -654,7 +668,9 @@ def run_bsf_experiment(cfg: ExperimentConfig, max_calls: int | None = None) -> l
     ``max_calls`` optionally fixes the call count, which makes the non-timing
     outputs deterministic for a fixed seed regardless of machine speed.
     """
-    return _run_protocol(cfg, "bsf", max_calls)
+    if cfg.scenario != "bsf":
+        raise ConfigError(f"run_bsf_experiment needs a bsf config, got {cfg.scenario!r}")
+    return _run_protocol(cfg, max_calls)
 
 
 def _attach_pooled_metrics(records: list[RunRecord]) -> None:

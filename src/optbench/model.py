@@ -195,6 +195,19 @@ class BinaryPolynomial:
         self._derived["quadratic_form"] = (linear, coupling)
         return linear, coupling
 
+    def neighbors(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """For each variable i, the ``(j, coupling[i, j])`` pairs of its nonzero
+        couplings in j order, read from :meth:`quadratic_form`.  Built once per
+        polynomial."""
+        if "neighbors" not in self._derived:
+            coupling = self.quadratic_form()[1]
+            rows, cols = np.nonzero(coupling)
+            pairs = list(zip(cols.tolist(), coupling[rows, cols].tolist()))
+            bounds = np.searchsorted(rows, np.arange(self.num_vars + 1)).tolist()
+            self._derived["neighbors"] = tuple(tuple(pairs[lo:hi])
+                                               for lo, hi in zip(bounds, bounds[1:]))
+        return self._derived["neighbors"]
+
     def _fills_by_doubling(self) -> bool:
         """Whether every partial sum of every cost is an exact integer.
 

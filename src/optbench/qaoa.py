@@ -581,8 +581,10 @@ class CompiledProblem:
         With ``gradient``, returns (gap, d gap / d beta, d gap / d gamma), the
         derivatives exact from one backward pass after the forward run.  A
         stack gives one gap per row (and one gradient row per row), each bit
-        for bit the row's problem run alone; one problem gives a float.
+        for bit the row's problem run alone; one problem gives a float.  The
+        schedule must hold p >= 1 rounds of each angle, as in :meth:`simulate`.
         """
+        beta, gamma = _check_schedule(beta, gamma)
         reference = self.costs.min(axis=-1)
         if (reference == 0.0).any():
             raise ValueError("problem has zero optimal cost; ratios are undefined")

@@ -8,9 +8,11 @@ one read at a time, with the same random stream and samples.  Tabu search
 steps all restarts together when ``restarts * n`` exceeds
 ``_MAX_SCALAR_TS``, and smaller calls one restart at a time over Python
 floats, with the same samples bit for bit.
-A polynomial compiles once, at the first call on it, and every later call
-shares its arrays.  The harness compiles each instance's polynomial before
-its records start, so a record's preprocess excludes the shared compile.
+The solver arrays live on the polynomial: its ``quadratic_form()`` and
+``neighbors()`` are built once, in the preprocess of the first call on it,
+and every later call shares them.  The harness builds them for each
+instance's polynomial before its records start, so a record's preprocess
+excludes that shared work.
 Simulated annealing, tabu search and local search re-evaluate the costs
 they record exactly against the input model, once per call: one
 ``evaluate_batch`` pass over all best states, timed as postprocess, so the
@@ -29,47 +31,11 @@ import numpy as np
 
 from .formulations import maxcut_qubo, tour_permutations, walk_lengths
 from .instances import MaxCutInstance, TspInstance, make_rng
-from .model import (
-    BinaryPolynomial,
-    DegreeError,
-    IsingModel,
-    SampleSet,
-    SizeCapError,
-    Stopwatch,
-    Timing,
-    _as_bits,
-)
+from .model import BinaryPolynomial, SampleSet, SizeCapError, Stopwatch, Timing, _as_bits
 
 
 class RelaxationError(RuntimeError):
     """The cut relaxation failed to converge within the iteration cap."""
-
-
-# ----------------------------------------------------------------------
-# Shared quadratic-model compilation
-# ----------------------------------------------------------------------
-
-def _compile_quadratic(model: BinaryPolynomial | IsingModel) -> tuple[BinaryPolynomial, tuple]:
-    """Return the polynomial and its (constant, linear, coupling, neighbors).
-
-    ``linear`` and ``coupling`` are the polynomial's own read-only
-    ``quadratic_form()``, so the local field of variable i is
-    linear[i] + coupling[i] @ x; ``neighbors[i]`` holds the (j, coupling)
-    pairs of i's nonzero couplings.  They are built once per polynomial and
-    every later call on it shares them.
-    """
-    poly = model.to_polynomial() if isinstance(model, IsingModel) else model
-    if "quadratic" in poly._derived:
-        return poly, poly._derived["quadratic"]
-    if poly.degree > 2:
-        raise DegreeError(f"solver requires degree <= 2, model has degree {poly.degree}")
-    linear, coupling = poly.quadratic_form()
-    rows, cols = np.nonzero(coupling)
-    pairs = list(zip(cols.tolist(), coupling[rows, cols].tolist()))
-    bounds = np.searchsorted(rows, np.arange(poly.num_vars + 1)).tolist()
-    neighbors = tuple(tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-    compiled = poly._derived["quadratic"] = (poly.constant, linear, coupling, neighbors)
-    return poly, compiled
 
 
 def _start_states(rng: np.random.Generator, starts: Sequence[str] | None, runs: range,
@@ -80,10 +46,10 @@ def _start_states(rng: np.random.Generator, starts: Sequence[str] | None, runs: 
     return np.array([_as_bits(starts[r], n) for r in runs], dtype=np.float64).reshape(len(runs), n)
 
 
-def _start_fields(quadratic: tuple, x: np.ndarray) -> tuple[np.ndarray, float]:
+def _start_fields(poly: BinaryPolynomial, x: np.ndarray) -> tuple[np.ndarray, float]:
     """The local fields and the cost of the 0/1 state ``x``."""
-    constant, linear, coupling, _ = quadratic
-    return linear + coupling @ x, constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
+    linear, coupling = poly.quadratic_form()
+    return linear + coupling @ x, poly.constant + float(linear @ x) + 0.5 * float(x @ coupling @ x)
 
 
 def _bit_strings(states: np.ndarray) -> list[str]:
@@ -163,8 +129,8 @@ class SaConfig:
             raise ValueError(f"kb must be finite and > 0, got {self.kb}")
 
 
-def _probe_t0(rng: np.random.Generator, quadratic: tuple, probes: int = 100) -> float:
-    _, linear, coupling, _ = quadratic
+def _probe_t0(rng: np.random.Generator, poly: BinaryPolynomial, probes: int = 100) -> float:
+    linear, coupling = poly.quadratic_form()
     n = linear.size
     if n == 0:
         return 1.0
@@ -203,21 +169,21 @@ def _metropolis(delta: np.ndarray, uniforms: np.ndarray, kt: float) -> np.ndarra
 
 def _anneal_one_by_one(
     rng: np.random.Generator, starts: Sequence[str] | None, reads: int,
-    quadratic: tuple, schedule: tuple,
+    poly: BinaryPolynomial, schedule: tuple,
 ) -> np.ndarray:
     """Best spins of ``reads`` reads, one at a time over Python floats.
 
     An accepted flip updates the local fields of the flipped variable's
     neighbours only.
     """
-    neighbors = quadratic[3]
+    neighbors = poly.neighbors()
     sweeps, t0, alpha, kb = schedule
     n = len(neighbors)
     exp = math.exp
     best_spins = np.empty((reads, n))
     for read in range(reads):
         x = _start_states(rng, starts, range(read, read + 1), n)[0]
-        field, cost = _start_fields(quadratic, x)
+        field, cost = _start_fields(poly, x)
         field = field.tolist()
         spin = (1.0 - 2.0 * x).tolist()
         best_spin = spin[:]
@@ -248,7 +214,7 @@ def _anneal_one_by_one(
 
 def _anneal_together(
     rng: np.random.Generator, starts: Sequence[str] | None, reads: range,
-    quadratic: tuple, schedule: tuple,
+    poly: BinaryPolynomial, schedule: tuple,
 ) -> np.ndarray:
     """Best spins of ``reads``, all stepped together as rows of one state matrix.
 
@@ -261,7 +227,7 @@ def _anneal_together(
     keeps its cost after every step; its best state is the first one at its
     lowest cost, replayed from the accepted flips.
     """
-    coupling = quadratic[2]
+    coupling = poly.quadratic_form()[1]
     sweeps, t0, alpha, kb = schedule
     count, n = len(reads), coupling.shape[0]
     steps = sweeps * n
@@ -283,7 +249,7 @@ def _anneal_together(
     # after every step, the same additions the scalar loop makes.
     costs = np.empty((count, steps + 1))
     for r, row in enumerate(x):
-        field[r], costs[r, 0] = _start_fields(quadratic, row)
+        field[r], costs[r, 0] = _start_fields(poly, row)
     # Step t of every read: its variable, that variable's flat index in the
     # (count, n) spin and field matrices, and its uniform.
     variables = orders.reshape(count, steps).T
@@ -321,7 +287,7 @@ def _anneal_together(
 
 
 def simulated_annealing(
-    model: BinaryPolynomial | IsingModel,
+    poly: BinaryPolynomial,
     cfg: SaConfig | None = None,
     starts: Sequence[str] | None = None,
 ) -> SampleSet:
@@ -338,10 +304,10 @@ def simulated_annealing(
     """
     cfg = cfg or SaConfig()
     watch = Stopwatch()
-    poly, quadratic = _compile_quadratic(model)
+    poly.neighbors()  # the solver arrays, built here at the first call on ``poly``
     n = poly.num_vars
     rng = make_rng(cfg.seed)
-    t_start = cfg.t0 if cfg.t0 is not None else _probe_t0(rng, quadratic)
+    t_start = cfg.t0 if cfg.t0 is not None else _probe_t0(rng, poly)
     if cfg.alpha is not None:
         alpha = cfg.alpha
     elif cfg.sweeps > 1:
@@ -364,11 +330,11 @@ def simulated_annealing(
     if together:
         bounds = [reads * k // chunks for k in range(chunks + 1)]
         best_spins = np.concatenate([
-            _anneal_together(rng, starts, range(lo, hi), quadratic, schedule)
+            _anneal_together(rng, starts, range(lo, hi), poly, schedule)
             for lo, hi in zip(bounds, bounds[1:])
         ])
     else:
-        best_spins = _anneal_one_by_one(rng, starts, reads, quadratic, schedule)
+        best_spins = _anneal_one_by_one(rng, starts, reads, poly, schedule)
     t_solve = watch.lap()
     sample_set = SampleSet.from_draws(
         n, _exact_draws(poly, best_spins < 0.0),
@@ -555,7 +521,7 @@ def _tabu_together(
 
 
 def tabu_search(
-    model: BinaryPolynomial | IsingModel,
+    poly: BinaryPolynomial,
     cfg: TsConfig | None = None,
     starts: Sequence[str] | None = None,
 ) -> SampleSet:
@@ -575,7 +541,7 @@ def tabu_search(
     """
     cfg = cfg or TsConfig()
     watch = Stopwatch()
-    poly, quadratic = _compile_quadratic(model)
+    neighbors = poly.neighbors()  # with the dense form, built here at the first call on ``poly``
     n = poly.num_vars
     tenure = cfg.tenure if cfg.tenure is not None else min(20, n)
     iterations = cfg.iterations if cfg.iterations is not None else 5 * n
@@ -587,12 +553,12 @@ def tabu_search(
     spin = 1.0 - 2.0 * xs
     field, cost = np.empty((restarts, n)), np.empty(restarts)
     for r, x in enumerate(xs):
-        field[r], cost[r] = _start_fields(quadratic, x)
+        field[r], cost[r] = _start_fields(poly, x)
     steps = iterations if n else 0  # with no variables there is no move to make
     if restarts * n <= _MAX_SCALAR_TS:
-        best_spin = _tabu_one_by_one(spin, field, cost, quadratic[3], steps, tenure)
+        best_spin = _tabu_one_by_one(spin, field, cost, neighbors, steps, tenure)
     else:
-        best_spin = _tabu_together(spin, field, cost, quadratic[2], steps, tenure)
+        best_spin = _tabu_together(spin, field, cost, poly.quadratic_form()[1], steps, tenure)
     t_solve = watch.lap()
     sample_set = SampleSet.from_draws(
         n, _exact_draws(poly, best_spin < 0.0),
@@ -631,7 +597,8 @@ def local_search_maxcut(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     watch = Stopwatch()
     n = inst.num_nodes
-    poly, (_, _, coupling, _) = _compile_quadratic(poly if poly is not None else maxcut_qubo(inst))
+    poly = poly if poly is not None else maxcut_qubo(inst)
+    coupling = poly.quadratic_form()[1]
     rng = make_rng(seed)
     t_preprocess = watch.lap()
 
@@ -688,7 +655,7 @@ def goemans_williamson(
     watch = Stopwatch()
     n = inst.num_nodes
     rng = make_rng(seed)
-    _, (_, _, coupling, _) = _compile_quadratic(poly if poly is not None else maxcut_qubo(inst))
+    coupling = (poly if poly is not None else maxcut_qubo(inst)).quadratic_form()[1]
     rank = min(n, math.ceil(math.sqrt(2.0 * n)) + 1)
     vectors = rng.normal(size=(n, rank))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)

@@ -311,7 +311,12 @@ def test_config_without_instances_is_config_error(tmp_path, capsys, command):
     ("kind = regular\nsizes = 6", "kind = tsp_planar\nsizes = 2", "at least 3 locations"),
     ("count = 2", "count = 0", "yields no instances"),
     ("sizes = 6", "sizes =", "yields no instances"),
-], ids=["density", "odd-degree-sum", "tsp-size", "count-zero", "no-sizes"])
+    # NaN passed the density range check; an infinite sigma overflowed and exited 2
+    ("kind = regular", "kind = erdos_renyi\ndensity = nan", "density must be finite"),
+    ("kind = regular", "kind = tsp_circular\nsigma = inf", "sigma must be finite"),
+    ("kind = regular", "kind = tsp_circular\nsigma = nan", "sigma must be finite"),
+], ids=["density", "odd-degree-sum", "tsp-size", "count-zero", "no-sizes", "density-nan",
+        "sigma-inf", "sigma-nan"])
 @pytest.mark.parametrize("command", ["generate", "oracle", "tune", "run"])
 def test_bad_instance_parameters_exit_one_and_write_nothing(tmp_path, capsys, command,
                                                             old, new, message):
@@ -387,6 +392,45 @@ def test_non_finite_solver_parameters_exit_one_and_write_nothing(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("config error:") and setting.split()[0] in err and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, flags", [
+    ("time_limit = nan", []),
+    ("time_limit = 0.05", ["--time-limit", "nan"]),
+    ("time_limit = 0.05", ["--time-limit", "inf"]),
+], ids=["nan", "flag-nan", "flag-inf"])
+def test_a_non_finite_bsf_budget_exits_one_and_writes_nothing(tmp_path, capsys, setting, flags):
+    # a NaN budget ran one call per record and exited 0; an infinite one never ended
+    cfg, out = write_config(tmp_path, BSF_CONFIG.replace("time_limit = 0.05", setting))
+    assert main(["run", "--config", str(cfg), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: time_limit must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("scenario = tts", "scenaro = bsf", "[experiment] section has no key 'scenaro' (it takes "
+     "scenario, seed, time_limit, oracle_cap, groups, output, jobs)"),
+    ("seed = 5", "seed = 5\ntime_limt = 0.5", "[experiment] section has no key 'time_limt'"),
+    ("degree = 3", "degre = 4", "[instances] section has no key 'degre' (it takes kind, sizes, "
+     "count, degree, density, weights, sigma, glob)"),
+], ids=["scenario", "time-limit", "degree"])
+@pytest.mark.parametrize("command", ["generate", "oracle", "tune", "run"])
+def test_a_misspelt_section_key_exits_one_and_writes_nothing(tmp_path, capsys, command,
+                                                             old, new, message):
+    # these were ignored: run exited 0 after a tts run on 3-regular graphs
+    template = (CONFIG + "\n[grid:sa]\nsweeps = 2, 5\n").replace(old, new)
+    cfg, out = write_config(tmp_path, template)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_a_key_that_another_instance_kind_reads_is_accepted(tmp_path):
+    cfg, out = write_config(tmp_path, CONFIG.replace("degree = 3", "degree = 3\nsigma = 2.0"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert len(load_records(out / "records.jsonl")) == 4
 
 
 TWO_GRID_CONFIG = GRID_CONFIG + """

@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import time
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from optbench import (BinaryPolynomial, SampleSet, Timing, gen_erdos_renyi, gen_regular, harness,
-                      maxcut_qubo, merge, qaoa, solvers)
+                      maxcut_qubo, merge, qaoa)
 from optbench.harness import (
     ConfigError,
     ExperimentConfig,
@@ -669,6 +670,52 @@ def test_groups_and_jobs_below_one_are_config_errors(field, value):
                      **{field: 1})
 
 
+@pytest.mark.parametrize("time_limit", [math.nan, math.inf, -1.0])
+def test_a_bsf_budget_must_be_positive_and_finite(time_limit):
+    # a NaN budget passed "time_limit <= 0" and ended every loop after one call
+    with pytest.raises(ConfigError, match="0 < time_limit < inf"):
+        ExperimentConfig(scenario="bsf", solvers=[SolverSpec("sa", "sa")], instances=[],
+                         time_limit=time_limit)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("experiment", "time_limit", "nan"), ("experiment", "time_limit", "inf"),
+    ("instances", "density", "nan"), ("instances", "sigma", "inf"), ("instances", "sigma", "nan"),
+])
+def test_every_float_of_a_config_must_be_finite(section, key, value):
+    parser = configparser.ConfigParser()
+    kind = "tsp_circular" if key == "sigma" else "erdos_renyi"
+    parser.read_dict({"experiment": {"scenario": "tts"},
+                      "instances": {"kind": kind, "sizes": "5", "count": "1"},
+                      "solver:sa": {"reads": "2"}})
+    parser[section][key] = value
+    with pytest.raises(ConfigError, match=f"{key} must be finite, got '{value}'"):
+        harness.parse_experiment(parser)
+
+
+@pytest.mark.parametrize("run, scenario", [(run_tts_experiment, "bsf"),
+                                           (run_bsf_experiment, "tts")])
+def test_a_protocol_rejects_a_config_of_the_other_scenario(run, scenario):
+    # a tts config run as bsf skipped both bsf checks, its time_limit of -1 too
+    roster = [SolverSpec("sa", "sa", {"reads": 2, "sweeps": 2})]
+    cfg = ExperimentConfig(scenario=scenario, solvers=roster, instances=small_instances(count=1),
+                           time_limit={"tts": -1.0, "bsf": 1.0}[scenario])
+    with pytest.raises(ConfigError, match=f"got '{scenario}'"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("key", ["degre", "size", "seed"])
+def test_an_unknown_instances_key_is_a_config_error(key):
+    section = {"kind": "regular", "sizes": "6", "count": "1", key: "4"}
+    with pytest.raises(ConfigError, match=f"no key '{key}' \\(it takes kind, sizes, count, "
+                                          "degree, density, weights, sigma, glob\\)"):
+        harness.build_instances(section, 0)
+    # a key that another instance kind reads is accepted
+    (inst,) = harness.build_instances({"kind": "regular", "sizes": "6", "count": "1",
+                                       "sigma": "2.0", "glob": "*"}, 0)
+    assert inst.num_nodes == 6
+
+
 def test_bsf_exhaustive_terminates_early():
     cfg = ExperimentConfig(
         scenario="bsf",
@@ -874,16 +921,16 @@ def test_a_malformed_manifest_is_a_config_error(tmp_path):
 
 def test_bsf_builds_each_instances_arrays_once_before_any_call(monkeypatch):
     # Each event names the polynomial it concerns: the builds of its term
-    # groups and of its quadratic arrays (a call that finds them cached is
-    # no build), then every solver call on it.
+    # groups and of its quadratic arrays, the neighbour lists last (a call
+    # that finds them cached is no build), then every solver call on it.
     events = []
-    compile_quadratic = harness._compile_quadratic
+    neighbors = BinaryPolynomial.neighbors
     terms_by_degree = BinaryPolynomial.terms_by_degree
     run = harness.run_classical_solver
 
-    def spy_compile(poly):
-        built = "quadratic" not in poly._derived
-        result = compile_quadratic(poly)
+    def spy_neighbors(poly):
+        built = "neighbors" not in poly._derived
+        result = neighbors(poly)
         if built:
             events.append(("quadratic", id(poly)))
         return result
@@ -897,8 +944,7 @@ def test_bsf_builds_each_instances_arrays_once_before_any_call(monkeypatch):
         events.append(("call", id(poly)))
         return run(spec, inst, poly, seed)
 
-    for module in (harness, solvers):
-        monkeypatch.setattr(module, "_compile_quadratic", spy_compile)
+    monkeypatch.setattr(BinaryPolynomial, "neighbors", spy_neighbors)
     monkeypatch.setattr(BinaryPolynomial, "terms_by_degree", spy_groups)
     monkeypatch.setattr(harness, "run_classical_solver", spy_run)
     cfg = ExperimentConfig(

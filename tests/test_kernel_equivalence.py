@@ -787,7 +787,8 @@ def test_neighbor_lists_equal_the_per_row_construction():
     poly = maxcut_qubo(GRAPHS["er-uniform-13"](1))
     terms = dict(poly.terms)
     terms.update({(13,): 0.5, (2, 14): -1.25})  # 13 has no neighbour, 14 one
-    _, (_, _, coupling, neighbors) = solvers._compile_quadratic(BinaryPolynomial(15, terms))
+    poly = BinaryPolynomial(15, terms)
+    coupling, neighbors = poly.quadratic_form()[1], poly.neighbors()
     expected = [[(j, float(coupling[i, j])) for j in range(15) if coupling[i, j] != 0.0]
                 for i in range(15)]
     assert expected[13] == [] and expected[14] == [(2, -1.25)]
@@ -805,16 +806,29 @@ def test_adjacency_equals_the_edge_loop():
         for u, v, w in inst.edges:
             expected[u, v] += w
             expected[v, u] += w
-        _, (_, _, coupling, _) = solvers._compile_quadratic(maxcut_qubo(inst))
+        coupling = maxcut_qubo(inst).quadratic_form()[1]
         assert coupling.tobytes() == (2.0 * expected).tobytes()
-    assert solvers._compile_quadratic(maxcut_qubo(parallel))[1][2][0, 1] == 0.0
+    assert maxcut_qubo(parallel).quadratic_form()[1][0, 1] == 0.0
 
 
-def test_solver_compile_shares_the_polynomials_dense_form():
+def test_solver_compile_shares_the_polynomials_dense_form(monkeypatch):
+    # The kernels read the polynomial's own arrays: neither the neighbour
+    # lists nor a solver call build a second dense form.
     poly = maxcut_qubo(GRAPHS["regular-12"](0))
     linear, coupling = poly.quadratic_form()
-    _, (_, compiled_linear, compiled_coupling, _) = solvers._compile_quadratic(poly)
+    taken = []
+    kernel = solvers._tabu_together
+
+    def spy(*args):
+        taken.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(solvers, "_tabu_together", spy)
+    poly.neighbors()
+    tabu_search(poly, TsConfig(restarts=20, iterations=2, seed=0))
+    compiled_linear, compiled_coupling = poly.quadratic_form()
     assert compiled_linear is linear and compiled_coupling is coupling
+    assert len(taken) == 1 and taken[0] is coupling
     assert poly.quadratic_form()[0] is linear
     for array in (linear, coupling):
         with pytest.raises(ValueError, match="read-only"):
@@ -823,11 +837,11 @@ def test_solver_compile_shares_the_polynomials_dense_form():
 
 def test_compiled_arrays_are_built_once_and_read_only():
     poly = maxcut_qubo(GRAPHS["er-uniform-13"](2))
-    _, compiled = solvers._compile_quadratic(poly)
+    compiled = poly.neighbors()
     groups = poly.terms_by_degree()
-    assert solvers._compile_quadratic(poly)[1] is compiled
+    assert poly.neighbors() is compiled
     assert poly.terms_by_degree() is groups
-    _, linear, coupling, _ = compiled
+    linear, coupling = poly.quadratic_form()
     for array in (linear, coupling, *(a for group in groups.values() for a in group)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0

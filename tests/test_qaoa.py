@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -403,6 +404,17 @@ def test_gap_rejects_zero_optimum_before_running_a_circuit(monkeypatch):
     monkeypatch.setattr(CompiledProblem, "evolve", refuse)
     with pytest.raises(ValueError, match="zero optimal cost"):
         compiled.gap(np.array([0.1]), np.array([0.2]))
+
+
+@pytest.mark.parametrize("gradient", [False, True])
+@pytest.mark.parametrize("beta, gamma", [([0.1, 0.2], [0.3]), ([], [])],
+                         ids=["unequal", "empty"])
+def test_gap_checks_its_schedule_as_simulate_does(beta, gamma, gradient):
+    # evolve's zip ran the unequal schedule at p = 1, and the empty one at p = 0
+    compiled = CompiledProblem("qubo", gen_regular(8, 3, 1))
+    for run in (compiled.simulate, partial(compiled.gap, gradient=gradient)):
+        with pytest.raises(ValueError, match="equal-length schedules with p >= 1"):
+            run(beta, gamma)
 
 
 def test_gradient_step_stability():
