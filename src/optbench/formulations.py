@@ -60,13 +60,21 @@ def walk_lengths(distances: np.ndarray, locs):
     """Lengths of the closed walks 0 -> locs[0] -> ... -> locs[-1] -> 0.
 
     ``locs`` holds one entry per tour slot along its first axis: k
-    locations give one length, k index arrays (or a (k, ...) array) give
-    one length per element.  Legs are added in walk order, so a walk has
-    the same floating-point length wherever it is computed.
+    locations give one length, and k index arrays give one length per
+    element of their broadcast shape, a (k, ...) array's rows too.  Slots
+    on their own axes, each a short vector, give every combination of
+    their locations while each leg is gathered for two slots only; the sum
+    grows to the full shape as the walk goes.  Legs are added in walk
+    order, so a walk has the same floating-point length wherever it is
+    computed.
     """
     lengths = distances[0, locs[0]]
     for a, b in zip(locs, locs[1:]):
-        lengths += distances[a, b]
+        leg = distances[a, b]
+        if np.shape(leg) == np.shape(lengths):
+            lengths += leg
+        else:  # the slots so far broadcast to a smaller shape: the sum grows
+            lengths = lengths + leg
     return lengths + distances[locs[-1], 0]
 
 

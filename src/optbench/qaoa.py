@@ -28,12 +28,25 @@ every simulator and the generator trainer run through one state-evolution
 routine with one mixer method per basis (transverse, xy, projector).  The
 trainer's adjoint gradient un-applies the same mixer methods on its backward
 pass.  The cost phase is computed per distinct cost level and gathered, in
-slices, through a level index built at first use from one sort of the
-costs; the transverse mixer applies each of ceil(n / 6) near-equal qubit
-blocks as one GEMM per row by its dense Kronecker factor, each GEMM
-rotating the qubit order so that the next block's qubits come lowest.  The
-trainer stacks the problems of one qubit count and state size into one
-compiled problem, whose rows run through the same gates in one pass.
+slices, through a level index built at first use: from a count of the
+costs' offsets when they are integers within a span below 2**16, as a
+Max-Cut table's are, and from one sort of the costs otherwise.  The
+transverse mixer applies each of ceil(n / 6) near-equal qubit blocks as
+one GEMM per row by its dense Kronecker factor, each GEMM rotating the
+qubit order so that the next block's qubits come lowest; the xy mixer
+composes a block's pair rotations into one k x k factor and applies it as
+one GEMM per block, rotating the slot order the same way.  The trainer
+stacks the problems of one qubit count and state size into one compiled
+problem, whose rows run through the same gates in one pass.
+
+A tour's tables are built from their structure: its states are tuples of
+k slot values, so walk lengths, feasibility and penalties broadcast one
+short vector per slot over the (base,) * k table instead of decoding
+every state.  The one-hot QUBO takes its lengths and feasibility from its
+k**k one-hot states and fills its 2**(k*k) cost table by doubling, as an
+integer QUBO's; with real coefficients that table differs from the
+term-order sums of ``cost_vector`` in last bits only (within 1e-12
+relative).
 
 A qubo polynomial of degree <= 2 whose cost is flip-symmetric, C(not x) =
 C(x), keeps only the 2**(n-1) states with x_{n-1} = 0: the cost, the
@@ -154,6 +167,8 @@ def _check_schedule(beta, gamma) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"need equal-length schedules with p >= 1, got {beta.size} and {gamma.size}"
         )
+    if not (np.isfinite(beta).all() and np.isfinite(gamma).all()):
+        raise ValueError(f"angles must be finite, got beta = {beta} and gamma = {gamma}")
     return beta, gamma
 
 
@@ -174,6 +189,26 @@ def xy_pair_rotation(beta: float) -> np.ndarray:
     """Action of exp(-i beta (XX + YY)) on the span of the two one-hot states."""
     c2, s2 = math.cos(2.0 * beta), math.sin(2.0 * beta)
     return np.array([[c2, -1j * s2], [-1j * s2, c2]], dtype=np.complex128)
+
+
+def _xy_factor(k: int, beta: float, derivative: bool = False):
+    """The k x k action U of one block's brick-wall pair rotations (and dU/dbeta).
+
+    The pairs of ``xy_pair_schedule`` are applied to the rows of the
+    identity in order.  A pair's generator XX + YY acts as 2 sigma_x on its
+    two one-hot states, so its rotation G has derivative -2i sigma_x G, and
+    with ``derivative`` the product rule carries dU/dbeta along; returns
+    U, or (U, dU/dbeta).
+    """
+    rotation = xy_pair_rotation(beta)
+    factor = np.eye(k, dtype=np.complex128)
+    d_factor = np.zeros_like(factor)
+    for i, j in xy_pair_schedule(k):
+        rows = [i, j]
+        if derivative:
+            d_factor[rows] = rotation @ d_factor[rows] - 2j * rotation[::-1] @ factor[rows]
+        factor[rows] = rotation @ factor[rows]
+    return (factor, d_factor) if derivative else factor
 
 
 # ----------------------------------------------------------------------
@@ -217,15 +252,83 @@ def _gather(phase: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
                 mode="clip")
 
 
-def _slot_digits(k: int, base: int) -> list[np.ndarray]:
-    """Digit of each of k slots (least significant first) of every index below base**k."""
-    idx = np.arange(base ** k, dtype=np.int64)
-    return [(idx // base ** t % base).astype(np.int16) for t in range(k)]
+def _index_dtype(count: int) -> type:
+    """The least unsigned integer type that numbers ``count`` levels."""
+    return (np.uint8 if count <= 1 << 8 else np.uint16 if count <= 1 << 16 else
+            np.uint32 if count <= 1 << 32 else np.intp)
 
 
-def _onehot_states(digits: list[np.ndarray], k: int) -> np.ndarray:
-    """Full-basis index sum_t 2**(k*t + d_t) of the one-hot state of each digit tuple d."""
-    return sum(np.int64(1) << (slot * k + digit) for slot, digit in enumerate(digits))
+def _integer_offsets(flat: np.ndarray, low: float) -> np.ndarray | None:
+    """Each entry's offset from ``low`` as uint16, or None if an entry is not an integer.
+
+    Every entry must lie within 2**16 - 1 above ``low``.  Slices bound the float copies.
+    """
+    offsets = np.empty(flat.size, dtype=np.uint16)
+    for start in range(0, flat.size, _SLICE):
+        shifted = flat[start:start + _SLICE] - low
+        part = offsets[start:start + _SLICE]
+        np.copyto(part, shifted, casting="unsafe")
+        if not np.array_equal(part, shifted):
+            return None
+    return offsets
+
+
+def _level_index(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of ``costs``, ascending, and each entry's level in the least dtype.
+
+    Costs that are integers within a span below 2**16, as a Max-Cut table's
+    are, are counted: each entry's offset from the least cost, kept as
+    uint16, tallies which offsets occur, the levels are the least cost plus
+    those offsets, and an entry's level is the rank of its offset among them.
+    Other costs take one argsort: the levels are the sorted costs where a
+    new value starts, and an entry's level is the count of new values
+    before its place in the sorted order, scattered back through the
+    permutation.  Either way the result is np.unique's levels and
+    np.searchsorted's index, bit for bit.
+    """
+    flat = costs.reshape(-1)
+    low = flat.min()
+    # The span test is false on NaN and infinite costs.
+    offsets = _integer_offsets(flat, low) if flat.max() - low < 1 << 16 else None
+    if offsets is not None:
+        present = np.bincount(offsets) > 0
+        levels = low + np.flatnonzero(present)
+        index = np.empty(costs.shape, _index_dtype(levels.size))
+        _gather((np.cumsum(present) - 1).astype(index.dtype), offsets, index)
+        return levels, index
+    order = np.argsort(flat)
+    ordered = flat[order]
+    new = np.empty(flat.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    levels = ordered[new]
+    del ordered  # the sorted copy goes before the index comes
+    new[:1] = False  # the first cost is level 0
+    index = np.empty(costs.shape, _index_dtype(levels.size))
+    index.reshape(-1)[order] = np.cumsum(new, dtype=index.dtype)
+    return levels, index
+
+
+def _slot_values(k: int, base: int) -> list[np.ndarray]:
+    """The values 0..base-1 of each of k slots, slot t's on axis k - 1 - t.
+
+    The k vectors broadcast to the (base,) * k table whose C-order position
+    sum_t v_t * base**t holds slot values v (least significant first), so a
+    per-slot quantity is computed base times, not base**k times.
+    """
+    return [np.arange(base).reshape(base, *(1,) * slot) for slot in range(k)]
+
+
+def _onehot_lift(values: np.ndarray, k: int, fill) -> np.ndarray:
+    """The 2**(k*k) full-basis array of a k**k one-hot-subspace array.
+
+    The one-hot state with slot t's hot bit at d_t, index sum_t 2**(k*t + d_t),
+    takes the value at subspace index sum_t d_t * k**t; every other state ``fill``.
+    """
+    full = np.full(1 << (k * k), fill, dtype=values.dtype)
+    states = sum(1 << (k * slot + digit) for slot, digit in enumerate(_slot_values(k, k)))
+    full[states] = values.reshape(states.shape)
+    return full
 
 
 def _flip_symmetric(poly: BinaryPolynomial) -> bool:
@@ -316,35 +419,50 @@ class CompiledProblem:
                     view += coeff
 
     def _compile_tour(self, a: float, b: float) -> None:
+        """Walk lengths, feasibility and costs of every basis state of a tour.
+
+        A hobo or xy state, and a decodable one-hot QUBO state, is a tuple of
+        k slot values, so each table is the (base,) * k broadcast of the
+        slots' short vectors (see ``_slot_values``); perm runs its k! rows.
+        A state is feasible when no two slots name one location (and, for
+        hobo, every slot integer is in range): with k slots and k locations,
+        exactly when it visits every location once.  The repeated pairs are
+        also the penalties: hobo adds B per repeated pair, and xy's B *
+        sum_loc (1 - uses)**2 is B * 2 * repeats, since the uses sum to k.
+        """
         inst, k = self.problem, self.k
         if self.kind == "perm":
             locs = forms.tour_permutations(k).T
         elif self.kind == "hobo":
-            values = _slot_digits(k, 1 << forms.hobo_bits_per_slot(k))
+            values = _slot_values(k, 1 << forms.hobo_bits_per_slot(k))
             locs = [value % k + 1 for value in values]
         else:  # xy, and qubo on its k**k decodable states: slot t's hot bit is d_t
-            digits = _slot_digits(k, k)
-            locs = [digit + 1 for digit in digits]
-        self.lengths = forms.walk_lengths(inst.distances, locs)
-        # A state is feasible when its slots visit every location once (and,
-        # per encoding, every slot integer is in range or every block one-hot).
-        uses = [sum((loc == v).astype(np.int16) for loc in locs) for v in range(1, k + 1)]
-        self.feasible = np.logical_and.reduce([count == 1 for count in uses])
-        if self.kind == "perm":
-            self.costs = a * self.lengths
-        elif self.kind == "xy":  # A * length + B * sum_loc (1 - uses)^2
-            self.costs = a * self.lengths + b * sum((1.0 - count) ** 2 for count in uses)
-        elif self.kind == "hobo":  # A * length + B per out-of-range slot and per repeated pair
-            range_viol = sum((value >= k).astype(np.int16) for value in values)
-            pair_viol = sum(count * (count - 1) // 2 for count in uses)
-            self.costs = a * self.lengths + b * (range_viol + pair_viol)
-            self.feasible &= range_viol == 0
-        else:  # qubo: a state with a block that is not one-hot decodes to no walk
-            self.costs = forms.tsp_onehot_qubo(inst, a=a, b=b).cost_vector()
-            states = _onehot_states(digits, k)
-            lengths, self.lengths = self.lengths, np.full(self.costs.size, np.nan)
-            feasible, self.feasible = self.feasible, np.zeros(self.costs.size, dtype=bool)
-            self.lengths[states], self.feasible[states] = lengths, feasible
+            locs = [digit + 1 for digit in _slot_values(k, k)]
+        lengths = forms.walk_lengths(inst.distances, locs)
+        repeats = np.zeros(lengths.shape, dtype=np.int16)
+        for s in range(k):
+            for t in range(s):
+                repeats += locs[t] == locs[s]
+        feasible = repeats == 0
+        if self.kind == "qubo":  # a state with a block that is not one-hot decodes to no walk
+            poly = forms.tsp_onehot_qubo(inst, a=a, b=b)
+            self.costs = np.empty(1 << poly.num_vars)
+            poly._double_fill(self.costs, 0)  # see the module docstring
+            self.lengths = _onehot_lift(lengths, k, np.nan)
+            self.feasible = _onehot_lift(feasible, k, False)
+            return
+        if self.kind == "hobo":  # B per out-of-range slot integer and per repeated pair
+            range_viol = np.zeros(lengths.shape, dtype=np.int16)
+            for value in values:
+                range_viol += value >= k
+            feasible &= range_viol == 0
+            costs = a * lengths + b * (range_viol + repeats)
+        elif self.kind == "xy":
+            costs = a * lengths + b * (2.0 * repeats)
+        else:
+            costs = a * lengths
+        self.costs, self.lengths = costs.reshape(-1), lengths.reshape(-1)
+        self.feasible = feasible.reshape(-1)
 
     @classmethod
     def stack(cls, parts: list[CompiledProblem]) -> CompiledProblem:
@@ -366,28 +484,8 @@ class CompiledProblem:
                          else np.stack([part.costs for part in parts]))
         return stacked
 
-    @functools.cached_property
-    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct costs of all rows, ascending, and each state's level in the least dtype.
-
-        One argsort of the costs: the levels are the sorted costs where a new
-        value starts, and a state's level is the count of new values before
-        its place in the sorted order, scattered back through the permutation.
-        """
-        flat = self.costs.reshape(-1)
-        order = np.argsort(flat)
-        ordered = flat[order]
-        new = np.empty(flat.size, dtype=bool)
-        new[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        levels = ordered[new]
-        del ordered  # the sorted copy goes before the index comes
-        new[:1] = False  # the first cost is level 0
-        index = np.empty(self.costs.shape, np.uint8 if levels.size <= 1 << 8 else
-                         np.uint16 if levels.size <= 1 << 16 else
-                         np.uint32 if levels.size <= 1 << 32 else np.intp)
-        index.reshape(-1)[order] = np.cumsum(new, dtype=index.dtype)
-        return levels, index
+    # Distinct costs of all rows, ascending, and each state's level (see _level_index).
+    _levels = functools.cached_property(lambda self: _level_index(self.costs))
 
     def evolve(self, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         """Statevector of each row after p rounds of cost phase exp(-i gamma_t C) and mixer."""
@@ -462,25 +560,32 @@ class CompiledProblem:
             adjoint: bool = False) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
         """XY mixer: the brick-wall pair rotations within each block.
 
-        A pair's generator XX + YY acts as 2 sigma_x on its two one-hot
-        states, so its derivative term is 4 Im(<lam_i|state_j> + <lam_j|state_i>).
-        Blocks commute; the pairs of one block are un-applied in reverse order.
+        Every block runs the same pairs, so they are composed once into the
+        k x k factor U of ``_xy_factor``, applied as one GEMM from psi into
+        spare per block: as in the transverse mixer, U multiplies the
+        transpose of the (rest, k) view, whose columns are the lowest slot's
+        digit, so that slot leads the product and each block rotates the slot
+        order by one; after k blocks every slot is back in place.  The adjoint
+        applies U^dagger.  The block's derivative term, 2 Re<lam|(dU/dbeta)
+        U^dagger|state> on the states after the block, is then read on the
+        states before it, whose slot leads, as 2 Re<lam|U^dagger dU/dbeta|state>.
         """
-        k = self.k
-        pairs = xy_pair_schedule(k)
-        c2, s2 = math.cos(2.0 * beta), math.sin(-2.0 * beta if adjoint else 2.0 * beta)
+        k, stack = self.k, psi.shape[:-1]
+        if adjoint:
+            factor, d_factor = _xy_factor(k, beta, derivative=True)
+            factor = factor.conj().T
+            d_factor = factor @ d_factor
+        else:
+            factor = _xy_factor(k, beta)
         derivative = 0.0
-        for block in range(k):
-            view = psi.reshape(*psi.shape[:-1], -1, k, k ** block)
-            for i, j in reversed(pairs) if adjoint else pairs:
-                ai = view[..., i, :].copy()
-                aj = view[..., j, :]
-                view[..., i, :] = c2 * ai - 1j * s2 * aj
-                view[..., j, :] = -1j * s2 * ai + c2 * aj
-                if adjoint:
-                    state, lam = view
-                    derivative += 4.0 * (self._vdots(lam[..., i, :], state[..., j, :])
-                                         + self._vdots(lam[..., j, :], state[..., i, :])).imag
+        for _ in range(k):
+            np.matmul(factor, psi.reshape(*stack, -1, k).swapaxes(-1, -2),
+                      out=spare.reshape(*stack, k, -1))
+            psi, spare = spare, psi
+            if adjoint:
+                np.matmul(d_factor, psi[0].reshape(*stack[1:], k, -1),
+                          out=spare[0].reshape(*stack[1:], k, -1))
+                derivative += 2.0 * self._vdots(psi[1], spare[0]).real
         return psi, spare, derivative
 
     def _projector(self, psi: np.ndarray, spare: np.ndarray, beta: float,
@@ -646,9 +751,7 @@ def onehot_state_index(sequence, k: int) -> int:
 
 def embed_onehot_state(amplitudes: np.ndarray, k: int) -> np.ndarray:
     """Lift a k**k subspace vector into the full 2**(k*k) statevector."""
-    full = np.zeros(1 << (k * k), dtype=np.complex128)
-    full[_onehot_states(_slot_digits(k, k), k)] = amplitudes
-    return full
+    return _onehot_lift(np.asarray(amplitudes, dtype=np.complex128), k, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -382,8 +382,8 @@ def reference_onehot_decode(inst: TspInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# Exact-state reference kernels: the transverse circuit one qubit per pass
-# and the cost table one index mask per term.
+# Exact-state reference kernels: the transverse circuit one qubit per pass,
+# the xy mixer one pair per pass and the cost table one index mask per term.
 # ----------------------------------------------------------------------
 
 def reference_transverse_evolve(costs: np.ndarray, num_qubits: int, beta, gamma) -> np.ndarray:
@@ -398,6 +398,33 @@ def reference_transverse_evolve(costs: np.ndarray, num_qubits: int, beta, gamma)
             a1 = view[:, 1, :]
             view[:, 0, :] = c * a0 + 1j * s * a1
             view[:, 1, :] = 1j * s * a0 + c * a1
+    return psi
+
+
+def reference_xy_mix(psi: np.ndarray, k: int, beta: float) -> np.ndarray:
+    """The xy mixer one pair rotation at a time: each block's brick-wall pairs, block by block.
+
+    ``psi`` holds one-hot-subspace states along its last axis, of k**k
+    entries; slot t's digit has stride k**t.
+    """
+    psi = psi.copy()
+    c2, s2 = math.cos(2.0 * beta), math.sin(2.0 * beta)
+    for block in range(k):
+        view = psi.reshape(*psi.shape[:-1], -1, k, k ** block)
+        for i, j in qaoa.xy_pair_schedule(k):
+            ai = view[..., i, :].copy()
+            aj = view[..., j, :]
+            view[..., i, :] = c2 * ai - 1j * s2 * aj
+            view[..., j, :] = -1j * s2 * ai + c2 * aj
+    return psi
+
+
+def reference_xy_evolve(costs: np.ndarray, k: int, beta, gamma) -> np.ndarray:
+    """Uniform one-hot start, then phase exp(-i gamma C) and the per-pair xy mixer per round."""
+    psi = np.full(costs.shape, 1.0 / math.sqrt(costs.shape[-1]), dtype=np.complex128)
+    for b, g in zip(beta, gamma):
+        psi *= np.exp(-1j * g * costs)
+        psi = reference_xy_mix(psi, k, b)
     return psi
 
 

@@ -411,21 +411,17 @@ def test_grid_runs_oracle_once_per_tuning_instance(oracle_calls):
     assert len(oracle_calls) == 2
 
 
-def test_grid_of_circuit_cells_sorts_the_shared_half_table_once(monkeypatch):
+def test_grid_of_circuit_cells_builds_the_shared_half_table_index_once(monkeypatch):
     # every cell runs on the one half-basis compile of the graph, whose level
-    # index is built by one argsort of its 2**11 costs and kept
-    sorted_sizes = []
-    argsort = np.argsort
-
-    def spy(a, *args, **kwargs):
-        sorted_sizes.append(np.size(a))
-        return argsort(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", spy)
+    # index over its 2**11 costs is built once and kept
+    indexed_sizes = []
+    level_index = qaoa._level_index
+    monkeypatch.setattr(qaoa, "_level_index",
+                        lambda costs: indexed_sizes.append(costs.size) or level_index(costs))
     result = grid_search(SolverSpec("qaoa", "qaoa"), {"p": [1, 2, 3]},
                          [gen_regular(12, 3, seed=4)], master_seed=0)
     assert len(result.table) == 3 and result.best_params is not None
-    assert sorted_sizes.count(1 << 11) == 1
+    assert indexed_sizes.count(1 << 11) == 1
 
 
 def test_a_circuit_record_mirrors_no_state_sized_array(monkeypatch):

@@ -6,14 +6,17 @@ paths alike, and GW exactly the samples, costs and info of its per-edge loop.
 The exact recheck must go through BinaryPolynomial.evaluate_batch.  The
 blocked transverse circuit must match the one-qubit-per-pass loop to 1e-12
 in every amplitude, and the cost table the one-mask-per-term loop bit for
-bit, whether it fills by doubling (integer QUBOs) or term by term.  A
-Max-Cut circuit on the half basis must match the full circuit of its
-polynomial to 1e-12 in every output and gradient.  The
+bit, whether it fills by doubling (integer QUBOs) or term by term.  One-hot
+tour QUBOs also fill by doubling inside the compiled tour, although their
+coefficients are real; ``cost_vector`` keeps them on the term path.  The
+xy mixer's one GEMM per block must match the one-pair-per-pass loop to
+1e-13.  A Max-Cut circuit on the half basis must match the full circuit of
+its polynomial to 1e-12 in every output and gradient.  The
 half-basis rule must agree with conftest.py's brute-force flip check, and a
 cut polynomial must run, and train, bit for bit as its instance.  The level
-index from one sort must equal np.unique and np.searchsorted bit for bit,
-and the c* that a circuit roster takes from the half table must be the
-exhaustive oracle's optimum.
+index, from a count on integer tables or from one sort, must equal
+np.unique and np.searchsorted bit for bit, and the c* that a circuit roster
+takes from the half table must be the exhaustive oracle's optimum.
 """
 
 import math
@@ -32,6 +35,7 @@ from optbench import (
     cut_weight,
     gen_erdos_renyi,
     gen_regular,
+    gen_tsp_circular,
     gen_tsp_planar,
     goemans_williamson,
     local_search_maxcut,
@@ -56,6 +60,8 @@ from conftest import (
     reference_sa,
     reference_transverse_evolve,
     reference_ts,
+    reference_xy_evolve,
+    reference_xy_mix,
 )
 
 GRAPHS = {
@@ -631,7 +637,8 @@ def test_level_index_above_uint16_is_uint32_and_the_phase_stays_bitwise(monkeypa
 
 
 # ----------------------------------------------------------------------
-# The level index from one sort, the rotating transverse blocks and the
+# The level index from a count or one sort, the xy block factor, the
+# one-hot tour table by doubling, the rotating transverse blocks and the
 # half table as the oracle
 # ----------------------------------------------------------------------
 
@@ -653,6 +660,110 @@ def test_level_index_from_one_sort_equals_unique_and_searchsorted(distinct, dtyp
     assert levels.tobytes() == expected.tobytes()
     assert index.dtype == dtype and index.shape == costs.shape
     assert np.array_equal(index, np.searchsorted(expected, costs))
+
+
+@pytest.mark.parametrize("distinct, dtype", [
+    (7, np.uint8), (256, np.uint8), (257, np.uint16), (1 << 16, np.uint16),
+])
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["one", "stack"])
+def test_integer_level_index_from_a_count_equals_unique_and_searchsorted(distinct, dtype, stack,
+                                                                         monkeypatch):
+    rng = np.random.default_rng(distinct + 1)
+    # distinct integers within a span below 2**16: zero and negative ones among them
+    values = rng.choice(np.arange(-(1 << 15), 1 << 15), distinct, replace=False).astype(float)
+    values[np.abs(values).argmin()] = 0.0
+    picks = rng.integers(0, distinct, (*stack, 1 << 17))  # every level tied many times
+    picks.reshape(-1)[:distinct] = np.arange(distinct)
+    costs = values[rng.permuted(picks, axis=-1)]
+    expected = np.unique(costs)
+    assert 0.0 in expected and expected[0] < 0.0
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: pytest.fail("sorted the costs"))
+    levels, index = qaoa._level_index(costs)
+    assert levels.tobytes() == expected.tobytes()
+    assert index.dtype == dtype and index.shape == costs.shape
+    assert index.tobytes() == np.searchsorted(expected, costs).astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("case", ("wide", "fraction"))
+def test_level_index_of_other_tables_still_sorts(case, monkeypatch):
+    # integers spanning 2**16, or one cost that is not an integer
+    rng = np.random.default_rng(5)
+    costs = rng.integers(-5, 5, 1 << 12).astype(float)
+    costs[7] = (1 << 16) - 5.0 if case == "wide" else 0.5
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kwargs: sorts.append(np.size(a))
+                        or argsort(a, *args, **kwargs))
+    levels, index = qaoa._level_index(costs)
+    monkeypatch.undo()
+    expected = np.unique(costs)
+    assert sorts == [costs.size]
+    assert levels.tobytes() == expected.tobytes()
+    assert index.tobytes() == np.searchsorted(expected, costs).astype(np.uint8).tobytes()
+
+
+def test_integer_level_index_needs_no_more_scratch_than_the_sort():
+    # the sort holds the order (intp) and the sorted copy next to the index
+    import tracemalloc
+
+    costs = CompiledProblem("qubo", gen_regular(20, 3, seed=0)).costs
+    tracemalloc.start()
+    try:
+        levels, index = qaoa._level_index(costs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.dtype == np.uint8
+    assert peak <= index.nbytes + 16 * costs.size
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_xy_gemm_mixer_matches_the_per_pair_reference(k):
+    rng = np.random.default_rng(k)
+    parts = [CompiledProblem("xy", gen_tsp_planar(k + 1, seed=k + i)) for i in range(2)]
+    stacked = CompiledProblem.stack(parts)
+    psi = rng.normal(size=(2, k ** k)) + 1j * rng.normal(size=(2, k ** k))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    for beta in rng.uniform(-2, 2, 2):
+        for problem, state in ((parts[0], psi[0]), (stacked, psi)):
+            mixed = problem._mix(state.copy(), np.empty_like(state), beta)[0]
+            assert np.abs(mixed - reference_xy_mix(state, k, beta)).max() <= 1e-13
+            # the adjoint un-applies the same factor, from states and costates alike
+            both = np.stack([mixed, 2.0 * mixed])
+            undone = problem._mix(both, np.empty_like(both), beta, adjoint=True)[0]
+            assert np.abs(undone - np.stack([state, 2.0 * state])).max() <= 1e-13
+    beta, gamma = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+    expected = reference_xy_evolve(stacked.costs, k, beta, gamma)
+    assert np.abs(stacked.evolve(beta, gamma) - expected).max() <= 1e-13
+    assert np.abs(parts[1].simulate(beta, gamma).amplitudes - expected[1]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_xy_block_factor_is_unitary_with_the_derivative_of_its_angle(k):
+    for beta in (0.3, -1.1, 2.5):
+        factor, d_factor = qaoa._xy_factor(k, beta, derivative=True)
+        assert np.abs(factor.conj().T @ factor - np.eye(k)).max() <= 1e-14
+        assert factor.tobytes() == qaoa._xy_factor(k, beta).tobytes()
+        step = 1e-6
+        differences = (qaoa._xy_factor(k, beta + step)
+                       - qaoa._xy_factor(k, beta - step)) / (2 * step)
+        assert np.abs(d_factor - differences).max() <= 1e-8
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("shape", ("planar", "circular"))
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_onehot_qubo_tour_table_by_doubling_is_the_term_order_table_to_1e_12(k, shape, seed):
+    inst = (gen_tsp_planar(k + 1, seed=seed) if shape == "planar"
+            else gen_tsp_circular(k + 1, 0.3, seed=seed))
+    compiled = CompiledProblem("qubo", inst)
+    expected = reference_cost_vector(tsp_onehot_qubo(inst))
+    assert (np.abs(compiled.costs - expected) <= 1e-12 * np.abs(expected)).all()
+    # the least-cost states, in either table, are the optimal tours
+    l_star = compiled.lengths[compiled.feasible].min()
+    optimal = compiled.feasible & (compiled.lengths <= l_star + 1e-9)
+    for costs in (compiled.costs, expected):
+        assert np.array_equal(costs <= costs.min() + 1e-9, optimal)
 
 
 def transverse_problems(n):

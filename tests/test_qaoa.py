@@ -28,7 +28,7 @@ from optbench import (
     tts_layers,
 )
 from optbench import qaoa
-from optbench.formulations import hobo_cost, tsp_onehot_qubo
+from optbench.formulations import hobo_cost, tour_permutations, tsp_onehot_qubo
 from optbench.instances import make_rng
 from optbench.qaoa import (
     embed_onehot_state,
@@ -713,13 +713,16 @@ def test_onehot_qubo_tour_table_matches_the_brute_force_decoder(k, shape, seed):
 
 
 def test_onehot_qubo_tour_compile_never_enumerates_the_full_basis_digits(monkeypatch):
+    # the tour tables come from per-slot vectors of the k one-hot digits,
+    # never from the 2**(k*k) basis's k*k bits
     bases = []
-    slot_digits = qaoa._slot_digits
-    monkeypatch.setattr(qaoa, "_slot_digits",
-                        lambda k, base: bases.append((k, base)) or slot_digits(k, base))
+    slot_values = qaoa._slot_values
+    monkeypatch.setattr(qaoa, "_slot_values",
+                        lambda k, base: bases.append((k, base)) or slot_values(k, base))
     for k in (2, 3, 4):
         CompiledProblem("qubo", gen_tsp_planar(k + 1, seed=k))
-    assert bases == [(2, 2), (3, 3), (4, 4)]
+    assert {k for k, _ in bases} == {2, 3, 4}
+    assert all(base == k for k, base in bases)
 
 
 # ----------------------------------------------------------------------
@@ -797,6 +800,21 @@ def test_compiled_problem_dispatch():
         compiled.simulate([0.1], [0.3, 0.4])
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("angle", ("beta", "gamma"))
+def test_non_finite_angles_are_rejected(angle, bad):
+    # a NaN or infinite angle once ran to p* = nan and norm nan without an error
+    beta, gamma = [0.2, 0.3], [0.1, 0.4]
+    (beta if angle == "beta" else gamma)[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        qaoa_qubo_simulate(gen_regular(8, 3, 0), beta, gamma)
+    tour = CompiledProblem("xy", gen_tsp_planar(4, 0))
+    with pytest.raises(ValueError, match="finite"):
+        tour.simulate(beta, gamma)
+    with pytest.raises(ValueError, match="finite"):
+        tour.gap(beta, gamma, gradient=True)
+
+
 # 5, 11, 16 and 19 stored qubits run the transverse mixer as 1, 2, 3 and 4 blocks
 @pytest.mark.parametrize("n", (5, 11, 16, 19))
 @pytest.mark.parametrize("half", (False, True), ids=["full", "half"])
@@ -854,3 +872,58 @@ def test_relabelling_nodes_leaves_c_star_p_star_and_expected_cost(n, density, we
 def test_relabelling_invariance_at_22_nodes(weights):
     # 2**21 stored states: a size the reference loops do not reach
     assert_relabelling_invariant(gen_erdos_renyi(22, 0.3, 5, weights=weights), 5, 2, weights)
+
+
+# ----------------------------------------------------------------------
+# Metamorphic checks on tours: renaming the non-depot locations and
+# reversing a tour
+# ----------------------------------------------------------------------
+
+def relabelled_tour(inst, rng):
+    """``inst`` with locations 1..k renamed by a random permutation drawn from ``rng``."""
+    name = np.concatenate([[0], 1 + rng.permutation(inst.k)])
+    distances = np.empty_like(inst.distances)
+    distances[np.ix_(name, name)] = inst.distances
+    return type(inst)(distances=distances)
+
+
+def tour_instance(k: int, shape: str, seed: int):
+    return (gen_tsp_planar(k + 1, seed=seed) if shape == "planar"
+            else gen_tsp_circular(k + 1, 0.3, seed=seed))
+
+
+@given(k=st.integers(2, 5), shape=st.sampled_from(("planar", "circular")),
+       p=st.integers(1, 3), seed=st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_relabelling_locations_leaves_l_star_and_the_mixer_symmetric_p_star(k, shape, p, seed):
+    # l* in every encoding; p* where the mixer commutes with the renaming:
+    # the transverse mixer of the one-hot QUBO and the projector mixer
+    inst = tour_instance(k, shape, seed)
+    rng = make_rng(seed)
+    other = relabelled_tour(inst, rng)
+    beta, gamma = rng.uniform(-1, 1, p), rng.uniform(-1, 1, p)
+    for kind in ("qubo", "hobo", "xy", "perm"):
+        if kind == "qubo" and k > 4:
+            continue
+        ours, theirs = CompiledProblem(kind, inst), CompiledProblem(kind, other)
+        l_star = ours.lengths[ours.feasible].min()
+        assert theirs.lengths[theirs.feasible].min() == pytest.approx(l_star, abs=1e-12)
+        if kind in ("qubo", "perm"):
+            p_star = ours.simulate(beta, gamma).p_star
+            assert theirs.simulate(beta, gamma).p_star == pytest.approx(p_star, abs=1e-12)
+
+
+@given(k=st.integers(2, 5), shape=st.sampled_from(("planar", "circular")),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_a_tour_and_its_reverse_have_one_walk_length(k, shape, seed):
+    # in the perm and xy tables, each built from the slots' own vectors
+    inst = tour_instance(k, shape, seed)
+    tours = tour_permutations(k).tolist()
+    perm, xy = CompiledProblem("perm", inst), CompiledProblem("xy", inst)
+    reverse = [tours.index(tour[::-1]) for tour in tours]
+    assert np.abs(perm.lengths - perm.lengths[reverse]).max() <= 1e-12
+    states = [onehot_state_index(tour, k) for tour in tours]
+    backward = [onehot_state_index(tour[::-1], k) for tour in tours]
+    assert np.abs(xy.lengths[states] - xy.lengths[backward]).max() <= 1e-12
+    assert xy.lengths[states].tobytes() == perm.lengths.tobytes()
