@@ -63,6 +63,26 @@ def index_to_bitstring(index: int, num_vars: int) -> str:
     return "".join("1" if (index >> i) & 1 else "0" for i in range(num_vars))
 
 
+def fill_by_doubling(block: np.ndarray, base, field: np.ndarray, pairs: np.ndarray,
+                     combine=np.add) -> None:
+    """Fill the 2^width entries of ``block`` from a quadratic form over its bits.
+
+    block[0] = base; then, for each bit k, block[2^k : 2^(k+1)] is
+    block[:2^k] combined with field[k] and with pairs[j, k] for each set bit
+    j < k, that bracket itself built by doubling inside its destination
+    half: O(2^width) ``combine`` operations and no scratch.  With ``np.add``
+    and a polynomial's terms this is its cost table; with ``np.multiply``
+    and the terms' phases exp(-i gamma c), its cost phase exp(-i gamma C).
+    """
+    block[0] = base
+    for k in range(block.size.bit_length() - 1):
+        half = block[1 << k:2 << k]
+        half[0] = field[k]
+        for j in range(k):
+            combine(half[:1 << j], pairs[j, k], out=half[1 << j:2 << j])
+        combine(half, block[:1 << k], out=half)
+
+
 class BinaryPolynomial:
     """Sparse multilinear polynomial over binary variables.
 
@@ -226,23 +246,16 @@ class BinaryPolynomial:
         """Write the costs of the aligned block of states starting at ``pos``.
 
         The bits of ``pos`` above the block are fixed: their constant and
-        their fields on the block's bits are added once.  Then, for each bit
-        k of the block, costs[2^k : 2^(k+1)] = costs[:2^k] + field_k +
-        sum_{j<k} b_jk x_j, the bracket itself built by doubling inside its
-        destination half, so the fill takes O(2^width) adds and no scratch.
+        their fields on the block's bits are added once, and
+        ``fill_by_doubling`` adds the rest, so the fill takes O(2^width) adds
+        and no scratch.
         """
         linear, coupling = self.quadratic_form()
         width = block.size.bit_length() - 1
         n = self.num_vars
         fixed = np.fromiter((pos >> i & 1 for i in range(n)), np.float64, n)
-        field = linear[:width] + coupling[:width] @ fixed
-        block[0] = self.constant + fixed @ (linear + np.tril(coupling, -1) @ fixed)
-        for k in range(width):
-            half = block[1 << k:2 << k]
-            half[0] = field[k]
-            for j in range(k):
-                np.add(half[:1 << j], coupling[j, k], out=half[1 << j:2 << j])
-            np.add(half, block[:1 << k], out=half)
+        fill_by_doubling(block, self.constant + fixed @ (linear + np.tril(coupling, -1) @ fixed),
+                         linear[:width] + coupling[:width] @ fixed, coupling)
 
     def cost_vector(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Costs of all basis states in [start, stop), indexed canonically.

@@ -27,12 +27,17 @@ Each (problem, encoding) pair compiles once to a ``CompiledProblem``, which
 every simulator and the generator trainer run through one state-evolution
 routine with one mixer method per basis (transverse, xy, projector).  The
 trainer's adjoint gradient un-applies the same mixer methods on its backward
-pass.  The cost phase is computed per distinct cost level and gathered, in
-slices, through a level index built at first use: from a count of the
-costs' offsets when they are integers within a span below 2**16, as a
-Max-Cut table's are, and from one sort of the costs otherwise.  The
-transverse mixer applies each of ceil(n / 6) near-equal qubit blocks as
-one GEMM per row by its dense Kronecker factor, each GEMM rotating the
+pass.  The cost phase follows how the compile filled the cost table.  A
+one-hot tour QUBO's table is filled by doubling (see below), and so is each
+round's phase, from the phases of its terms: O(2**n) complex products and
+O(n**2) exponentials, within 1e-12 of np.exp(-1j * gamma * costs), and no
+level index.  Every other table (Max-Cut and other integer tables, real
+polynomials, hobo, xy and perm) keeps that phase bit for bit: it is
+computed per distinct cost level and gathered, in slices, through a level
+index built at first use, from a count of the costs' offsets when they are
+integers within a span below 2**16, as a Max-Cut table's are, and from one
+sort of the costs otherwise.  The transverse mixer applies each of
+ceil(n / 6) near-equal qubit blocks as one GEMM per row by its dense Kronecker factor, each GEMM rotating the
 qubit order so that the next block's qubits come lowest; the xy mixer
 composes a block's pair rotations into one k x k factor and applies it as
 one GEMM per block, rotating the slot order the same way.  The trainer
@@ -42,11 +47,12 @@ problem, whose rows run through the same gates in one pass.
 A tour's tables are built from their structure: its states are tuples of
 k slot values, so walk lengths, feasibility and penalties broadcast one
 short vector per slot over the (base,) * k table instead of decoding
-every state.  The one-hot QUBO takes its lengths and feasibility from its
-k**k one-hot states and fills its 2**(k*k) cost table by doubling, as an
-integer QUBO's; with real coefficients that table differs from the
-term-order sums of ``cost_vector`` in last bits only (within 1e-12
-relative).
+every state.  The one-hot QUBO decodes only its k**k one-hot states, and
+keeps their lengths and feasibility there: l* and p* are computed on them,
+and the 2**(k*k) arrays are scattered only when read.  It fills its
+2**(k*k) cost table by doubling, as an integer QUBO's; with real
+coefficients that table differs from the term-order sums of
+``cost_vector`` in last bits only (within 1e-12 relative).
 
 A qubo polynomial of degree <= 2 whose cost is flip-symmetric, C(not x) =
 C(x), keeps only the 2**(n-1) states with x_{n-1} = 0: the cost, the
@@ -84,7 +90,7 @@ import numpy as np
 
 from . import formulations as forms
 from .instances import MaxCutInstance, TspInstance, make_rng
-from .model import BinaryPolynomial, SizeCapError
+from .model import BinaryPolynomial, SizeCapError, fill_by_doubling
 from .solvers import tsp_exhaustive  # noqa: F401  # kept: perfbench's tracer patches this name
 
 
@@ -108,7 +114,9 @@ class OutputDistribution:
 
     A circuit run on its half basis returns a ``_HalfOutput``,
     which keeps the 2**(n-1) stored states and builds the full-basis
-    ``amplitudes``, ``probabilities`` and ``costs`` only when they are read.
+    ``amplitudes``, ``probabilities`` and ``costs`` only when they are read;
+    a one-hot tour QUBO circuit returns a ``_OnehotOutput``, which builds
+    its full-basis ``lengths`` and ``feasible`` only when they are read.
     """
 
     basis: str
@@ -158,6 +166,26 @@ class _HalfOutput(OutputDistribution):
 
     def norm(self) -> float:
         return 2.0 * float(self._half[1].sum())
+
+
+def _lifted(which: int, fill) -> functools.cached_property:
+    """A cached property: the 2**(k*k) basis array of the k**k one-hot-state
+    array ``self._decoded[which]``, ``fill`` off the one-hot states."""
+    return functools.cached_property(lambda self: _onehot_lift(self._decoded[which], self.k, fill))
+
+
+class _OnehotOutput(OutputDistribution):
+    """Output of a one-hot tour QUBO circuit, which keeps its decoded tours on
+    the k**k one-hot states: ``lengths`` and ``feasible`` are scattered to the
+    2**(k*k) basis at first read (and kept)."""
+
+    def __init__(self, amplitudes: np.ndarray, probabilities: np.ndarray, costs: np.ndarray,
+                 p_star: float, k: int, decoded: tuple[np.ndarray, np.ndarray]) -> None:
+        self.basis, self.amplitudes, self.probabilities, self.costs = ("full", amplitudes,
+                                                                       probabilities, costs)
+        self.p_star, self.num_qubits, self.k, self._decoded = p_star, k * k, k, decoded
+
+    lengths, feasible = _lifted(0, np.nan), _lifted(1, False)
 
 
 def _check_schedule(beta, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -319,15 +347,22 @@ def _slot_values(k: int, base: int) -> list[np.ndarray]:
     return [np.arange(base).reshape(base, *(1,) * slot) for slot in range(k)]
 
 
-def _onehot_lift(values: np.ndarray, k: int, fill) -> np.ndarray:
-    """The 2**(k*k) full-basis array of a k**k one-hot-subspace array.
+def _onehot_states(k: int) -> np.ndarray:
+    """The 2**(k*k) basis index of each of the k**k one-hot states, in subspace order.
 
-    The one-hot state with slot t's hot bit at d_t, index sum_t 2**(k*t + d_t),
-    takes the value at subspace index sum_t d_t * k**t; every other state ``fill``.
+    The state with slot t's hot bit at d_t, subspace index sum_t d_t * k**t,
+    has basis index sum_t 2**(k*t + d_t); both orders rank the slots from
+    k - 1 down and the digits upward, so the indices ascend.
     """
+    return sum(1 << (k * slot + digit) for slot, digit in enumerate(_slot_values(k, k))).reshape(-1)
+
+
+def _onehot_lift(values: np.ndarray, k: int, fill) -> np.ndarray:
+    """The 2**(k*k) full-basis array of a k**k one-hot-subspace array: each
+    one-hot state takes its subspace value (see ``_onehot_states``), every
+    other state ``fill``."""
     full = np.full(1 << (k * k), fill, dtype=values.dtype)
-    states = sum(1 << (k * slot + digit) for slot, digit in enumerate(_slot_values(k, k)))
-    full[states] = values.reshape(states.shape)
+    full[_onehot_states(k)] = values.reshape(-1)
     return full
 
 
@@ -357,8 +392,9 @@ class CompiledProblem:
 
     The one compiled form behind every circuit: it holds the diagonal cost
     of every basis state and, for a tour, each state's decoded walk length
-    (NaN where undecodable) and feasibility, and it applies the encoding's
-    mixer.  :meth:`simulate` runs a schedule and :meth:`gap` serves the
+    (NaN where undecodable) and feasibility (scattered from the k**k
+    one-hot states at first read for the one-hot QUBO), and it applies the
+    encoding's mixer.  :meth:`simulate` runs a schedule and :meth:`gap` serves the
     trainer; compile once and run as many schedules as needed.
     A qubo problem is a polynomial, a Max-Cut instance (its cut polynomial)
     or a tour (its one-hot QUBO); a polynomial that ``_flip_symmetric``
@@ -403,11 +439,13 @@ class CompiledProblem:
             unit = ("stored qubits" if half else "qubits" if self.basis == "full"
                     else "basis states")
             raise SizeCapError(f"{extent} {unit} exceed the {kind} encoding's cap {cap}")
-        self.lengths = self.feasible = None
+        self._quadratic = self._decoded = None
         if tour:
             a_default, b_default = forms.tsp_default_penalties(problem)
             self._compile_tour(a_default if a is None else a, b_default if b is None else b)
-        elif kind == "qubo":
+            return
+        self.lengths = self.feasible = None
+        if kind == "qubo":
             self.costs = problem.cost_vector(0, 1 << extent)
         else:
             self.costs = np.full(extent, problem.constant)
@@ -429,6 +467,8 @@ class CompiledProblem:
         exactly when it visits every location once.  The repeated pairs are
         also the penalties: hobo adds B per repeated pair, and xy's B *
         sum_loc (1 - uses)**2 is B * 2 * repeats, since the uses sum to k.
+        ``_decoded`` keeps the lengths and feasibility of the decoded states,
+        which for the one-hot QUBO are its k**k one-hot states only.
         """
         inst, k = self.problem, self.k
         if self.kind == "perm":
@@ -448,8 +488,8 @@ class CompiledProblem:
             poly = forms.tsp_onehot_qubo(inst, a=a, b=b)
             self.costs = np.empty(1 << poly.num_vars)
             poly._double_fill(self.costs, 0)  # see the module docstring
-            self.lengths = _onehot_lift(lengths, k, np.nan)
-            self.feasible = _onehot_lift(feasible, k, False)
+            self._quadratic = (np.asarray(poly.constant), *poly.quadratic_form())
+            self._decoded = lengths.reshape(-1), feasible.reshape(-1)
             return
         if self.kind == "hobo":  # B per out-of-range slot integer and per repeated pair
             range_viol = np.zeros(lengths.shape, dtype=np.int16)
@@ -461,8 +501,12 @@ class CompiledProblem:
             costs = a * lengths + b * (2.0 * repeats)
         else:
             costs = a * lengths
-        self.costs, self.lengths = costs.reshape(-1), lengths.reshape(-1)
-        self.feasible = feasible.reshape(-1)
+        self.costs = costs.reshape(-1)
+        self._decoded = self.lengths, self.feasible = lengths.reshape(-1), feasible.reshape(-1)
+
+    # A one-hot QUBO's full-basis lengths and feasibility, scattered from its
+    # one-hot states at first read; every other compile sets both itself.
+    lengths, feasible = _lifted(0, np.nan), _lifted(1, False)
 
     @classmethod
     def stack(cls, parts: list[CompiledProblem]) -> CompiledProblem:
@@ -470,41 +514,66 @@ class CompiledProblem:
 
         The stack keeps what ``gap`` reads, not the tours behind ``simulate``;
         a one-problem stack views its problem's cost table instead of copying it.
+        Its rows share one phase rule: all fill their phase by doubling, or none.
         """
+        if not parts:
+            raise ValueError("cannot stack an empty list of problems")
         first = parts[0]
         if any(part.kind != first.kind or part.num_qubits != first.num_qubits
-               or part.costs.shape != first.costs.shape for part in parts):
-            raise ValueError("stacked problems need one encoding kind, qubit count and state size")
+               or part.costs.shape != first.costs.shape
+               or (part._quadratic is None) != (first._quadratic is None) for part in parts):
+            raise ValueError("stacked problems need one encoding kind, qubit count, state size"
+                             " and phase rule")
         stacked = cls.__new__(cls)
         stacked.kind, stacked.basis, stacked.k, stacked.half = (first.kind, first.basis, first.k,
                                                                 first.half)
         stacked.num_qubits = first.num_qubits
-        stacked.problem = stacked.lengths = stacked.feasible = None
+        stacked.problem = stacked.lengths = stacked.feasible = stacked._decoded = None
         stacked.costs = (first.costs[None] if len(parts) == 1
                          else np.stack([part.costs for part in parts]))
+        stacked._quadratic = (None if first._quadratic is None else
+                              tuple(map(np.stack, zip(*(part._quadratic for part in parts)))))
         return stacked
 
-    # Distinct costs of all rows, ascending, and each state's level (see _level_index).
+    # Distinct costs of all rows, ascending, and each state's level (see
+    # _level_index); built only for a phase that is not filled by doubling.
     _levels = functools.cached_property(lambda self: _level_index(self.costs))
 
+    def _phase(self, coeff: complex, out: np.ndarray) -> None:
+        """out[...] = exp(coeff * C), row by row; ``coeff`` is -i gamma or i gamma.
+
+        A table the compile filled by doubling (a one-hot tour QUBO's) has
+        its phase filled the same way, from the phases of its terms
+        (``_quadratic``): O(2**n) complex products and O(n**2) exponentials,
+        within 1e-12 of np.exp(coeff * costs).  Any other table takes one
+        exponential per distinct cost, gathered through its level index: bit
+        for bit np.exp(coeff * costs).
+        """
+        if self._quadratic is not None:
+            for row in np.ndindex(out.shape[:-1]):  # each row exactly as when run alone
+                constant, linear, coupling = (np.exp(coeff * part[row]) for part in self._quadratic)
+                fill_by_doubling(out[row], constant, linear, coupling, np.multiply)
+        else:
+            levels, index = self._levels
+            _gather(np.exp(coeff * levels), index, out)
+
     def evolve(self, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-        """Statevector of each row after p rounds of cost phase exp(-i gamma_t C) and mixer."""
-        levels, index = self._levels
-        psi = np.full(index.shape, 1.0 / math.sqrt(index.shape[-1]), dtype=np.complex128)
+        """Statevector of each row after p rounds of cost phase exp(-i gamma_t C) and mixer.
+
+        Each round's phase comes from ``_phase``: by doubling for a one-hot
+        tour QUBO, which never builds a level index, and through the level
+        index for every other table.
+        """
+        if self._quadratic is None:
+            _ = self._levels  # built, and its scratch freed, before the state vectors
+        psi = np.full(self.costs.shape, 1.0 / math.sqrt(self.costs.shape[-1]),
+                      dtype=np.complex128)
         spare = np.empty_like(psi)
         for b, g in zip(beta, gamma):
-            _gather(np.exp(-1j * g * levels), index, spare)  # bit for bit np.exp(-1j * g * costs)
+            self._phase(-1j * g, spare)
             psi *= spare
             psi, spare, _ = self._mix(psi, spare, b)
         return psi
-
-    def _vdots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """np.vdot of a and b row by row along the stack axes, in the stack's shape."""
-        stack = self.costs.shape[:-1]
-        out = np.empty(stack, dtype=np.complex128)
-        for row in np.ndindex(stack):
-            out[row] = np.vdot(a[row], b[row])
-        return out
 
     # Each mixer method applies its mixer of angle beta to ``psi`` (the
     # states of the stack's rows, shape (*stack, size)), with ``spare`` as
@@ -546,14 +615,14 @@ class CompiledProblem:
             if adjoint:  # blocks commute, so the term reads the same on either side
                 np.matmul(_FLIPS[width], psi[0].reshape(*stack[1:], 1 << width, -1),
                           out=spare[0].reshape(*stack[1:], 1 << width, -1))
-                derivative -= 2.0 * self._vdots(psi[1], spare[0]).imag
+                derivative -= 2.0 * np.vecdot(psi[1], spare[0]).imag
         if self.half:
             np.multiply(psi[..., ::-1], 1j * s, out=spare)
             psi *= c
             psi += spare
             if adjoint:
                 np.copyto(spare[0], psi[0][..., ::-1])
-                derivative -= 2.0 * self._vdots(psi[1], spare[0]).imag
+                derivative -= 2.0 * np.vecdot(psi[1], spare[0]).imag
         return psi, spare, derivative
 
     def _xy(self, psi: np.ndarray, spare: np.ndarray, beta: float,
@@ -585,7 +654,7 @@ class CompiledProblem:
             if adjoint:
                 np.matmul(d_factor, psi[0].reshape(*stack[1:], k, -1),
                           out=spare[0].reshape(*stack[1:], k, -1))
-                derivative += 2.0 * self._vdots(psi[1], spare[0]).real
+                derivative += 2.0 * np.vecdot(psi[1], spare[0]).real
         return psi, spare, derivative
 
     def _projector(self, psi: np.ndarray, spare: np.ndarray, beta: float,
@@ -626,7 +695,6 @@ class CompiledProblem:
         vectors per row, whatever the depth, and returns arrays of shape
         (*stack, p).
         """
-        levels, index = self._levels
         states = np.empty((2, *psi.shape), dtype=np.complex128)  # states and costates
         states[0] = psi
         np.multiply(psi, self.costs, out=states[1])
@@ -637,8 +705,8 @@ class CompiledProblem:
         for t in reversed(range(len(beta))):
             states, spare, d_beta[..., t] = self._mix(states, spare, beta[t], adjoint=True)
             np.multiply(states[0], self.costs, out=work)
-            d_gamma[..., t] = 2.0 * self._vdots(states[1], work).imag
-            _gather(np.exp(1j * gamma[t] * levels), index, work)
+            d_gamma[..., t] = 2.0 * np.vecdot(states[1], work).imag
+            self._phase(1j * gamma[t], work)
             states *= work
         return d_beta, d_gamma
 
@@ -653,17 +721,22 @@ class CompiledProblem:
         """
         beta, gamma = _check_schedule(beta, gamma)
         psi = self.evolve(beta, gamma)
-        if self.lengths is None and optimal_cost is None:
+        if self._decoded is None and optimal_cost is None:
             optimal_cost = float(self._levels[0][0])
         if self.half:  # each stored state stands for itself and its complement
             psi *= math.sqrt(0.5)
         probs = np.abs(psi)
         probs *= probs
-        if self.lengths is None:
+        if self._decoded is None:
             optimal = self.costs <= optimal_cost + 1e-9
         else:
-            l_star = self.lengths[self.feasible].min()
-            optimal = self.feasible & (self.lengths <= l_star + 1e-9)
+            lengths, feasible = self._decoded
+            l_star = lengths[feasible].min()
+            optimal = feasible & (lengths <= l_star + 1e-9)
+            if self.kind == "qubo":  # the optimal one-hot states, ascending as a mask picks them
+                picked = probs[_onehot_states(self.k)[optimal]]
+                return _OnehotOutput(psi, probs, self.costs, float(picked.sum()), self.k,
+                                     self._decoded)
         picked = probs[optimal]
         if self.half:  # summed in the order of the mirrored full basis
             return _HalfOutput(psi, probs, self.costs,
@@ -695,10 +768,7 @@ class CompiledProblem:
             raise ValueError("problem has zero optimal cost; ratios are undefined")
         psi = self.evolve(beta, gamma)
         probs = np.abs(psi) ** 2
-        value = np.empty(reference.shape)
-        for row in np.ndindex(reference.shape):
-            expected = float(probs[row] @ self.costs[row])
-            value[row] = (expected - reference[row]) / abs(reference[row])
+        value = (np.vecdot(probs, self.costs) - reference) / np.abs(reference)
         value = value if value.ndim else float(value)
         if not gradient:
             return value
@@ -862,7 +932,8 @@ def train_generator(
     for position, problem in enumerate(train_set):
         compiled = CompiledProblem(kind, problem)
         size = compiled.costs.size
-        group = groups.setdefault((compiled.basis, compiled.num_qubits, size), [])
+        key = compiled.basis, compiled.num_qubits, size, compiled._quadratic is None
+        group = groups.setdefault(key, [])
         group.append((position, compiled))
         if len(group) == max(1, _STACK_AMPLITUDES // size):
             build(group)

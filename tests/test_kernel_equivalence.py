@@ -8,15 +8,18 @@ blocked transverse circuit must match the one-qubit-per-pass loop to 1e-12
 in every amplitude, and the cost table the one-mask-per-term loop bit for
 bit, whether it fills by doubling (integer QUBOs) or term by term.  One-hot
 tour QUBOs also fill by doubling inside the compiled tour, although their
-coefficients are real; ``cost_vector`` keeps them on the term path.  The
-xy mixer's one GEMM per block must match the one-pair-per-pass loop to
-1e-13.  A Max-Cut circuit on the half basis must match the full circuit of
-its polynomial to 1e-12 in every output and gradient.  The
-half-basis rule must agree with conftest.py's brute-force flip check, and a
-cut polynomial must run, and train, bit for bit as its instance.  The level
-index, from a count on integer tables or from one sort, must equal
-np.unique and np.searchsorted bit for bit, and the c* that a circuit roster
-takes from the half table must be the exhaustive oracle's optimum.
+coefficients are real; ``cost_vector`` keeps them on the term path.  Their
+cost phase fills by doubling too, within 1e-12 of np.exp(-1j * gamma *
+costs) and with no level index, and their circuits match the per-qubit
+loop to 1e-12.  The xy mixer's one GEMM per block must match the
+one-pair-per-pass loop to 1e-13.  A Max-Cut circuit on the half basis must
+match the full circuit of its polynomial to 1e-12 in every output and
+gradient.  The half-basis rule must agree with conftest.py's brute-force
+flip check, and a cut polynomial must run, and train, bit for bit as its
+instance.  The level index, from a count on integer tables or from one
+sort, must equal np.unique and np.searchsorted bit for bit, and the c* that
+a circuit roster takes from the half table must be the exhaustive oracle's
+optimum.
 """
 
 import math
@@ -764,6 +767,36 @@ def test_onehot_qubo_tour_table_by_doubling_is_the_term_order_table_to_1e_12(k, 
     optimal = compiled.feasible & (compiled.lengths <= l_star + 1e-9)
     for costs in (compiled.costs, expected):
         assert np.array_equal(costs <= costs.min() + 1e-9, optimal)
+
+
+@pytest.mark.parametrize("k", (3, 4))
+def test_onehot_qubo_tour_phase_by_doubling_is_the_cost_phase_to_1e_12(k):
+    compiled = CompiledProblem("qubo", gen_tsp_planar(k + 1, seed=k))
+    phase = np.empty(compiled.costs.size, dtype=np.complex128)
+    for coeff in (-0.37j, 1.9j, -2.6j):
+        compiled._phase(coeff, phase)
+        assert np.abs(phase - np.exp(coeff * compiled.costs)).max() <= 1e-12
+    assert "_levels" not in vars(compiled)
+
+
+@pytest.mark.parametrize("k", (3, 4))
+def test_onehot_qubo_tour_circuit_matches_per_qubit_reference(k):
+    rng = np.random.default_rng(k)
+    beta, gamma = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+    dist = qaoa_tsp_simulate(gen_tsp_planar(k + 1, seed=k), "qubo", beta, gamma)
+    assert_transverse_matches_reference(dist, beta, gamma)
+
+
+def test_onehot_qubo_tour_circuits_never_build_a_level_index(monkeypatch):
+    # simulate, gap and its adjoint, alone and stacked, fill the phase by doubling
+    monkeypatch.setattr(qaoa, "_level_index", lambda costs: pytest.fail("built a level index"))
+    beta, gamma = np.array([0.4, -0.2]), np.array([0.3, 0.8])
+    parts = [CompiledProblem("qubo", gen_tsp_planar(4, seed=s)) for s in range(3)]
+    assert 0.0 < parts[0].simulate(beta, gamma).p_star <= 1.0
+    for problem in (parts[0], CompiledProblem.stack(parts)):
+        problem.gap(beta, gamma)
+        problem.gap(beta, gamma, gradient=True)
+        assert "_levels" not in vars(problem)
 
 
 def transverse_problems(n):

@@ -13,8 +13,11 @@ from optbench import (
     GeneratorParams,
     LayerCountUnavailable,
     MaxCutInstance,
+    MetricContext,
+    OutputDistribution,
     SizeCapError,
     expand_generator,
+    feasibility_ratio,
     gen_erdos_renyi,
     gen_regular,
     gen_tsp_circular,
@@ -24,6 +27,7 @@ from optbench import (
     qaoa_qubo_simulate,
     qaoa_tsp_simulate,
     train_generator,
+    tsp_combined_error,
     tsp_exhaustive,
     tts_layers,
 )
@@ -462,7 +466,8 @@ def central_differences(compiled, beta, gamma, h=1e-5):
     ("xy", gen_tsp_planar(4, seed=1)),  # k = 3: the brick wall closes with a wrap pair
     ("xy", gen_tsp_planar(5, seed=1)),
     ("perm", gen_tsp_planar(4, seed=1)),
-], ids=["qubo", "qubo-1-qubit", "hobo", "xy-k3", "xy-k4", "perm"])
+    ("qubo", gen_tsp_planar(4, seed=1)),  # k = 3: the phase fills by doubling
+], ids=["qubo", "qubo-1-qubit", "hobo", "xy-k3", "xy-k4", "perm", "qubo-tour-k3"])
 @pytest.mark.parametrize("p", [1, 3])
 def test_adjoint_gradient_matches_central_differences(kind, problem, p):
     compiled = CompiledProblem(kind, problem)
@@ -523,7 +528,8 @@ def test_train_generator_rejects_a_budget_below_one(budget):
     # terms share no levels
     ("qubo", [plus_field(maxcut_qubo(gen_regular(6, 3, seed=0)), 0.5),
               BinaryPolynomial(6, {(0, 1): 0.7, (2,): -1.3, (3, 4, 5): 2.1, (): 0.25})]),
-], ids=["qubo", "qubo-half", "hobo", "xy", "perm", "two-problems"])
+    ("qubo", [gen_tsp_planar(4, seed=s) for s in range(3)]),  # k = 3 one-hot tours
+], ids=["qubo", "qubo-half", "hobo", "xy", "perm", "two-problems", "qubo-tour"])
 @pytest.mark.parametrize("p", [1, 3])
 def test_stack_rows_equal_standalone_gaps_bit_for_bit(kind, problems, p):
     parts = [CompiledProblem(kind, problem) for problem in problems]
@@ -544,6 +550,34 @@ def test_stack_rejects_mixed_state_sizes():
     parts = [CompiledProblem("qubo", maxcut_qubo(gen_regular(n, 3, seed=0))) for n in (6, 8)]
     with pytest.raises(ValueError, match="state size"):
         CompiledProblem.stack(parts)
+
+
+def test_stack_of_no_problems_is_a_value_error():
+    with pytest.raises(ValueError, match="empty"):
+        CompiledProblem.stack([])
+
+
+def test_stack_keeps_one_phase_rule_and_training_keeps_the_rules_apart(monkeypatch):
+    # A k = 3 tour QUBO fills its phase by doubling, a 9-variable polynomial
+    # through its level index: both hold 2**9 amplitudes, but never one stack
+    problems = [gen_tsp_planar(4, seed=0),
+                plus_field(maxcut_qubo(gen_erdos_renyi(9, 0.5, seed=1)), 0.5)]
+    with pytest.raises(ValueError, match="phase rule"):
+        CompiledProblem.stack([CompiledProblem("qubo", problem) for problem in problems])
+    stacks = []
+    gap = CompiledProblem.gap
+
+    def recording_gap(self, beta, gamma, gradient=False):
+        stacks.append(self.costs.shape)
+        return gap(self, beta, gamma, gradient)
+
+    monkeypatch.setattr(CompiledProblem, "gap", recording_gap)
+    result = train_generator(problems, "qubo", p=2, budget=60, seed=0, random_restarts=1)
+    monkeypatch.undo()
+    assert set(stacks) == {(1, 1 << 9)}
+    beta, gamma = expand_generator(result.params, 2)
+    gaps = [CompiledProblem("qubo", problem).gap(beta, gamma) for problem in problems]
+    assert result.objective == float(np.mean(gaps))
 
 
 def test_stack_with_a_zero_optimum_row_raises_before_running_a_circuit(monkeypatch):
@@ -710,6 +744,29 @@ def test_onehot_qubo_tour_table_matches_the_brute_force_decoder(k, shape, seed):
     assert compiled.lengths.dtype == lengths.dtype and compiled.feasible.dtype == bool
     assert compiled.lengths.tobytes() == lengths.tobytes()  # NaN pattern included
     assert compiled.feasible.tobytes() == feasible.tobytes()
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_onehot_qubo_tour_output_scatters_its_tours_only_when_read(k):
+    # the compile and the run keep lengths and feasibility on the k**k
+    # one-hot states; read from the output, they are the 2**(k*k) arrays
+    # of the brute-force decoder, and so are the metrics that read them
+    inst = gen_tsp_planar(k + 1, seed=k)
+    compiled = CompiledProblem("qubo", inst)
+    dist = compiled.simulate([0.4, -0.3], [0.7, 0.2])
+    assert not {"lengths", "feasible"} & (vars(compiled).keys() | vars(dist).keys())
+    lengths, feasible = reference_onehot_decode(inst)
+    full = OutputDistribution(basis="full", probabilities=dist.probabilities,
+                              amplitudes=dist.amplitudes, costs=dist.costs, p_star=dist.p_star,
+                              num_qubits=k * k, k=k, feasible=feasible, lengths=lengths)
+    l_star = lengths[feasible].min()
+    assert dist.p_star == float(dist.probabilities[feasible & (lengths <= l_star + 1e-9)].sum())
+    ctx = MetricContext(l_star=l_star, l_worst=lengths[feasible].max())
+    assert feasibility_ratio(dist) == feasibility_ratio(full)
+    assert tsp_combined_error(dist, ctx) == tsp_combined_error(full, ctx)
+    assert dist.lengths.tobytes() == lengths.tobytes()  # NaN pattern included
+    assert dist.feasible.tobytes() == feasible.tobytes()
+    assert dist.lengths is dist.lengths  # scattered once
 
 
 def test_onehot_qubo_tour_compile_never_enumerates_the_full_basis_digits(monkeypatch):
@@ -927,3 +984,63 @@ def test_a_tour_and_its_reverse_have_one_walk_length(k, shape, seed):
     backward = [onehot_state_index(tour[::-1], k) for tour in tours]
     assert np.abs(xy.lengths[states] - xy.lengths[backward]).max() <= 1e-12
     assert xy.lengths[states].tobytes() == perm.lengths.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Metamorphic checks on polynomials and weights: a constant shift and a
+# power-of-two weight scale
+# ----------------------------------------------------------------------
+
+def shifted(poly: BinaryPolynomial, shift: float) -> BinaryPolynomial:
+    """``poly`` plus the constant ``shift``."""
+    return BinaryPolynomial(poly.num_vars, {**poly.terms, (): poly.constant + shift})
+
+
+@given(case=st.sampled_from(("integer", "real", "cut", "tour")), n=st.integers(1, 10),
+       shift=st.one_of(st.integers(-40, 40).map(float), st.floats(-40.0, 40.0)),
+       p=st.integers(1, 3), seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_adding_a_constant_leaves_p_star(case, n, shift, p, seed):
+    # The constant multiplies the state by a global phase each round.  A
+    # tour QUBO's least-cost states are its optimal tours, so its circuit
+    # compiled as a tour, phase by doubling, gives the p* of its polynomial
+    # compiled as one, shifted or not, phase through the level index.
+    rng = make_rng(seed)
+    if case == "tour":
+        inst = gen_tsp_planar(3 + n % 3, seed=seed)  # k = 2..4
+        poly = tsp_onehot_qubo(inst)
+    elif case == "cut":
+        poly = maxcut_qubo(gen_erdos_renyi(n + 1, 0.5, seed))
+    else:
+        terms = {(int(i), int(j)): rng.normal() for i, j in rng.integers(0, n, (2 * n, 2))}
+        terms.update({(int(i),): rng.normal() for i in rng.integers(0, n, n)})
+        poly = BinaryPolynomial(n, {term: float(round(c * 3)) if case == "integer" else c
+                                    for term, c in terms.items()})
+    beta, gamma = rng.uniform(-1, 1, p), rng.uniform(-1, 1, p)
+    p_star = CompiledProblem("qubo", poly).simulate(beta, gamma).p_star
+    moved = CompiledProblem("qubo", shifted(poly, shift)).simulate(beta, gamma).p_star
+    assert moved == pytest.approx(p_star, abs=1e-12)
+    if case == "tour":
+        tour = CompiledProblem("qubo", inst)
+        assert tour._quadratic is not None
+        assert tour.simulate(beta, gamma).p_star == pytest.approx(p_star, abs=1e-12)
+
+
+@given(n=st.integers(2, 14), density=st.sampled_from((0.3, 0.6, 1.0)),
+       weights=st.sampled_from(("unit", "uniform")), j=st.integers(-4, 8),
+       p=st.integers(1, 3), seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_scaling_every_weight_by_a_power_of_two_scales_every_cost(n, density, weights, j, p,
+                                                                   seed):
+    # Every sum in the cost table scales exactly by 2**j, and gamma / 2**j
+    # times the scaled cost is gamma times the cost, so p* stays.
+    inst = gen_erdos_renyi(n, density, seed, weights=weights)
+    scale = 2.0 ** j
+    scaled = MaxCutInstance(n, tuple((u, v, w * scale) for u, v, w in inst.edges))
+    ours, theirs = CompiledProblem("qubo", inst), CompiledProblem("qubo", scaled)
+    assert theirs.half == ours.half
+    assert theirs.costs.tobytes() == (ours.costs * scale).tobytes()
+    rng = make_rng(seed)
+    beta, gamma = rng.uniform(-1, 1, p), rng.uniform(-1, 1, p)
+    p_star = ours.simulate(beta, gamma).p_star
+    assert theirs.simulate(beta, gamma / scale).p_star == pytest.approx(p_star, abs=1e-12)
