@@ -1,6 +1,6 @@
 """Command-line entry points: generate, tune, run, report, oracle.
 
-Exit codes: 0 success, 1 configuration error, a run with no successful
+Exit codes: 0 success, 1 configuration or input error, a run with no successful
 record or a tuned solver none of whose grid cells succeeded, 2 runtime failure.
 """
 
@@ -13,21 +13,18 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
-    SolverSpec,
     _config_instances,
-    _number,
-    _parse_grid,
     emit_report,
     grid_search,
     load_config,
     load_records,
     oracle_table,
     parse_experiment,
+    parse_grids,
     run_bsf_experiment,
     run_tts_experiment,
     write_instance_files,
 )
-from .model import ORACLE_CAP
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -64,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    _, instances = _config_instances(load_config(args.config), args.seed)
+    _, instances = _config_instances(load_config(args.config), {"seed": args.seed})
     out = Path(args.out or "instances")
     written = write_instance_files(instances, out)
     print(f"wrote {len(written) - 1} instances to {out}")
@@ -72,10 +69,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    parser = load_config(args.config)
-    _, instances = _config_instances(parser, args.seed)
-    cap = _number("oracle_cap", parser.get("experiment", "oracle_cap", fallback=ORACLE_CAP))
-    rows = oracle_table(instances, cap=cap)
+    settings, instances = _config_instances(load_config(args.config), {"seed": args.seed})
+    rows = oracle_table(instances, cap=settings["oracle_cap"])
     out = Path(args.out or ".") / "oracle.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w") as handle:
@@ -89,31 +84,13 @@ def _cmd_oracle(args) -> int:
 def _cmd_tune(args) -> int:
     parser = load_config(args.config)
     cfg = parse_experiment(parser, {"seed": args.seed})
-    specs = {spec.name: spec for spec in cfg.solvers}
-    grids = {}
-    for section in parser.sections():
-        if section.startswith("grid:"):
-            solver = section.split(":", 1)[1]
-            if solver not in specs:
-                raise ConfigError(f"[{section}] names no solver of the roster")
-            grids[solver] = {key: _parse_grid(specs[solver].kind, key, value)
-                             for key, value in parser[section].items()}
-            # check every grid setting before any solver runs
-            for key, values in grids[solver].items():
-                for value in values:
-                    SolverSpec(solver, specs[solver].kind, {key: value})
-    if not grids:
-        raise ConfigError("config defines no [grid:<solver>] section")
+    grids = parse_grids(parser, cfg.solvers)
     out = Path(args.out or "tuning")
     out.mkdir(parents=True, exist_ok=True)
     tuned = {}
-    for spec in cfg.solvers:
-        if spec.name not in grids:
-            continue
-        result = grid_search(
-            spec, grids[spec.name], cfg.instances, master_seed=cfg.seed,
-            objective=args.objective, oracle_cap=cfg.oracle_cap,
-        )
+    for spec in [spec for spec in cfg.solvers if spec.name in grids]:
+        result = grid_search(spec, grids[spec.name], cfg.instances, master_seed=cfg.seed,
+                             objective=args.objective, oracle_cap=cfg.oracle_cap)
         tuned[result.solver] = result.best_params
         lines = [f"# solver={result.solver} objective={result.objective}"]
         for cell, value in result.table:
@@ -147,7 +124,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = load_records(args.records)
+    try:
+        records = load_records(args.records)
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:  # JSON's too
+        raise ConfigError(f"records file {args.records}: {type(exc).__name__}: {exc}") from None
+    if not records:
+        raise ConfigError(f"records file {args.records} holds no records")
     written = emit_report(records, args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return 0

@@ -23,7 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -67,7 +67,7 @@ SECONDS_PER_CNOT_LAYER = 1e-6
 
 
 class ConfigError(ValueError):
-    """Bad experiment configuration (maps to CLI exit code 1)."""
+    """Bad experiment configuration or input file (maps to CLI exit code 1)."""
 
 
 _floats = partial(np.asarray, dtype=np.float64)
@@ -83,6 +83,26 @@ SOLVER_PARAMS = {
     "qaoa": {"p": int, "theta_beta": _floats, "theta_gamma": _floats,
              "seconds_per_layer": float},
 }
+
+# Every [experiment] key, the ExperimentConfig field it sets and its type.
+# The defaults live in the dataclass.
+EXPERIMENT_KEYS = {"scenario": ("scenario", str), "seed": ("seed", int),
+                   "time_limit": ("time_limit", float), "oracle_cap": ("oracle_cap", int),
+                   "groups": ("num_groups", int), "output": ("output_dir", Path),
+                   "jobs": ("jobs", int)}
+
+# Each generated instance kind, its generator and the [instances] keys that
+# the generator reads, with their types.  The defaults live in the generators.
+INSTANCE_KINDS = {"regular": (gen_regular, {"degree": int}),
+                  "erdos_renyi": (gen_erdos_renyi, {"density": float, "weights": str}),
+                  "tsp_circular": (gen_tsp_circular, {"sigma": float}),
+                  "tsp_planar": (gen_tsp_planar, {})}
+
+# Every [instances] key and its type: the dataset's (``count`` is 10 unless
+# given), each generator's, and the ``glob`` of ``kind = files``.
+INSTANCE_KEYS = {"kind": str, "sizes": list, "count": int,
+                 **{key: cast for _, keys in INSTANCE_KINDS.values() for key, cast in keys.items()},
+                 "glob": str}
 
 
 # ----------------------------------------------------------------------
@@ -154,9 +174,9 @@ class SolverSpec:
                        for key, value in self.params.items()}
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    scenario: str
+    scenario: str = "tts"
     solvers: list[SolverSpec]
     instances: list
     seed: int = 0
@@ -236,7 +256,7 @@ def _number(key: str, value, cast=int):
     return number
 
 
-def _known_keys(section: str, keys: Iterable[str], known: tuple[str, ...]) -> None:
+def _known_keys(section: str, keys: Iterable[str], known: Iterable[str]) -> None:
     """A key of the ``[section]`` section that nothing reads is a config error."""
     for key in keys:
         if key not in known:
@@ -244,9 +264,21 @@ def _known_keys(section: str, keys: Iterable[str], known: tuple[str, ...]) -> No
                               f"(it takes {', '.join(known)})")
 
 
+def _cast(key: str, value, cast):
+    """``value`` of the config key ``key`` as ``cast``; an empty path is None."""
+    if cast is Path:
+        return Path(value) if value else None
+    return value if cast is str else _number(key, value, cast)
+
+
 def load_config(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    loaded = parser.read(path)
+    try:
+        loaded = parser.read(path)
+        for section in parser.values():
+            dict(section)  # a bad % interpolation raises here, not at first use
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {type(exc).__name__}: {exc}") from None
     if not loaded:
         raise ConfigError(f"config file {path} not found")
     return parser
@@ -254,8 +286,7 @@ def load_config(path: str | Path) -> configparser.ConfigParser:
 
 def build_instances(section: dict, master_seed: int) -> list:
     """Materialize the instance dataset described by an [instances] section."""
-    _known_keys("instances", section, ("kind", "sizes", "count", "degree", "density", "weights",
-                                       "sigma", "glob"))
+    _known_keys("instances", section, INSTANCE_KEYS)
     kind = section.get("kind")
     if kind is None:
         raise ConfigError("[instances] section needs a 'kind' key")
@@ -291,32 +322,22 @@ def build_instances(section: dict, master_seed: int) -> list:
         raise ConfigError("[instances] section needs a 'sizes' key")
     sizes = _parse_list(sizes) if isinstance(sizes, str) else list(sizes)
     count = _number("count", section.get("count", 10))
+    nodes = [_number("sizes", size) for size in sizes]
     out = []
-    for size in sizes:
-        n = _number("sizes", size)
-        for index in range(count):
-            seed = derive_seed(master_seed, "instance", kind, size, index)
-            try:
-                if kind == "regular":
-                    inst = gen_regular(n, _number("degree", section.get("degree", 3)), seed)
-                elif kind == "erdos_renyi":
-                    inst = gen_erdos_renyi(
-                        n,
-                        _number("density", section.get("density", 0.5), float),
-                        seed,
-                        weights=section.get("weights", "unit"),
-                    )
-                elif kind == "tsp_circular":
-                    inst = gen_tsp_circular(n, _number("sigma", section.get("sigma", 1.0), float),
-                                            seed)
-                elif kind == "tsp_planar":
-                    inst = gen_tsp_planar(n, seed)
-                else:
-                    raise ConfigError(f"unknown instance kind {kind!r}")
-            except ValueError as exc:  # a malformed value or one out of the generator's range
-                raise ConfigError(f"[instances] section: {exc}") from None
-            inst.metadata["label"] = f"{kind}-n{size}-{index:03d}"
-            out.append(inst)
+    try:
+        if kind not in INSTANCE_KINDS:
+            raise ConfigError(f"unknown instance kind {kind!r}")
+        generator, types = INSTANCE_KINDS[kind]
+        settings = {key: _cast(key, section[key], cast)
+                    for key, cast in types.items() if key in section}
+        for size, n in zip(sizes, nodes):  # a size as written names its seeds and labels
+            for index in range(count):
+                inst = generator(n, seed=derive_seed(master_seed, "instance", kind, size, index),
+                                 **settings)
+                inst.metadata["label"] = f"{kind}-n{size}-{index:03d}"
+                out.append(inst)
+    except ValueError as exc:  # a malformed value or one out of the generator's range
+        raise ConfigError(f"[instances] section: {exc}") from None
     if not out:
         raise ConfigError(f"[instances] section yields no instances "
                           f"(sizes = {sizes}, count = {count})")
@@ -337,49 +358,58 @@ def _manifest_hashes(folder: Path) -> dict[str, str]:
 
 
 def _config_instances(parser: configparser.ConfigParser,
-                      seed: int | None = None) -> tuple[int, list]:
-    """The master seed (``seed``, else [experiment] seed, else 0) and the
-    dataset of the [instances] section; a key of either section that nothing
-    reads is a config error."""
+                      overrides: dict | None = None) -> tuple[dict, list]:
+    """The ExperimentConfig fields, from the CLI ``overrides`` that are not None,
+    else the [experiment] keys, else the dataclass defaults, and the [instances]
+    dataset at their seed; a key that nothing reads is a config error."""
     if "instances" not in parser:
         raise ConfigError("config needs an [instances] section")
-    if "experiment" in parser:
-        _known_keys("experiment", parser["experiment"], ("scenario", "seed", "time_limit",
-                                                         "oracle_cap", "groups", "output", "jobs"))
-    if seed is None:
-        seed = parser.get("experiment", "seed", fallback="0")
-    seed = _number("seed", seed)
-    return seed, build_instances(dict(parser["instances"]), seed)
+    given = dict(parser["experiment"]) if "experiment" in parser else {}
+    given.update({key: value for key, value in (overrides or {}).items() if value is not None})
+    _known_keys("experiment", given, EXPERIMENT_KEYS)
+    settings = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+    for key, (name, cast) in EXPERIMENT_KEYS.items():
+        if key in given:
+            settings[name] = _cast(key, given[key], cast)
+    return settings, build_instances(dict(parser["instances"]), settings["seed"])
 
 
 def parse_experiment(parser: configparser.ConfigParser,
                      overrides: dict | None = None) -> ExperimentConfig:
-    overrides = overrides or {}
     if "experiment" not in parser:
         raise ConfigError("config needs an [experiment] section")
-    exp = dict(parser["experiment"])
-    exp.update({k: v for k, v in overrides.items() if v is not None})
     solvers = []
-    for name in parser.sections():
-        if not name.startswith("solver:"):
-            continue
+    for name in [name for name in parser.sections() if name.startswith("solver:")]:
         body = dict(parser[name])
         kind = body.pop("kind", name.split(":", 1)[1])
         params = {k: _parse_list(v) if "," in v else _parse_scalar(v) for k, v in body.items()}
         solvers.append(SolverSpec(name=name.split(":", 1)[1], kind=kind, params=params))
-    seed, instances = _config_instances(parser, overrides.get("seed"))
-    output = exp.get("output")
-    return ExperimentConfig(
-        scenario=str(exp.get("scenario", "tts")),
-        solvers=solvers,
-        instances=instances,
-        seed=seed,
-        time_limit=_number("time_limit", exp.get("time_limit", 10.0), float),
-        oracle_cap=_number("oracle_cap", exp.get("oracle_cap", ORACLE_CAP)),
-        num_groups=_number("groups", exp["groups"]) if "groups" in exp else None,
-        output_dir=Path(output) if output else None,
-        jobs=_number("jobs", exp.get("jobs", 1)),
-    )
+    settings, instances = _config_instances(parser, overrides)
+    return ExperimentConfig(solvers=solvers, instances=instances, **settings)
+
+
+def parse_grids(parser: configparser.ConfigParser,
+                solvers: Sequence[SolverSpec]) -> dict[str, dict[str, list]]:
+    """Solver name -> parameter -> values of each [grid:<solver>] section, every
+    value checked as a setting of its solver of ``solvers`` before any runs."""
+    kinds = {spec.name: spec.kind for spec in solvers}
+    grids = {}
+    for section in [name for name in parser.sections() if name.startswith("grid:")]:
+        solver = section.split(":", 1)[1]
+        if solver not in kinds:
+            raise ConfigError(f"[{section}] names no solver of the roster")
+        grids[solver] = {key: _parse_grid(kinds[solver], key, value)
+                         for key, value in parser[section].items()}
+        if not grids[solver]:
+            raise ConfigError(f"[{section}] lists no parameter")
+        for key, values in grids[solver].items():
+            if not values:  # an empty product: the grid would run no cell
+                raise ConfigError(f"[{section}] key {key!r} lists no value")
+            for value in values:
+                SolverSpec(solver, kinds[solver], {key: value})
+    if not grids:
+        raise ConfigError("config defines no [grid:<solver>] section")
+    return grids
 
 
 # ----------------------------------------------------------------------

@@ -100,7 +100,7 @@ class TspInstance:
 
 def gen_erdos_renyi(
     n: int,
-    density: float,
+    density: float = 0.5,
     seed: int | None = None,
     weights: str = "unit",
 ) -> MaxCutInstance:
@@ -168,7 +168,7 @@ def _euclidean(coords: np.ndarray) -> np.ndarray:
 
 
 def gen_tsp_circular(
-    k_plus_1: int, sigma: float, seed: int | None = None
+    k_plus_1: int, sigma: float = 1.0, seed: int | None = None
 ) -> TspInstance:
     """Locations on the unit circle, each displaced by a random offset.
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import subprocess
@@ -158,9 +160,32 @@ def test_groups_or_jobs_below_one_exit_one_before_any_solver_runs(tmp_path, caps
     assert not out.exists()  # rejected before any solver ran
 
 
+@pytest.mark.parametrize("content, error", [
+    (None, "FileNotFoundError"),
+    ("", "holds no records"),
+    ("{x\n", "JSONDecodeError"),
+    ('{"solver": "sa"}\n', "TypeError"),
+], ids=["missing", "empty", "malformed-json", "not-a-record"])
+def test_report_on_bad_records_input_exits_one_and_writes_nothing(tmp_path, capsys, content,
+                                                                  error):
+    # these exited 2, as runtime failures
+    records = tmp_path / "records.jsonl"
+    if content is not None:
+        records.write_text(content)
+    out = tmp_path / "report"
+    assert main(["report", "--records", str(records), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: records file {records}") and error in err
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_two(tmp_path):
-    missing = tmp_path / "missing.jsonl"
-    assert main(["report", "--records", str(missing), "--out", str(tmp_path)]) == 2
+    # the records read; the output directory cannot be made where a file is
+    cfg, out = write_config(tmp_path, CONFIG)
+    assert main(["run", "--config", str(cfg)]) == 0
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    assert main(["report", "--records", str(out / "records.jsonl"), "--out", str(blocked)]) == 2
 
 
 TSP_CONFIG = """
@@ -433,6 +458,38 @@ def test_a_key_that_another_instance_kind_reads_is_accepted(tmp_path):
     assert len(load_records(out / "records.jsonl")) == 4
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("time_limit = nan", "time_limit must be finite, got 'nan'"),
+    ("jobs = two", "jobs must be an integer, got 'two'"),
+    ("oracle_cap = 2.5", "oracle_cap must be an integer, got '2.5'"),
+], ids=["time-limit-nan", "jobs", "oracle-cap"])
+@pytest.mark.parametrize("command", ["generate", "oracle"])
+def test_generate_and_oracle_reject_a_malformed_experiment_value(tmp_path, capsys, command,
+                                                                setting, message):
+    # generate cast only the seed and oracle also its cap, so the others passed
+    cfg, out = write_config(tmp_path, CONFIG.replace("seed = 5", f"seed = 5\n{setting}"))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("seed = 5", "seed = 5\nseed = 6", "DuplicateOptionError"),
+    ("[experiment]\n", "", "MissingSectionHeaderError"),
+    ("output = {out}", "output = {out}%", "InterpolationSyntaxError"),
+], ids=["duplicate-key", "no-section-header", "bad-interpolation"])
+@pytest.mark.parametrize("command", ["generate", "oracle", "tune", "run"])
+def test_a_malformed_ini_file_exits_one_and_writes_nothing(tmp_path, capsys, command, old, new,
+                                                          error):
+    # these escaped load_config as configparser errors and exited 2
+    template = (CONFIG + "\n[grid:sa]\nsweeps = 2, 5\n").replace(old, new, 1)
+    cfg, out = write_config(tmp_path, template)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: malformed config file {cfg}: {error}")
+    assert not out.exists()
+
+
 TWO_GRID_CONFIG = GRID_CONFIG + """
 [solver:ls]
 kind = ls
@@ -464,6 +521,22 @@ def test_tune_malformed_grid_value_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "sweeps" in err
     assert not (out / "best_params.json").exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("sweeps =", "[grid:sa] key 'sweeps' lists no value"),
+    ("sweeps = 2, 5\nreads = ,", "[grid:sa] key 'reads' lists no value"),
+    ("", "[grid:sa] lists no parameter"),
+], ids=["empty-list", "commas-only", "no-key"])
+def test_tune_a_grid_without_a_cell_exits_one_and_writes_nothing(tmp_path, capsys, grid,
+                                                                 message):
+    # an empty list ran no cell, then wrote grid_sa.txt and an empty best_params.json
+    path = tmp_path / "bench.cfg"
+    path.write_text(GRID_CONFIG.replace("sweeps = 2, 5", grid))
+    out = tmp_path / "tuned"
+    assert main(["tune", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_tune_grid_naming_no_solver_is_config_error(tmp_path, capsys):
@@ -533,6 +606,42 @@ def test_readme_parameter_table_matches_solver_params():
     documented = [(kind.strip(" `"), name.strip(" `")) for kind, name in rows]
     assert documented == [(kind, name) for kind, types in SOLVER_PARAMS.items()
                           for name in types]
+
+
+README_TYPES = {int: "int", float: "float", str: "string", Path: "path", list: "list of ints"}
+
+
+def readme_table(header: str) -> list[list[str]]:
+    """The cells of the README table under ``header``, one list per row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split(header, 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip(" `") for cell in line.split("|")[1:-1]]
+            for line in table.splitlines()[2:]]
+
+
+def test_readme_experiment_table_matches_experiment_keys():
+    from optbench.harness import EXPERIMENT_KEYS, ExperimentConfig
+
+    rows = readme_table("| Key | Type | Default |")
+    assert [row[:2] for row in rows] == [[key, README_TYPES[cast]]
+                                         for key, (_, cast) in EXPERIMENT_KEYS.items()]
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for key, _, default in rows:
+        if defaults[EXPERIMENT_KEYS[key][0]] is not None:  # else the text says what it means
+            assert default == str(defaults[EXPERIMENT_KEYS[key][0]])
+
+
+def test_readme_instances_table_matches_instance_keys():
+    from optbench.harness import INSTANCE_KEYS, INSTANCE_KINDS
+
+    rows = readme_table("| Kind | Key | Type | Default |")
+    assert [row[1:3] for row in rows] == [[key, README_TYPES[cast]]
+                                          for key, cast in INSTANCE_KEYS.items()]
+    by_key = {row[1]: row for row in rows}
+    for kind, (generator, types) in INSTANCE_KINDS.items():
+        for key in types:  # each generator's default, documented for its kind
+            default = inspect.signature(generator).parameters[key].default
+            assert by_key[key][0] == kind and by_key[key][3] == str(default)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -2,6 +2,7 @@ import configparser
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -710,6 +711,30 @@ def test_an_unknown_instances_key_is_a_config_error(key):
     (inst,) = harness.build_instances({"kind": "regular", "sizes": "6", "count": "1",
                                        "sigma": "2.0", "glob": "*"}, 0)
     assert inst.num_nodes == 6
+
+
+@pytest.mark.parametrize("kind", list(harness.INSTANCE_KINDS))
+def test_an_instance_kind_without_its_keys_takes_its_generators_defaults(kind):
+    generator, _ = harness.INSTANCE_KINDS[kind]
+    (inst,) = harness.build_instances({"kind": kind, "sizes": "6", "count": "1"}, 3)
+    expected = generator(6, seed=derive_seed(3, "instance", kind, 6, 0))
+    assert instance_hash(inst) == instance_hash(expected)
+    assert inst.metadata == {**expected.metadata, "label": f"{kind}-n6-000"}
+
+
+def test_each_experiment_key_sets_its_field_and_a_missing_one_the_default():
+    parser = configparser.ConfigParser()
+    parser.read_dict({"experiment": {}, "instances": {"kind": "regular", "sizes": "6",
+                                                      "count": "1"}, "solver:sa": {}})
+    cfg = harness.parse_experiment(parser)
+    assert cfg == ExperimentConfig(solvers=cfg.solvers, instances=cfg.instances)
+    given = {"scenario": "bsf", "seed": "7", "time_limit": "2.5", "oracle_cap": "20",
+             "groups": "2", "output": "somewhere", "jobs": "1"}
+    parser["experiment"].update(given)
+    cfg = harness.parse_experiment(parser)
+    assert {key: getattr(cfg, name) for key, (name, _) in harness.EXPERIMENT_KEYS.items()} == {
+        "scenario": "bsf", "seed": 7, "time_limit": 2.5, "oracle_cap": 20, "groups": 2,
+        "output": Path("somewhere"), "jobs": 1}
 
 
 def test_bsf_exhaustive_terminates_early():

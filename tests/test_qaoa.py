@@ -1044,3 +1044,35 @@ def test_scaling_every_weight_by_a_power_of_two_scales_every_cost(n, density, we
     beta, gamma = rng.uniform(-1, 1, p), rng.uniform(-1, 1, p)
     p_star = ours.simulate(beta, gamma).p_star
     assert theirs.simulate(beta, gamma / scale).p_star == pytest.approx(p_star, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Metamorphic check: renaming a polynomial's variables leaves the
+# flip-symmetric predicate, and so the half-basis rule, unchanged
+# ----------------------------------------------------------------------
+
+def relabelled_polynomial(poly: BinaryPolynomial, rng) -> BinaryPolynomial:
+    """``poly`` with its variables renamed by a random permutation drawn from ``rng``."""
+    name = rng.permutation(poly.num_vars)
+    return BinaryPolynomial(poly.num_vars, {tuple(int(name[i]) for i in term): coeff
+                                            for term, coeff in poly.terms.items()})
+
+
+@given(case=st.sampled_from(("unit", "uniform", "tour")), field=st.booleans(),
+       n=st.integers(2, 12), seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_relabelling_variables_leaves_the_flip_symmetric_predicate(case, field, n, seed):
+    # Each variable's sum of coefficients moves to its new name unchanged, and
+    # math.fsum makes the sum independent of the order of its parts.
+    rng = make_rng(seed)
+    if case == "tour":
+        poly = tsp_onehot_qubo(gen_tsp_planar(3 + n % 3, seed=seed))  # k = 2..4
+    else:
+        poly = maxcut_qubo(gen_erdos_renyi(n, 0.5, seed, weights=case))
+    if field:  # a 1e-6 field on one variable
+        var = (int(rng.integers(poly.num_vars)),)
+        poly = BinaryPolynomial(poly.num_vars, {**poly.terms, var: poly.terms.get(var, 0.0) + 1e-6})
+    symmetric = qaoa._flip_symmetric(poly)
+    if case != "tour":  # a cut polynomial is flip-symmetric, and a field breaks that
+        assert symmetric is not field
+    assert qaoa._flip_symmetric(relabelled_polynomial(poly, rng)) is symmetric
