@@ -281,6 +281,9 @@ def load_config(path: str | Path) -> configparser.ConfigParser:
         raise ConfigError(f"malformed config file {path}: {type(exc).__name__}: {exc}") from None
     if not loaded:
         raise ConfigError(f"config file {path} not found")
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigError(f"config file {path} has a [DEFAULT] section "
+                          f"({', '.join(parser.defaults())}); write each key in its own section")
     return parser
 
 

@@ -115,14 +115,11 @@ def gen_erdos_renyi(
     if weights not in ("unit", "uniform"):
         raise ValueError(f"unknown weight law {weights!r}")
     rng = make_rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = rng.random(len(pairs)) < density
-    chosen = [p for p, k in zip(pairs, keep) if k]
-    if weights == "uniform":
-        w = rng.random(len(chosen))
-    else:
-        w = np.ones(len(chosen))
-    edges = tuple((u, v, float(wi)) for (u, v), wi in zip(chosen, w))
+    rows, cols = np.triu_indices(n, 1)  # the pairs (u, v), u < v, in row order
+    keep = rng.random(rows.size) < density
+    rows, cols = rows[keep].tolist(), cols[keep].tolist()
+    w = rng.random(len(rows)) if weights == "uniform" else np.ones(len(rows))
+    edges = tuple(zip(rows, cols, w.tolist()))
     meta = {"generator": "erdos_renyi", "n": n, "density": density,
             "weights": weights, "seed": seed}
     return MaxCutInstance(num_nodes=n, edges=edges, metadata=meta)

@@ -49,7 +49,7 @@ k slot values, so walk lengths, feasibility and penalties broadcast one
 short vector per slot over the (base,) * k table instead of decoding
 every state.  The one-hot QUBO decodes only its k**k one-hot states, and
 keeps their lengths and feasibility there: l* and p* are computed on them,
-and the 2**(k*k) arrays are scattered only when read.  It fills its
+and the 2**(k*k) arrays are scattered once, at first read.  It fills its
 2**(k*k) cost table by doubling, as an integer QUBO's; with real
 coefficients that table differs from the term-order sums of
 ``cost_vector`` in last bits only (within 1e-12 relative).
@@ -62,10 +62,8 @@ Safro, arXiv:2012.04713).  The rule follows the cost, not the input's
 type: a Max-Cut instance compiles to its cut polynomial, which meets it,
 while a tour QUBO or a polynomial with a field does not.  The state is
 normalised over the half, so the expected cost, the gap and the gradients
-keep their formulas.  ``simulate``'s output stays on the half: p_star, the
-expected cost and the norm come from the 2**(n-1) stored amplitudes and the
-half table, and the full-basis amplitudes, probabilities and costs are
-mirrored from the half only when read.  The half table sums each state's
+keep their formulas.  p_star, the expected cost and the norm come from the
+2**(n-1) stored amplitudes and the half table, which sums each state's
 terms in its own order, so these outputs agree with the full circuit's to
 1e-12 rather than bit for bit.  The cap counts stored qubits, which lets a
 flip-symmetric polynomial reach 27 variables at the memory of a 26-qubit
@@ -73,11 +71,16 @@ asymmetric one.  The half table holds the optimum value too (a state and
 its complement cost the same), so the harness takes a circuit's c* from
 its compiled table.
 
-Success probability p_star is the exact mass on optimal basis states
-(cost within 1e-9 of the optimum; for tours, feasible states within 1e-9
-of the optimal tour length l*).  A compiled tour holds every state's walk
-length and feasibility, and its feasible states are exactly the k! tours,
-so l* is the least feasible length it holds; no outside oracle runs.
+Every circuit's output keeps the arrays the circuit stores and builds each
+full-basis array once, at first read: it mirrors the amplitudes,
+probabilities and costs of the half basis, and reads a tour's lengths and
+feasibility from its compiled problem, so a one-hot QUBO's output and
+compile share one scatter.  Success probability p_star is the exact mass
+on optimal basis states (cost within 1e-9 of the optimum; for tours,
+feasible states within 1e-9 of the optimal tour length l*).  A compiled
+tour holds every state's walk length and feasibility, and its feasible
+states are exactly the k! tours, so l* is the least feasible length it
+holds; no outside oracle runs.
 """
 
 from __future__ import annotations
@@ -112,11 +115,8 @@ class OutputDistribution:
     carry the decoded walk length and constraint check per state (length is
     NaN where undecodable).
 
-    A circuit run on its half basis returns a ``_HalfOutput``,
-    which keeps the 2**(n-1) stored states and builds the full-basis
-    ``amplitudes``, ``probabilities`` and ``costs`` only when they are read;
-    a one-hot tour QUBO circuit returns a ``_OnehotOutput``, which builds
-    its full-basis ``lengths`` and ``feasible`` only when they are read.
+    A circuit returns a ``_CircuitOutput``, which builds each full-basis
+    array from the arrays the circuit stores, only when it is read.
     """
 
     basis: str
@@ -142,50 +142,35 @@ def _mirror(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half, half[::-1]])
 
 
-class _HalfOutput(OutputDistribution):
-    """Output of a flip-symmetric circuit, kept on the half basis x_{n-1} = 0.
+class _CircuitOutput(OutputDistribution):
+    """Output of a ``CompiledProblem``'s circuit, kept on the states it stores.
 
-    ``half_amplitudes`` are already scaled by sqrt(1/2), so each entry is its
-    full-basis amplitude and ``half_probabilities`` its full-basis probability.
-    ``expected_cost`` and ``norm`` sum over the half and double, and the
-    full-basis arrays are mirrored at first read (and kept), bit for bit the
-    arrays a full-basis output would hold.
+    On the half basis each stored amplitude, already scaled by sqrt(1/2), is
+    its full-basis amplitude: ``amplitudes``, ``probabilities`` and ``costs``
+    are mirrored at first read (and kept), bit for bit a full-basis output's,
+    and ``expected_cost`` and ``norm`` double their sums over the half.
+    ``lengths`` and ``feasible`` are the compiled problem's own.
     """
 
-    def __init__(self, half_amplitudes: np.ndarray, half_probabilities: np.ndarray,
-                 half_costs: np.ndarray, p_star: float, num_qubits: int) -> None:
-        self.basis, self.p_star, self.num_qubits = "full", p_star, num_qubits
-        self._half = half_amplitudes, half_probabilities, half_costs
+    def __init__(self, compiled: CompiledProblem, amplitudes: np.ndarray,
+                 probabilities: np.ndarray, p_star: float) -> None:
+        self.basis, self.num_qubits, self.k = compiled.basis, compiled.num_qubits, compiled.k
+        self.p_star, self._compiled, self._stored = p_star, compiled, (amplitudes, probabilities)
 
-    amplitudes = functools.cached_property(lambda self: _mirror(self._half[0]))
-    probabilities = functools.cached_property(lambda self: _mirror(self._half[1]))
-    costs = functools.cached_property(lambda self: _mirror(self._half[2]))
+    def _full(self, stored: np.ndarray) -> np.ndarray:
+        return _mirror(stored) if self._compiled.half else stored
+
+    amplitudes = functools.cached_property(lambda self: self._full(self._stored[0]))
+    probabilities = functools.cached_property(lambda self: self._full(self._stored[1]))
+    costs = functools.cached_property(lambda self: self._full(self._compiled.costs))
+    lengths = property(lambda self: self._compiled.lengths)
+    feasible = property(lambda self: self._compiled.feasible)
 
     def expected_cost(self) -> float:
-        return 2.0 * float(self._half[1] @ self._half[2])
+        return (1 + self._compiled.half) * float(self._stored[1] @ self._compiled.costs)
 
     def norm(self) -> float:
-        return 2.0 * float(self._half[1].sum())
-
-
-def _lifted(which: int, fill) -> functools.cached_property:
-    """A cached property: the 2**(k*k) basis array of the k**k one-hot-state
-    array ``self._decoded[which]``, ``fill`` off the one-hot states."""
-    return functools.cached_property(lambda self: _onehot_lift(self._decoded[which], self.k, fill))
-
-
-class _OnehotOutput(OutputDistribution):
-    """Output of a one-hot tour QUBO circuit, which keeps its decoded tours on
-    the k**k one-hot states: ``lengths`` and ``feasible`` are scattered to the
-    2**(k*k) basis at first read (and kept)."""
-
-    def __init__(self, amplitudes: np.ndarray, probabilities: np.ndarray, costs: np.ndarray,
-                 p_star: float, k: int, decoded: tuple[np.ndarray, np.ndarray]) -> None:
-        self.basis, self.amplitudes, self.probabilities, self.costs = ("full", amplitudes,
-                                                                       probabilities, costs)
-        self.p_star, self.num_qubits, self.k, self._decoded = p_star, k * k, k, decoded
-
-    lengths, feasible = _lifted(0, np.nan), _lifted(1, False)
+        return (1 + self._compiled.half) * float(self._stored[1].sum())
 
 
 def _check_schedule(beta, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -443,9 +428,7 @@ class CompiledProblem:
         if tour:
             a_default, b_default = forms.tsp_default_penalties(problem)
             self._compile_tour(a_default if a is None else a, b_default if b is None else b)
-            return
-        self.lengths = self.feasible = None
-        if kind == "qubo":
+        elif kind == "qubo":
             self.costs = problem.cost_vector(0, 1 << extent)
         else:
             self.costs = np.full(extent, problem.constant)
@@ -484,29 +467,42 @@ class CompiledProblem:
             for t in range(s):
                 repeats += locs[t] == locs[s]
         feasible = repeats == 0
+        if self.kind == "hobo":  # and every slot integer in range
+            range_viol = np.zeros(lengths.shape, dtype=np.int16)
+            for value in values:
+                range_viol += value >= k
+            feasible &= range_viol == 0
+        self._decoded = lengths.reshape(-1), feasible.reshape(-1)
         if self.kind == "qubo":  # a state with a block that is not one-hot decodes to no walk
             poly = forms.tsp_onehot_qubo(inst, a=a, b=b)
             self.costs = np.empty(1 << poly.num_vars)
             poly._double_fill(self.costs, 0)  # see the module docstring
             self._quadratic = (np.asarray(poly.constant), *poly.quadratic_form())
-            self._decoded = lengths.reshape(-1), feasible.reshape(-1)
             return
         if self.kind == "hobo":  # B per out-of-range slot integer and per repeated pair
-            range_viol = np.zeros(lengths.shape, dtype=np.int16)
-            for value in values:
-                range_viol += value >= k
-            feasible &= range_viol == 0
             costs = a * lengths + b * (range_viol + repeats)
         elif self.kind == "xy":
             costs = a * lengths + b * (2.0 * repeats)
         else:
             costs = a * lengths
         self.costs = costs.reshape(-1)
-        self._decoded = self.lengths, self.feasible = lengths.reshape(-1), feasible.reshape(-1)
 
-    # A one-hot QUBO's full-basis lengths and feasibility, scattered from its
-    # one-hot states at first read; every other compile sets both itself.
-    lengths, feasible = _lifted(0, np.nan), _lifted(1, False)
+    def _basis_array(self, which: int, fill) -> np.ndarray | None:
+        """``_decoded[which]`` on every basis state: scattered from the one-hot
+        states, ``fill`` off them, for the one-hot QUBO; None but for a tour."""
+        if self._decoded is None:
+            return None
+        decoded = self._decoded[which]
+        return _onehot_lift(decoded, self.k, fill) if self.kind == "qubo" else decoded
+
+    # Each basis state's walk length (NaN where undecodable) and feasibility,
+    # built at first read and kept.
+    lengths = functools.cached_property(lambda self: self._basis_array(0, np.nan))
+    feasible = functools.cached_property(lambda self: self._basis_array(1, False))
+
+    def _stack_key(self) -> tuple:
+        """What the rows of one stack share: kind, qubit count, state shape and phase rule."""
+        return self.kind, self.num_qubits, self.costs.shape, self._quadratic is None
 
     @classmethod
     def stack(cls, parts: list[CompiledProblem]) -> CompiledProblem:
@@ -519,16 +515,14 @@ class CompiledProblem:
         if not parts:
             raise ValueError("cannot stack an empty list of problems")
         first = parts[0]
-        if any(part.kind != first.kind or part.num_qubits != first.num_qubits
-               or part.costs.shape != first.costs.shape
-               or (part._quadratic is None) != (first._quadratic is None) for part in parts):
+        if any(part._stack_key() != first._stack_key() for part in parts):
             raise ValueError("stacked problems need one encoding kind, qubit count, state size"
                              " and phase rule")
         stacked = cls.__new__(cls)
         stacked.kind, stacked.basis, stacked.k, stacked.half = (first.kind, first.basis, first.k,
                                                                 first.half)
         stacked.num_qubits = first.num_qubits
-        stacked.problem = stacked.lengths = stacked.feasible = stacked._decoded = None
+        stacked.problem = stacked._decoded = None
         stacked.costs = (first.costs[None] if len(parts) == 1
                          else np.stack([part.costs for part in parts]))
         stacked._quadratic = (None if first._quadratic is None else
@@ -721,37 +715,22 @@ class CompiledProblem:
         """
         beta, gamma = _check_schedule(beta, gamma)
         psi = self.evolve(beta, gamma)
-        if self._decoded is None and optimal_cost is None:
-            optimal_cost = float(self._levels[0][0])
         if self.half:  # each stored state stands for itself and its complement
             psi *= math.sqrt(0.5)
         probs = np.abs(psi)
         probs *= probs
         if self._decoded is None:
-            optimal = self.costs <= optimal_cost + 1e-9
+            least = float(self._levels[0][0]) if optimal_cost is None else optimal_cost
+            optimal = self.costs <= least + 1e-9
         else:
             lengths, feasible = self._decoded
-            l_star = lengths[feasible].min()
-            optimal = feasible & (lengths <= l_star + 1e-9)
+            optimal = feasible & (lengths <= lengths[feasible].min() + 1e-9)
             if self.kind == "qubo":  # the optimal one-hot states, ascending as a mask picks them
-                picked = probs[_onehot_states(self.k)[optimal]]
-                return _OnehotOutput(psi, probs, self.costs, float(picked.sum()), self.k,
-                                     self._decoded)
+                optimal = _onehot_states(self.k)[optimal]
         picked = probs[optimal]
         if self.half:  # summed in the order of the mirrored full basis
-            return _HalfOutput(psi, probs, self.costs,
-                               float(_mirror(picked).sum()), self.num_qubits)
-        return OutputDistribution(
-            basis=self.basis,
-            probabilities=probs,
-            amplitudes=psi,
-            costs=self.costs,
-            p_star=float(picked.sum()),
-            num_qubits=self.num_qubits,
-            k=self.k,
-            feasible=self.feasible,
-            lengths=self.lengths,
-        )
+            picked = _mirror(picked)
+        return _CircuitOutput(self, psi, probs, float(picked.sum()))
 
     def gap(self, beta: np.ndarray, gamma: np.ndarray, gradient: bool = False):
         """Normalized optimality gap of the expected cost; equals 1 - r for negative optima.
@@ -811,7 +790,9 @@ def qaoa_tsp_simulate(
     compiled = CompiledProblem(kind, inst, a=a, b=b)
     if kind == "qubo":  # the plain qubo simulator runs the compiled one-hot QUBO
         return qaoa_qubo_simulate(compiled, beta, gamma)
-    return compiled.simulate(beta, gamma)
+    dist = compiled.simulate(beta, gamma)
+    del compiled._levels  # a one-run compile: its output keeps the tables, not the phase cache
+    return dist
 
 
 def onehot_state_index(sequence, k: int) -> int:
@@ -918,10 +899,10 @@ def train_generator(
         init = GeneratorParams.ramp()
     degree_len = init.theta_beta.size
     # The stacks, each with its problems' training-set positions.  Problems
-    # wait in a group per basis, qubit count and state size (a half-basis
-    # n-variable and a full (n-1)-variable polynomial share a state size, not
-    # a mixer); a group is stacked and let go as soon as it is full, so
-    # only one stack's copy of cost tables is made at a time.
+    # wait in a group per stack key (a half-basis n-variable and a full
+    # (n-1)-variable polynomial share a state size, not a qubit count); a
+    # group is stacked and let go as soon as it is full, so only one
+    # stack's copy of cost tables is made at a time.
     stacks, groups = [], {}
 
     def build(group: list) -> None:
@@ -931,11 +912,9 @@ def train_generator(
 
     for position, problem in enumerate(train_set):
         compiled = CompiledProblem(kind, problem)
-        size = compiled.costs.size
-        key = compiled.basis, compiled.num_qubits, size, compiled._quadratic is None
-        group = groups.setdefault(key, [])
+        group = groups.setdefault(compiled._stack_key(), [])
         group.append((position, compiled))
-        if len(group) == max(1, _STACK_AMPLITUDES // size):
+        if len(group) == max(1, _STACK_AMPLITUDES // compiled.costs.size):
             build(group)
     for group in groups.values():
         if group:

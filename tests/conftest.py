@@ -346,6 +346,16 @@ def reference_gw(inst, hyperplanes=1000, seed=None, tol=1e-7, patience=50, max_s
     return sample_set
 
 
+def reference_erdos_renyi(n: int, density: float, seed: int, weights: str) -> MaxCutInstance:
+    """The Erdos-Renyi draw over a Python list of every pair (u, v), u < v, in row order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = rng.random(len(pairs)) < density
+    chosen = [p for p, k in zip(pairs, keep) if k]
+    w = rng.random(len(chosen)) if weights == "uniform" else np.ones(len(chosen))
+    return MaxCutInstance(n, tuple((u, v, float(wi)) for (u, v), wi in zip(chosen, w)))
+
+
 def reference_tsp_exhaustive(inst: TspInstance) -> tuple[tuple[int, ...], float, float]:
     """Scalar k! loop of the tour oracle: legs added in walk order, first strict minimum."""
     d = inst.distances.tolist()

@@ -490,6 +490,19 @@ def test_a_malformed_ini_file_exits_one_and_writes_nothing(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "oracle", "tune", "run"])
+def test_a_default_section_exits_one_and_writes_nothing(tmp_path, capsys, command):
+    # configparser copied its keys into every section, so run exited 1 with
+    # "solver 'sa' of kind sa has no parameter 'seed'", a key no solver section holds
+    template = ("[DEFAULT]\nseed = 5\n" + CONFIG.replace("seed = 5\n", "")
+                + "\n[grid:sa]\nsweeps = 2, 5\n")
+    cfg, out = write_config(tmp_path, template)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: config file {cfg} has a [DEFAULT] section"
+                                       " (seed); write each key in its own section\n")
+    assert not out.exists()
+
+
 TWO_GRID_CONFIG = GRID_CONFIG + """
 [solver:ls]
 kind = ls

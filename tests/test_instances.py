@@ -15,6 +15,8 @@ from optbench import (
 )
 from optbench.instances import ParseError, write_edge_list
 
+from conftest import reference_erdos_renyi
+
 
 # ----------------------------------------------------------------------
 # Instance invariants
@@ -46,6 +48,17 @@ def test_erdos_renyi_deterministic_per_seed():
     c = gen_erdos_renyi(10, 0.5, seed=124)
     assert a.edges == b.edges
     assert a.edges != c.edges
+
+
+@pytest.mark.parametrize("weights", ["unit", "uniform"])
+@pytest.mark.parametrize("density", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 60])
+def test_erdos_renyi_edges_equal_the_pair_list_draw(n, density, weights):
+    for seed in range(5):
+        inst = gen_erdos_renyi(n, density, seed=seed, weights=weights)
+        reference = reference_erdos_renyi(n, density, seed, weights)
+        assert inst.edges == reference.edges
+        assert all(type(x) is t for edge in inst.edges for x, t in zip(edge, (int, int, float)))
 
 
 def test_erdos_renyi_edge_count_within_binomial_band():

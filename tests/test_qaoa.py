@@ -769,6 +769,15 @@ def test_onehot_qubo_tour_output_scatters_its_tours_only_when_read(k):
     assert dist.lengths is dist.lengths  # scattered once
 
 
+def test_onehot_qubo_tour_output_and_its_compile_share_one_scatter():
+    inst = gen_tsp_planar(4, seed=3)
+    compiled = CompiledProblem("qubo", inst)
+    dist = compiled.simulate([0.4, -0.3], [0.7, 0.2])
+    assert dist.lengths is compiled.lengths
+    assert dist.feasible is compiled.feasible
+    assert compiled.simulate([0.1], [0.2]).lengths is dist.lengths  # a second run scatters none
+
+
 def test_onehot_qubo_tour_compile_never_enumerates_the_full_basis_digits(monkeypatch):
     # the tour tables come from per-slot vectors of the k one-hot digits,
     # never from the 2**(k*k) basis's k*k bits
