@@ -14,6 +14,14 @@ TSP integer (HOBO) layout: each of the k slots holds a ceil(log2 k)-bit
 integer, least significant bit first, naming location value+1.  Values >= k
 are range violations; for cost evaluation the named location wraps modulo k
 so every basis state still has a defined walk length.
+
+Every encoding shares these tour rules, each taking one state's k slot
+entries or k broadcast slot vectors, as ``walk_lengths`` does.  Every tour
+length is ``walk_lengths``'s.  A clash is a slot pair naming one location
+(``slot_clashes``): a state with none visits every location once.  A HOBO
+state also has a range violation per slot integer >= k (``hobo_violations``)
+and pays B per violation and clash; XY's B * sum_loc (1 - uses)**2 is 2B per
+clash, since the uses sum to k.  ``tsp_default_penalties`` fills a missing A or B.
 """
 
 from __future__ import annotations
@@ -51,9 +59,10 @@ def cut_weight(inst: MaxCutInstance, x: str | Sequence[int] | np.ndarray) -> flo
 # TSP shared pieces
 # ----------------------------------------------------------------------
 
-def tsp_default_penalties(inst: TspInstance) -> tuple[float, float]:
-    """Penalty pair (A, B) with B = 1 and A = 1 / (1 + max distance)."""
-    return 1.0 / (1.0 + inst.max_distance()), 1.0
+def tsp_default_penalties(inst: TspInstance, a: float | None = None,
+                          b: float | None = None) -> tuple[float, float]:
+    """(A, B) as given; a missing A is 1 / (1 + max distance), a missing B is 1."""
+    return 1.0 / (1.0 + inst.max_distance()) if a is None else a, 1.0 if b is None else b
 
 
 def walk_lengths(distances: np.ndarray, locs):
@@ -100,8 +109,14 @@ def tour_length(inst: TspInstance, sequence: Sequence[int]) -> float:
     return float(walk_lengths(inst.distances, sequence))
 
 
-def is_permutation(sequence: Sequence[int], k: int) -> bool:
-    return sorted(sequence) == list(range(1, k + 1))
+def slot_clashes(locs):
+    """Slot pairs naming one location: an int for one state's ``locs``, else an
+    int16 array of the slot vectors' broadcast shape (see ``walk_lengths``)."""
+    clashes = np.zeros(np.broadcast_shapes(*map(np.shape, locs)), dtype=np.int16)
+    for s in range(len(locs)):
+        for t in range(s):
+            clashes += locs[t] == locs[s]
+    return clashes if clashes.ndim else int(clashes)
 
 
 # ----------------------------------------------------------------------
@@ -125,9 +140,7 @@ def tsp_onehot_qubo(
     """
     k = inst.k
     d = inst.distances
-    a_default, b_default = tsp_default_penalties(inst)
-    a = a_default if a is None else a
-    b = b_default if b is None else b
+    a, b = tsp_default_penalties(inst, a, b)
     terms: dict[tuple[int, ...], float] = {}
 
     def add(key: tuple[int, ...], coeff: float) -> None:
@@ -180,7 +193,7 @@ def decode_onehot(x: str | Sequence[int] | np.ndarray, k: int) -> tuple[int, ...
 
 def onehot_feasible(x: str | Sequence[int] | np.ndarray, k: int) -> bool:
     seq = decode_onehot(x, k)
-    return seq is not None and is_permutation(seq, k)
+    return seq is not None and not slot_clashes(seq)
 
 
 def encode_onehot(sequence: Sequence[int], k: int) -> str:
@@ -216,26 +229,15 @@ def decode_hobo(x: str | Sequence[int] | np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def hobo_violations(values: Sequence[int], k: int) -> tuple[int, int]:
-    """(range violations, uniqueness violations) of raw slot integers.
-
-    Range: one per slot whose integer is >= k.  Uniqueness: one per
-    unordered slot pair naming the same location after the modulo-k wrap.
-    """
-    range_count = sum(1 for v in values if v >= k)
-    locs = [v % k for v in values]
-    pair_count = 0
-    for i in range(len(locs)):
-        for j in range(i + 1, len(locs)):
-            if locs[i] == locs[j]:
-                pair_count += 1
-    return range_count, pair_count
+def hobo_violations(values, k: int) -> tuple:
+    """(range violations, clashes) of one state's raw slot integers, or of
+    slot vectors (see ``walk_lengths``): one violation per integer >= k, and
+    the ``slot_clashes`` of the locations after the modulo-k wrap."""
+    return sum(value >= k for value in values), slot_clashes([value % k for value in values])
 
 
 def hobo_feasible(x: str | Sequence[int] | np.ndarray, k: int) -> bool:
-    values = decode_hobo(x, k)
-    r, p = hobo_violations(values, k)
-    return r == 0 and p == 0
+    return not sum(hobo_violations(decode_hobo(x, k), k))
 
 
 def hobo_cost(
@@ -246,13 +248,10 @@ def hobo_cost(
 ) -> float:
     """A * walk length of the wrapped slot sequence + B per violation."""
     k = inst.k
-    a_default, b_default = tsp_default_penalties(inst)
-    a = a_default if a is None else a
-    b = b_default if b is None else b
+    a, b = tsp_default_penalties(inst, a, b)
     values = decode_hobo(x, k)
-    sequence = [v % k + 1 for v in values]
     r, p = hobo_violations(values, k)
-    return a * tour_length(inst, sequence) + b * (r + p)
+    return a * tour_length(inst, [v % k + 1 for v in values]) + b * (r + p)
 
 
 def encode_hobo(sequence: Sequence[int], k: int) -> str:

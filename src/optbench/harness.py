@@ -319,7 +319,7 @@ def build_instances(section: dict, master_seed: int) -> list:
                                   f"but its manifest lists {expected}")
             inst.metadata["label"] = p.stem
             out.append(inst)
-        return out
+        return _unique_ids(out, paths)
     sizes = section.get("sizes")
     if sizes is None:
         raise ConfigError("[instances] section needs a 'sizes' key")
@@ -344,7 +344,20 @@ def build_instances(section: dict, master_seed: int) -> list:
     if not out:
         raise ConfigError(f"[instances] section yields no instances "
                           f"(sizes = {sizes}, count = {count})")
-    return out
+    return _unique_ids(out, [f"sizes entry {i} = {size}" for i, size in enumerate(sizes, 1)
+                             for _ in range(count)])
+
+
+def _unique_ids(instances: list, sources: list) -> list:
+    """``instances``, unless two share an id, from which seeds and groups
+    derive; ``sources``, all distinct, name where each instance came from."""
+    first = {}
+    for inst, source in zip(instances, sources):
+        iid = instance_id(inst)
+        if first.setdefault(iid, source) != source:
+            raise ConfigError(f"instance id {iid!r} names two instances"
+                              f" ({first[iid]} and {source}); ids must be unique")
+    return instances
 
 
 def _manifest_hashes(folder: Path) -> dict[str, str]:

@@ -105,7 +105,7 @@ class LayerCountUnavailable(ValueError):
 # Output container
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class OutputDistribution:
     """Exact output of one simulated circuit.
 
@@ -116,7 +116,8 @@ class OutputDistribution:
     NaN where undecodable).
 
     A circuit returns a ``_CircuitOutput``, which builds each full-basis
-    array from the arrays the circuit stores, only when it is read.
+    array from the arrays the circuit stores, only when it is read.  So
+    equality is identity and ``repr`` is object's: neither reads a field.
     """
 
     basis: str
@@ -426,8 +427,7 @@ class CompiledProblem:
             raise SizeCapError(f"{extent} {unit} exceed the {kind} encoding's cap {cap}")
         self._quadratic = self._decoded = None
         if tour:
-            a_default, b_default = forms.tsp_default_penalties(problem)
-            self._compile_tour(a_default if a is None else a, b_default if b is None else b)
+            self._compile_tour(*forms.tsp_default_penalties(problem, a, b))
         elif kind == "qubo":
             self.costs = problem.cost_vector(0, 1 << extent)
         else:
@@ -445,11 +445,9 @@ class CompiledProblem:
         A hobo or xy state, and a decodable one-hot QUBO state, is a tuple of
         k slot values, so each table is the (base,) * k broadcast of the
         slots' short vectors (see ``_slot_values``); perm runs its k! rows.
-        A state is feasible when no two slots name one location (and, for
-        hobo, every slot integer is in range): with k slots and k locations,
-        exactly when it visits every location once.  The repeated pairs are
-        also the penalties: hobo adds B per repeated pair, and xy's B *
-        sum_loc (1 - uses)**2 is B * 2 * repeats, since the uses sum to k.
+        Feasibility and penalties follow the tour rules of ``formulations``:
+        a state is feasible when it has no clash (and, for hobo, no range
+        violation); hobo adds B per violation and clash, xy 2B per clash.
         ``_decoded`` keeps the lengths and feasibility of the decoded states,
         which for the one-hot QUBO are its k**k one-hot states only.
         """
@@ -462,29 +460,18 @@ class CompiledProblem:
         else:  # xy, and qubo on its k**k decodable states: slot t's hot bit is d_t
             locs = [digit + 1 for digit in _slot_values(k, k)]
         lengths = forms.walk_lengths(inst.distances, locs)
-        repeats = np.zeros(lengths.shape, dtype=np.int16)
-        for s in range(k):
-            for t in range(s):
-                repeats += locs[t] == locs[s]
-        feasible = repeats == 0
-        if self.kind == "hobo":  # and every slot integer in range
-            range_viol = np.zeros(lengths.shape, dtype=np.int16)
-            for value in values:
-                range_viol += value >= k
-            feasible &= range_viol == 0
-        self._decoded = lengths.reshape(-1), feasible.reshape(-1)
+        violations = (sum(forms.hobo_violations(values, k)) if self.kind == "hobo"
+                      else forms.slot_clashes(locs))
+        self._decoded = lengths.reshape(-1), (violations == 0).reshape(-1)
         if self.kind == "qubo":  # a state with a block that is not one-hot decodes to no walk
             poly = forms.tsp_onehot_qubo(inst, a=a, b=b)
             self.costs = np.empty(1 << poly.num_vars)
             poly._double_fill(self.costs, 0)  # see the module docstring
             self._quadratic = (np.asarray(poly.constant), *poly.quadratic_form())
             return
-        if self.kind == "hobo":  # B per out-of-range slot integer and per repeated pair
-            costs = a * lengths + b * (range_viol + repeats)
-        elif self.kind == "xy":
-            costs = a * lengths + b * (2.0 * repeats)
-        else:
-            costs = a * lengths
+        costs = a * lengths
+        if self.kind != "perm":  # B per hobo violation, 2B per xy clash
+            costs += (b if self.kind == "hobo" else 2.0 * b) * violations
         self.costs = costs.reshape(-1)
 
     def _basis_array(self, which: int, fill) -> np.ndarray | None:

@@ -652,6 +652,8 @@ def goemans_williamson(
     rounding time in t_solve.  ``poly`` is the instance's ``maxcut_qubo(inst)``,
     built when not given; its coupling, twice the weights, gives each g_i.
     """
+    if hyperplanes < 1:
+        raise ValueError(f"hyperplanes must be >= 1, got {hyperplanes}")
     watch = Stopwatch()
     n = inst.num_nodes
     rng = make_rng(seed)
@@ -729,30 +731,20 @@ def nearest_neighbor_tsp(inst: TspInstance, start: int = 0) -> tuple[tuple[int, 
     """Greedy closed tour: always move to the closest unvisited location.
 
     Distance ties break toward the smallest location index.  Returns the
-    visiting order (beginning at ``start``) and the closed tour length.
+    visiting order (beginning at ``start``) and the closed tour length, the
+    ``walk_lengths`` of the tour rotated to begin at location 0.
     """
     m = inst.num_locations
     if not 0 <= start < m:
         raise ValueError(f"start {start} out of range [0, {m})")
     d = inst.distances
-    visited = [False] * m
-    visited[start] = True
     tour = [start]
-    length = 0.0
-    current = start
-    for _ in range(m - 1):
-        best = -1
-        best_distance = math.inf
-        for candidate in range(m):
-            if not visited[candidate] and d[current, candidate] < best_distance:
-                best = candidate
-                best_distance = d[current, candidate]
-        visited[best] = True
-        tour.append(best)
-        length += best_distance
-        current = best
-    length += d[current, start]
-    return tuple(tour), float(length)
+    unvisited = [loc for loc in range(m) if loc != start]
+    while unvisited:  # min keeps the first, so the smallest, of tied locations
+        tour.append(min(unvisited, key=lambda loc: d[tour[-1], loc]))
+        unvisited.remove(tour[-1])
+    zero = tour.index(0)
+    return tuple(tour), float(walk_lengths(d, tour[zero + 1:] + tour[:zero]))
 
 
 class TspOracleResult(NamedTuple):

@@ -503,6 +503,32 @@ def test_a_default_section_exits_one_and_writes_nothing(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["files", "sizes"])
+@pytest.mark.parametrize("command", ["generate", "oracle", "tune", "run"])
+def test_two_instances_with_one_id_exit_one_and_write_nothing(tmp_path, capsys, command, case):
+    # both instances ran under one id, with one seed per solver, in one group
+    template = CONFIG + "\n[grid:sa]\nsweeps = 2, 5\n"
+    if case == "files":
+        data = tmp_path / "data"
+        for folder, text in (("a", "3 2\n1 2 1.0\n2 3 1.0\n"),
+                             ("b", "4 3\n1 2 1.0\n2 3 1.0\n3 4 1.0\n")):
+            (data / folder).mkdir(parents=True)
+            (data / folder / "g.txt").write_text(text)
+        template = template.replace("kind = regular\nsizes = 6\ncount = 2\ndegree = 3",
+                                    f"kind = files\nglob = {data}/**/*.txt")
+        sources = f"{data / 'a' / 'g.txt'} and {data / 'b' / 'g.txt'}"
+        iid = "g"
+    else:
+        template = template.replace("sizes = 6", "sizes = 6, 6")
+        sources = "sizes entry 1 = 6 and sizes entry 2 = 6"
+        iid = "regular-n6-000"
+    cfg, out = write_config(tmp_path, template)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: instance id {iid!r} names two instances"
+                                       f" ({sources}); ids must be unique\n")
+    assert not out.exists()
+
+
 TWO_GRID_CONFIG = GRID_CONFIG + """
 [solver:ls]
 kind = ls
@@ -655,6 +681,28 @@ def test_readme_instances_table_matches_instance_keys():
         for key in types:  # each generator's default, documented for its kind
             default = inspect.signature(generator).parameters[key].default
             assert by_key[key][0] == kind and by_key[key][3] == str(default)
+
+
+def test_readme_parameter_table_types_and_defaults_match_the_solvers():
+    from optbench.harness import SOLVER_PARAMS, _floats, _qaoa_metrics
+    from optbench.model import ORACLE_CAP
+    from optbench.solvers import SaConfig, TsConfig, goemans_williamson, local_search_maxcut
+
+    def signature(function):
+        return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+    defaults = {"sa": {f.name: f.default for f in dataclasses.fields(SaConfig)},
+                "ts": {f.name: f.default for f in dataclasses.fields(TsConfig)},
+                "ls": signature(local_search_maxcut), "gw": signature(goemans_williamson),
+                "exhaustive": {"cap": ORACLE_CAP}, "qaoa": signature(_qaoa_metrics)}
+    types = {**README_TYPES, _floats: "list of floats"}
+    rows = readme_table("| Kind | Parameter | Type | Default |")
+    assert [row[:3] for row in rows] == [[kind, name, types[cast]]
+                                         for kind, params in SOLVER_PARAMS.items()
+                                         for name, cast in params.items()]
+    for kind, name, _, default in rows:
+        if defaults[kind][name] is not None:  # else the text says what it means
+            assert float(default) == defaults[kind][name], (kind, name)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -343,6 +343,16 @@ def test_bsf_ls_without_restarts_fails_at_its_first_call(monkeypatch):
     assert len(calls) == 1
 
 
+def test_tts_gw_without_hyperplanes_fails_with_its_check():
+    # the record failed with "ZeroDivisionError: division by zero", from the
+    # p* of the empty sample that no hyperplane drew
+    cfg = ExperimentConfig(scenario="tts", solvers=[SolverSpec("gw0", "gw", {"hyperplanes": 0})],
+                           instances=small_instances(count=1), seed=0)
+    (record,) = run_tts_experiment(cfg)
+    assert record.status == "failed"
+    assert record.error == "ValueError: hyperplanes must be >= 1, got 0"
+
+
 def test_bsf_record_timing_sums_every_calls_phases(monkeypatch):
     phases = iter([Timing(0.5, 0.25, 0.125), Timing(0.25, 1.0, 0.0), Timing(2.0, 0.5, 0.375)])
 

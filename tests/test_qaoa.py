@@ -778,6 +778,26 @@ def test_onehot_qubo_tour_output_and_its_compile_share_one_scatter():
     assert compiled.simulate([0.1], [0.2]).lengths is dist.lengths  # a second run scatters none
 
 
+def test_repr_and_equality_of_an_output_read_no_field():
+    # the dataclass's own repr and == read every field: they built the
+    # full-basis arrays, and == of two outputs raised "The truth value of an
+    # array with more than one element is ambiguous"
+    compiled = CompiledProblem("qubo", gen_tsp_planar(4, seed=3))
+    half = CompiledProblem("qubo", gen_regular(10, 3, seed=0))
+    outputs = [compiled.simulate([0.4, -0.3], [0.7, 0.2]),
+               half.simulate([0.3], [0.5]), half.simulate([0.3], [0.5])]
+    holders = [compiled, half, *outputs]
+    before = [set(vars(holder)) for holder in holders]
+    for output in outputs:
+        assert repr(output).startswith("<optbench.qaoa._CircuitOutput object at ")
+        assert output == output
+    assert outputs[1] != outputs[2] and not outputs[1] == outputs[2]
+    assert [set(vars(holder)) for holder in holders] == before
+    plain = [OutputDistribution("full", np.ones(2), np.ones(2), np.zeros(2), p_star=1.0)
+             for _ in range(2)]
+    assert plain[0] == plain[0] and plain[0] != plain[1]
+
+
 def test_onehot_qubo_tour_compile_never_enumerates_the_full_basis_digits(monkeypatch):
     # the tour tables come from per-slot vectors of the k one-hot digits,
     # never from the 2**(k*k) basis's k*k bits

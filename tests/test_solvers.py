@@ -24,6 +24,7 @@ from optbench import (
     nearest_neighbor_tsp,
     simulated_annealing,
     tabu_search,
+    tour_length,
     tsp_exhaustive,
 )
 
@@ -309,6 +310,13 @@ def test_gw_five_cycle_ratio(five_cycle):
     assert mean / optimal_cut >= 0.878 - 3 * sigma
 
 
+@pytest.mark.parametrize("hyperplanes", (0, -2))
+def test_gw_needs_a_hyperplane(triangle, hyperplanes):
+    # no hyperplane drew an empty sample, whose p* then divided by zero
+    with pytest.raises(ValueError, match=f"hyperplanes must be >= 1, got {hyperplanes}"):
+        goemans_williamson(triangle, hyperplanes=hyperplanes, seed=0)
+
+
 def test_gw_seed_reproducible(triangle):
     a = goemans_williamson(triangle, hyperplanes=100, seed=7)
     b = goemans_williamson(triangle, hyperplanes=100, seed=7)
@@ -372,6 +380,21 @@ def test_nn_tie_breaks_to_smallest_index():
     inst = TspInstance(distances=d)
     tour, _ = nearest_neighbor_tsp(inst, start=0)
     assert tour == (0, 1, 3, 2)  # 1 before 2 despite the tie
+
+
+@pytest.mark.parametrize("start", range(4))
+def test_nn_length_is_the_walk_length_of_its_tour_from_location_zero(start):
+    inst = gen_tsp_circular(4, 1.0, seed=5)
+    tour, length = nearest_neighbor_tsp(inst, start=start)
+    zero = tour.index(0)
+    assert length == tour_length(inst, tour[zero + 1:] + tour[:zero])
+
+
+def test_nn_visits_a_location_at_infinite_distance():
+    # the strict "< best distance" scan found no such location and appended -1
+    inst = TspInstance(distances=[[0.0, 1.0, math.inf], [1.0, 0.0, math.inf],
+                                  [math.inf, math.inf, 0.0]])
+    assert nearest_neighbor_tsp(inst, start=0) == ((0, 1, 2), math.inf)
 
 
 def test_tsp_exhaustive_three_locations_degenerate():
