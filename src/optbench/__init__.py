@@ -21,7 +21,6 @@ from .instances import (
     gen_tsp_circular,
     gen_tsp_planar,
     make_rng,
-    nn_filter,
     read_edge_list,
 )
 from .metrics import (
@@ -30,9 +29,11 @@ from .metrics import (
     bsf_relative,
     feasibility_ratio,
     fob,
+    hit_share,
     pareto_front,
     tsp_combined_error,
     tts,
+    tts_layers,
     tts_oh,
     ttt,
 )
@@ -58,7 +59,6 @@ from .qaoa import (
     qaoa_qubo_simulate,
     qaoa_tsp_simulate,
     train_generator,
-    tts_layers,
 )
 from .solvers import (
     RelaxationError,
@@ -67,6 +67,7 @@ from .solvers import (
     goemans_williamson,
     local_search_maxcut,
     nearest_neighbor_tsp,
+    nn_filter,
     simulated_annealing,
     tabu_search,
     tsp_exhaustive,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
-    _config_instances,
+    config_instances,
     emit_report,
     grid_search,
     load_config,
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    _, instances = _config_instances(load_config(args.config), {"seed": args.seed})
+    _, instances = config_instances(load_config(args.config), {"seed": args.seed})
     out = Path(args.out or "instances")
     written = write_instance_files(instances, out)
     print(f"wrote {len(written) - 1} instances to {out}")
@@ -69,7 +69,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    settings, instances = _config_instances(load_config(args.config), {"seed": args.seed})
+    settings, instances = config_instances(load_config(args.config), {"seed": args.seed})
     rows = oracle_table(instances, cap=settings["oracle_cap"])
     out = Path(args.out or ".") / "oracle.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)

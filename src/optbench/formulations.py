@@ -26,13 +26,14 @@ clash, since the uses sum to k.  ``tsp_default_penalties`` fills a missing A or 
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .instances import MaxCutInstance, TspInstance
-from .model import BinaryPolynomial, _as_bits
+from .model import BinaryPolynomial, as_bits, index_to_bitstring
 
 
 # ----------------------------------------------------------------------
@@ -51,7 +52,7 @@ def maxcut_qubo(inst: MaxCutInstance) -> BinaryPolynomial:
 
 def cut_weight(inst: MaxCutInstance, x: str | Sequence[int] | np.ndarray) -> float:
     """Total weight of edges crossing the bipartition."""
-    bits = _as_bits(x, inst.num_nodes)
+    bits = as_bits(x, inst.num_nodes)
     return float(sum(w for u, v, w in inst.edges if bits[u] != bits[v]))
 
 
@@ -109,6 +110,15 @@ def tour_length(inst: TspInstance, sequence: Sequence[int]) -> float:
     return float(walk_lengths(inst.distances, sequence))
 
 
+def _tour_slots(sequence: Sequence[int], k: int) -> list[int]:
+    """``sequence`` as k slots' locations, each in 1..k: all a tour encoding holds."""
+    locs = list(sequence)
+    if len(locs) != k or not all(1 <= loc <= k for loc in locs):
+        raise ValueError(f"a tour encoding holds k = {k} locations in 1..{k}, "
+                         f"got {tuple(sequence)}")
+    return locs
+
+
 def slot_clashes(locs):
     """Slot pairs naming one location: an int for one state's ``locs``, else an
     int16 array of the slot vectors' broadcast shape (see ``walk_lengths``)."""
@@ -126,6 +136,13 @@ def slot_clashes(locs):
 def onehot_index(k: int, slot: int, loc: int) -> int:
     """Variable index of x[slot, loc]: slot 0-based in 0..k-1, loc 1-based."""
     return slot * k + (loc - 1)
+
+
+def onehot_basis_index(locs, k: int):
+    """Canonical basis index of the one-hot state whose slot t holds ``locs[t]``:
+    an int for one state's locations, else an array of the slot vectors'
+    broadcast shape (see ``walk_lengths``)."""
+    return sum(1 << onehot_index(k, slot, loc) for slot, loc in enumerate(locs))
 
 
 def tsp_onehot_qubo(
@@ -157,21 +174,15 @@ def tsp_onehot_qubo(
                 u = onehot_index(k, slot, loc_i)
                 v = onehot_index(k, slot + 1, loc_j)
                 add(tuple(sorted((u, v))), a * d[loc_i, loc_j])
-    # (1 - sum x)^2 = 1 - sum x + 2 * sum_{pairs} x x  after x^2 = x
-    for slot in range(k):
+    # (1 - sum x)^2 = 1 - sum x + 2 * sum_{pairs} x x  after x^2 = x, over the
+    # variables of each slot (a row of ``grid``), then of each location (a column)
+    grid = [[onehot_index(k, slot, loc) for loc in range(1, k + 1)] for slot in range(k)]
+    for group in grid + [list(column) for column in zip(*grid)]:
         add((), b)
-        for loc in range(1, k + 1):
-            add((onehot_index(k, slot, loc),), -b)
-        for loc_i in range(1, k + 1):
-            for loc_j in range(loc_i + 1, k + 1):
-                add((onehot_index(k, slot, loc_i), onehot_index(k, slot, loc_j)), 2.0 * b)
-    for loc in range(1, k + 1):
-        add((), b)
-        for slot in range(k):
-            add((onehot_index(k, slot, loc),), -b)
-        for s1 in range(k):
-            for s2 in range(s1 + 1, k):
-                add(tuple(sorted((onehot_index(k, s1, loc), onehot_index(k, s2, loc)))), 2.0 * b)
+        for u in group:
+            add((u,), -b)
+        for pair in itertools.combinations(group, 2):
+            add(pair, 2.0 * b)
     return BinaryPolynomial(k * k, terms)
 
 
@@ -181,14 +192,10 @@ def decode_onehot(x: str | Sequence[int] | np.ndarray, k: int) -> tuple[int, ...
     The returned sequence may repeat locations; full feasibility also
     requires it to be a permutation of 1..k.
     """
-    bits = _as_bits(x, k * k)
-    sequence = []
-    for slot in range(k):
-        block = bits[slot * k:(slot + 1) * k]
-        if block.sum() != 1:
-            return None
-        sequence.append(int(np.flatnonzero(block)[0]) + 1)
-    return tuple(sequence)
+    blocks = as_bits(x, k * k).reshape(k, k)  # row t is slot t's block
+    if (blocks.sum(axis=1) != 1).any():
+        return None
+    return tuple((blocks.argmax(axis=1) + 1).tolist())
 
 
 def onehot_feasible(x: str | Sequence[int] | np.ndarray, k: int) -> bool:
@@ -198,10 +205,7 @@ def onehot_feasible(x: str | Sequence[int] | np.ndarray, k: int) -> bool:
 
 def encode_onehot(sequence: Sequence[int], k: int) -> str:
     """Bitstring with slot t's block hot at position sequence[t] - 1."""
-    bits = ["0"] * (k * k)
-    for slot, loc in enumerate(sequence):
-        bits[onehot_index(k, slot, loc)] = "1"
-    return "".join(bits)
+    return index_to_bitstring(onehot_basis_index(_tour_slots(sequence, k), k), k * k)
 
 
 # ----------------------------------------------------------------------
@@ -219,14 +223,8 @@ def hobo_num_vars(k: int) -> int:
 def decode_hobo(x: str | Sequence[int] | np.ndarray, k: int) -> tuple[int, ...]:
     """Raw slot integers (LSB-first within each slot), length k."""
     m = hobo_bits_per_slot(k)
-    bits = _as_bits(x, k * m)
-    values = []
-    for slot in range(k):
-        v = 0
-        for j in range(m):
-            v |= int(bits[slot * m + j]) << j
-        values.append(v)
-    return tuple(values)
+    blocks = as_bits(x, k * m).reshape(k, m)  # row t is slot t's integer, LSB first
+    return tuple((blocks @ (1 << np.arange(m))).tolist())
 
 
 def hobo_violations(values, k: int) -> tuple:
@@ -257,10 +255,5 @@ def hobo_cost(
 def encode_hobo(sequence: Sequence[int], k: int) -> str:
     """Bitstring whose slot integers name the given locations (1..k)."""
     m = hobo_bits_per_slot(k)
-    bits = ["0"] * (k * m)
-    for slot, loc in enumerate(sequence):
-        v = loc - 1
-        for j in range(m):
-            if (v >> j) & 1:
-                bits[slot * m + j] = "1"
-    return "".join(bits)
+    index = sum((loc - 1) << (m * slot) for slot, loc in enumerate(_tour_slots(sequence, k)))
+    return index_to_bitstring(index, k * m)

@@ -34,7 +34,6 @@ from .formulations import maxcut_qubo
 from .instances import (
     MaxCutInstance,
     TspInstance,
-    _euclidean,
     gen_erdos_renyi,
     gen_regular,
     gen_tsp_circular,
@@ -43,7 +42,7 @@ from .instances import (
     write_edge_list,
 )
 from .metrics import (MetricContext, approximation_ratio, bsf_relative, equal_frequency_bins,
-                      fob, pareto_front, tts, tts_oh)
+                      fob, hit_share, pareto_front, tts, tts_layers, tts_oh)
 from .model import ORACLE_CAP, BinaryPolynomial, SampleSet, SizeCapError, Stopwatch, Timing, merge
 from .qaoa import (
     CompiledProblem,
@@ -51,7 +50,6 @@ from .qaoa import (
     expand_generator,
     layer_ledger,
     qaoa_qubo_simulate,
-    tts_layers,
 )
 from .solvers import (
     SaConfig,
@@ -373,8 +371,8 @@ def _manifest_hashes(folder: Path) -> dict[str, str]:
                           f"{type(exc).__name__}: {exc}") from None
 
 
-def _config_instances(parser: configparser.ConfigParser,
-                      overrides: dict | None = None) -> tuple[dict, list]:
+def config_instances(parser: configparser.ConfigParser,
+                     overrides: dict | None = None) -> tuple[dict, list]:
     """The ExperimentConfig fields, from the CLI ``overrides`` that are not None,
     else the [experiment] keys, else the dataclass defaults, and the [instances]
     dataset at their seed; a key that nothing reads is a config error."""
@@ -400,7 +398,7 @@ def parse_experiment(parser: configparser.ConfigParser,
         kind = body.pop("kind", name.split(":", 1)[1])
         params = {k: _parse_list(v) if "," in v else _parse_scalar(v) for k, v in body.items()}
         solvers.append(SolverSpec(name=name.split(":", 1)[1], kind=kind, params=params))
-    settings, instances = _config_instances(parser, overrides)
+    settings, instances = config_instances(parser, overrides)
     return ExperimentConfig(solvers=solvers, instances=instances, **settings)
 
 
@@ -651,8 +649,7 @@ def _instance_records(inst: MaxCutInstance | TspInstance, scenario: str,
 def _sample_tts_metrics(sample: SampleSet, ctx: MetricContext) -> dict:
     """Hit probability, TTS and, on a nonzero optimum, the quality ratios."""
     c_star = ctx.optimal_cost
-    p_star = sum(count for _, count, cost in sample.items() if cost <= c_star + 1e-9)
-    p_star /= sample.total_draws
+    p_star = hit_share(sample, c_star + 1e-9)
     metrics = {"p_star": p_star, "tts": tts(sample, p_star), "tts_oh": tts_oh(sample, p_star)}
     if c_star != 0.0:  # ratios are undefined on a zero optimum
         bsf = bsf_relative(sample, ctx)
@@ -1008,9 +1005,8 @@ def instance_from_dict(payload: dict):
         )
     if payload["type"] == "tsp":
         if "coordinates" in payload:
-            coords = np.asarray(payload["coordinates"], dtype=np.float64)
-            return TspInstance(distances=_euclidean(coords), coordinates=coords,
-                               metadata=dict(payload.get("metadata", {})))
+            return TspInstance.from_coordinates(payload["coordinates"],
+                                                dict(payload.get("metadata", {})))
         return TspInstance(
             distances=np.asarray(payload["distances"], dtype=np.float64),
             metadata=dict(payload.get("metadata", {})),

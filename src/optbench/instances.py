@@ -8,6 +8,7 @@ same arguments return identical instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,13 +36,15 @@ class MaxCutInstance:
         if self.num_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {self.num_nodes}")
         seen = set()
-        for u, v, _ in self.edges:
+        for u, v, w in self.edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if not (0 <= u < v < self.num_nodes):
                 raise ValueError(f"edge ({u},{v}) must satisfy 0 <= u < v < n")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({u},{v}) has non-finite weight {w}")
             seen.add((u, v))
 
     @property
@@ -74,12 +77,26 @@ class TspInstance:
             raise ValueError("distance matrix must be square")
         if d.shape[0] < 3:
             raise ValueError("need at least 3 locations")
+        if not np.isfinite(d).all():
+            i, j = np.argwhere(~np.isfinite(d))[0].tolist()
+            raise ValueError(f"distance ({i},{j}) = {d[i, j]} is not finite")
         if not np.array_equal(d, d.T):
             raise ValueError("distance matrix must be symmetric")
         if np.any(np.diag(d) != 0.0):
             raise ValueError("distance matrix diagonal must be zero")
         if np.any(d < 0.0):
             raise ValueError("distances must be nonnegative")
+
+    @classmethod
+    def from_coordinates(cls, coords, metadata: dict | None = None) -> TspInstance:
+        """The instance whose distances are the Euclidean ones between the rows of ``coords``."""
+        coords = np.asarray(coords, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=-1))
+        if bad.size:
+            raise ValueError(f"location {bad[0]} has non-finite coordinates "
+                             f"{coords[bad[0]].tolist()}")
+        diff = coords[:, None, :] - coords[None, :, :]
+        return cls(np.sqrt((diff ** 2).sum(axis=-1)), coords, {} if metadata is None else metadata)
 
     @property
     def num_locations(self) -> int:
@@ -159,11 +176,6 @@ def gen_regular(n: int, degree: int = 3, seed: int | None = None) -> MaxCutInsta
 # TSP generators
 # ----------------------------------------------------------------------
 
-def _euclidean(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
-
-
 def gen_tsp_circular(
     k_plus_1: int, sigma: float = 1.0, seed: int | None = None
 ) -> TspInstance:
@@ -186,7 +198,7 @@ def gen_tsp_circular(
         [np.cos(directions), np.sin(directions)]
     )
     meta = {"generator": "circular", "k_plus_1": k_plus_1, "sigma": sigma, "seed": seed}
-    return TspInstance(distances=_euclidean(coords), coordinates=coords, metadata=meta)
+    return TspInstance.from_coordinates(coords, meta)
 
 
 def gen_tsp_planar(k_plus_1: int, seed: int | None = None) -> TspInstance:
@@ -196,23 +208,7 @@ def gen_tsp_planar(k_plus_1: int, seed: int | None = None) -> TspInstance:
     rng = make_rng(seed)
     coords = rng.random((k_plus_1, 2))
     meta = {"generator": "planar", "k_plus_1": k_plus_1, "seed": seed}
-    return TspInstance(distances=_euclidean(coords), coordinates=coords, metadata=meta)
-
-
-def nn_filter(inst: TspInstance, optimal_length: float) -> bool:
-    """Keep an instance only if nearest-neighbour fails from every start.
-
-    Returns True iff the greedy nearest-neighbour tour is strictly longer
-    than ``optimal_length`` (beyond a 1e-9 slack) for every starting
-    location.
-    """
-    from .solvers import nearest_neighbor_tsp
-
-    for start in range(inst.num_locations):
-        _, length = nearest_neighbor_tsp(inst, start=start)
-        if length <= optimal_length + 1e-9:
-            return False
-    return True
+    return TspInstance.from_coordinates(coords, meta)
 
 
 # ----------------------------------------------------------------------

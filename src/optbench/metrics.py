@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import SampleSet
-from .qaoa import OutputDistribution, _time_to_target
+from .qaoa import LayerLedger, OutputDistribution
 
 
 class UndefinedMetricError(ValueError):
@@ -41,6 +41,24 @@ class MetricContext:
         if self.l_star is not None and self.l_worst is not None:
             if self.l_worst < self.l_star:
                 raise ValueError("l_worst must be >= l_star")
+
+
+def _time_to_target(per_try, p: float, target: float):
+    """``per_try`` times the independent tries until a hit of probability ``p``
+    at the target confidence: one try if ``p >= 1``, infinity if ``p <= 0``."""
+    if p <= 0.0:
+        return math.inf
+    if p >= 1.0:
+        return per_try
+    return per_try * max(1, math.ceil(math.log(1.0 - target) / math.log1p(-p)))
+
+
+def hit_share(sample: SampleSet, threshold_cost: float) -> float:
+    """Count-weighted share of the draws whose cost is at most ``threshold_cost``."""
+    m = sample.total_draws
+    if m < 1:
+        raise ValueError("sample set is empty")
+    return sum(count for _, count, cost in sample.items() if cost <= threshold_cost) / m
 
 
 def tts(sample: SampleSet, p_star: float, target: float = 0.99) -> float:
@@ -80,13 +98,19 @@ def ttt(
         p = float(sample.probabilities[sample.costs <= threshold_cost].sum())
         per_draw = 1.0
     else:
-        m = sample.total_draws
-        if m < 1:
-            raise ValueError("sample set is empty")
-        hits = sum(c for x, c, cost in sample.items() if cost <= threshold_cost)
-        p = hits / m
-        per_draw = sample.timing.solve / m
+        p = hit_share(sample, threshold_cost)
+        per_draw = sample.timing.solve / sample.total_draws
     return _time_to_target(per_draw, p, target)
+
+
+def tts_layers(dist: OutputDistribution, ledger: LayerLedger,
+               target: float = 0.99) -> float:
+    """Expected CNOT layers until the optimum is sampled at the target confidence.
+
+    total_layers * ceil(log(1 - target) / log(1 - p_star)); a certain hit
+    costs exactly one shot, a zero hit probability costs infinity.
+    """
+    return float(_time_to_target(ledger.total_layers, dist.p_star, target))
 
 
 @dataclass(frozen=True)

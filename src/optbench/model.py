@@ -37,7 +37,7 @@ class SizeCapError(ValueError):
     """Problem exceeds the configured exhaustive/simulation size cap."""
 
 
-def _as_bits(x: str | Sequence[int] | np.ndarray, num_vars: int) -> np.ndarray:
+def as_bits(x: str | Sequence[int] | np.ndarray, num_vars: int) -> np.ndarray:
     """Validate an assignment and return it as a uint8 array of 0/1."""
     if isinstance(x, str):
         if len(x) != num_vars:
@@ -132,7 +132,7 @@ class BinaryPolynomial:
 
     def evaluate(self, x: str | Sequence[int] | np.ndarray) -> float:
         """Cost of one assignment: sum of coeff * prod of selected bits."""
-        bits = _as_bits(x, self.num_vars)
+        bits = as_bits(x, self.num_vars)
         total = 0.0
         for term, coeff in self.terms.items():
             if all(bits[i] for i in term):
@@ -391,7 +391,7 @@ class IsingModel:
         return e
 
     def energy_of_bits(self, x: str | Sequence[int] | np.ndarray) -> float:
-        bits = _as_bits(x, self.num_spins)
+        bits = as_bits(x, self.num_spins)
         return self.energy(1.0 - 2.0 * bits.astype(np.float64))
 
     def to_polynomial(self) -> BinaryPolynomial:

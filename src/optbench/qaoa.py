@@ -334,13 +334,9 @@ def _slot_values(k: int, base: int) -> list[np.ndarray]:
 
 
 def _onehot_states(k: int) -> np.ndarray:
-    """The 2**(k*k) basis index of each of the k**k one-hot states, in subspace order.
-
-    The state with slot t's hot bit at d_t, subspace index sum_t d_t * k**t,
-    has basis index sum_t 2**(k*t + d_t); both orders rank the slots from
-    k - 1 down and the digits upward, so the indices ascend.
-    """
-    return sum(1 << (k * slot + digit) for slot, digit in enumerate(_slot_values(k, k))).reshape(-1)
+    """The basis index of each of the k**k one-hot states, in subspace order: both
+    orders rank the slots from k - 1 down and the digits upward, so they ascend."""
+    return forms.onehot_basis_index([digit + 1 for digit in _slot_values(k, k)], k).reshape(-1)
 
 
 def _onehot_lift(values: np.ndarray, k: int, fill) -> np.ndarray:
@@ -1023,37 +1019,16 @@ def layer_ledger(kind: str, problem, depth: int) -> LayerLedger:
     k = problem.k if isinstance(problem, TspInstance) else int(problem)
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    log_k = math.ceil(math.log2(k))
     if kind == "qubo":
         return LayerLedger("qubo", k * k, 0, 8 * k, 0, depth)
     if kind == "hobo":
-        return LayerLedger("hobo", k * log_k, 0, 2 * k ** 3, 0, depth)
+        return LayerLedger("hobo", forms.hobo_num_vars(k), 0, 2 * k ** 3, 0, depth)
     if kind == "xy":
         mixer = 8 + (4 if k % 2 == 1 else 0)
-        return LayerLedger("xy", k * k, 4 * log_k, 6 * k, mixer, depth)
+        return LayerLedger("xy", k * k, 4 * math.ceil(math.log2(k)), 6 * k, mixer, depth)
     if kind == "perm":
         return LayerLedger("perm", k * k, None, 4 * k, None, depth)
     raise ValueError(f"unknown encoding kind {kind!r}")
-
-
-def tts_layers(dist: OutputDistribution, ledger: LayerLedger,
-               target: float = 0.99) -> float:
-    """Expected CNOT layers until the optimum is sampled at the target confidence.
-
-    total_layers * ceil(log(1 - target) / log(1 - p_star)); a certain hit
-    costs exactly one shot, a zero hit probability costs infinity.
-    """
-    return float(_time_to_target(ledger.total_layers, dist.p_star, target))
-
-
-def _time_to_target(per_try, p: float, target: float):
-    """``per_try`` times the independent tries until a hit of probability ``p``
-    at the target confidence: one try if ``p >= 1``, infinity if ``p <= 0``."""
-    if p <= 0.0:
-        return math.inf
-    if p >= 1.0:
-        return per_try
-    return per_try * max(1, math.ceil(math.log(1.0 - target) / math.log1p(-p)))
 
 
 # ----------------------------------------------------------------------

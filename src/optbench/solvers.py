@@ -31,7 +31,7 @@ import numpy as np
 
 from .formulations import maxcut_qubo, tour_permutations, walk_lengths
 from .instances import MaxCutInstance, TspInstance, make_rng
-from .model import BinaryPolynomial, SampleSet, SizeCapError, Stopwatch, Timing, _as_bits
+from .model import BinaryPolynomial, SampleSet, SizeCapError, Stopwatch, Timing, as_bits
 
 
 class RelaxationError(RuntimeError):
@@ -43,7 +43,7 @@ def _start_states(rng: np.random.Generator, starts: Sequence[str] | None, runs: 
     """The 0/1 float start state of each of ``runs``: its given start, else one draw."""
     if starts is None:
         return rng.integers(0, 2, (len(runs), n)).astype(np.float64)
-    return np.array([_as_bits(starts[r], n) for r in runs], dtype=np.float64).reshape(len(runs), n)
+    return np.array([as_bits(starts[r], n) for r in runs], dtype=np.float64).reshape(len(runs), n)
 
 
 def _start_fields(poly: BinaryPolynomial, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -59,6 +59,16 @@ def _bit_strings(states: np.ndarray) -> list[str]:
     if n == 0:
         return [""] * bits.shape[0]
     return (bits + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
+
+
+def _replay_to_best(start_spin: np.ndarray, moves: np.ndarray, taken, best: np.ndarray):
+    """Each row of ``start_spin`` after its steps t < ``best[row]``: step t of row
+    r flipped the flat (rows, n) index ``moves[t, r]`` where ``taken`` (a mask of
+    ``moves``' shape, or True) holds, and an odd number of flips ends flipped."""
+    rows, n = start_spin.shape
+    replayed = moves[taken & (np.arange(len(moves))[:, None] < best)]
+    parity = np.bincount(replayed, minlength=rows * n).reshape(rows, n) % 2
+    return np.where(parity == 1, -start_spin, start_spin)
 
 
 def _exact_draws(poly: BinaryPolynomial, states: np.ndarray) -> list[tuple[str, float]]:
@@ -281,9 +291,7 @@ def _anneal_together(
                 np.multiply(local, step, out=costs[:, t])
             temperature *= alpha
     np.add.accumulate(costs, axis=1, out=costs)
-    replayed = index[(flips != 0.0) & (np.arange(steps)[:, None] < costs.argmin(axis=1))]
-    parity = np.bincount(replayed, minlength=count * n).reshape(count, n) % 2
-    return np.where(parity == 1, -start_spin, start_spin)
+    return _replay_to_best(start_spin, index, flips != 0.0, costs.argmin(axis=1))
 
 
 def simulated_annealing(
@@ -515,9 +523,7 @@ def _tabu_together(
             flat_last[index] = t
     # Improvements are strict, so a restart's best state is the first one
     # at its lowest cost: replay the moves that lead to it.
-    replayed = moves[np.arange(iterations)[:, None] < costs.argmin(axis=0)]
-    parity = np.bincount(replayed, minlength=restarts * n).reshape(restarts, n) % 2
-    return np.where(parity == 1, -start_spin, start_spin)
+    return _replay_to_best(start_spin, moves, True, costs.argmin(axis=0))
 
 
 def tabu_search(
@@ -745,6 +751,13 @@ def nearest_neighbor_tsp(inst: TspInstance, start: int = 0) -> tuple[tuple[int, 
         unvisited.remove(tour[-1])
     zero = tour.index(0)
     return tuple(tour), float(walk_lengths(d, tour[zero + 1:] + tour[:zero]))
+
+
+def nn_filter(inst: TspInstance, optimal_length: float) -> bool:
+    """Keep an instance only if nearest-neighbour fails from every start: True iff
+    its tour from each location is longer than ``optimal_length`` by over 1e-9."""
+    return all(nearest_neighbor_tsp(inst, start)[1] > optimal_length + 1e-9
+               for start in range(inst.num_locations))
 
 
 class TspOracleResult(NamedTuple):

@@ -529,6 +529,43 @@ def test_two_instances_with_one_id_exit_one_and_write_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
+NON_FINITE_FILES = {
+    "edge-nan": ("g.txt", "3 2\n1 2 nan\n2 3 1.0\n",
+                 "ParseError: {path}: edge (0,1) has non-finite weight nan"),
+    "edge-inf": ("g.txt", "3 2\n1 2 1.0\n2 3 -inf\n",
+                 "ParseError: {path}: edge (1,2) has non-finite weight -inf"),
+    "tour-inf": ("t.json", json.dumps({"type": "tsp", "distances": [
+        [0.0, 1.0, math.inf], [1.0, 0.0, 1.0], [math.inf, 1.0, 0.0]]}),
+                 "ValueError: distance (0,2) = inf is not finite"),
+    # a NaN distance was rejected as "must be symmetric"
+    "tour-nan": ("t.json", json.dumps({"type": "tsp", "distances": [
+        [0.0, 1.0, 2.0], [1.0, 0.0, math.nan], [2.0, math.nan, 0.0]]}),
+                 "ValueError: distance (1,2) = nan is not finite"),
+    "coordinates-inf": ("t.json", json.dumps({"type": "tsp", "coordinates": [
+        [0.0, 0.0], [1.0, 0.0], [math.inf, 1.0]]}),
+                 "ValueError: location 2 has non-finite coordinates [inf, 1.0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FILES))
+@pytest.mark.parametrize("command", ["generate", "oracle", "tune", "run"])
+def test_a_non_finite_weight_or_distance_exits_one_and_writes_nothing(tmp_path, capsys, command,
+                                                                       case):
+    # with a nan edge, oracle exited 2, run wrote records and generate copied the file;
+    # with an infinite distance, oracle wrote "worst_length": Infinity
+    name, text, message = NON_FINITE_FILES[case]
+    path = tmp_path / "data" / name
+    path.parent.mkdir()
+    path.write_text(text)
+    template = (CONFIG + "\n[grid:sa]\nsweeps = 2, 5\n").replace(
+        "kind = regular\nsizes = 6\ncount = 2\ndegree = 3", f"kind = files\nglob = {path}")
+    cfg, out = write_config(tmp_path, template)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    expected = f"config error: malformed instance file {path}: {message.format(path=path)}\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 TWO_GRID_CONFIG = GRID_CONFIG + """
 [solver:ls]
 kind = ls

@@ -21,8 +21,10 @@ from optbench.formulations import (
     hobo_cost,
     hobo_feasible,
     hobo_violations,
+    onehot_basis_index,
     onehot_feasible,
 )
+from optbench.model import index_to_bitstring
 
 from conftest import brute_force_tours
 
@@ -88,6 +90,45 @@ def test_onehot_decode_encode_roundtrip():
 def test_onehot_decode_rejects_non_onehot_blocks():
     assert decode_onehot("110" + "010" + "001", 3) is None
     assert decode_onehot("000" + "010" + "001", 3) is None
+
+
+def test_onehot_basis_index_is_the_layout_of_encode_onehot():
+    for k in (2, 3, 4):
+        sequences = list(itertools.product(range(1, k + 1), repeat=k))
+        for seq in sequences:
+            assert index_to_bitstring(onehot_basis_index(seq, k), k * k) == encode_onehot(seq, k)
+        # slot t's locations on axis k - 1 - t broadcast to every sequence at once,
+        # the first slot varying fastest
+        slots = [np.arange(1, k + 1).reshape(k, *(1,) * t) for t in range(k)]
+        flat = onehot_basis_index(slots, k).reshape(-1)
+        assert flat.tolist() == [onehot_basis_index(seq[::-1], k) for seq in sequences]
+
+
+def test_decoders_read_each_slot_block():
+    for k in (2, 3, 4):
+        m = hobo_bits_per_slot(k)
+        for width, decode in ((k, decode_onehot), (m, decode_hobo)):
+            n = k * width
+            for index in range(1 << n):
+                x = index_to_bitstring(index, n)
+                blocks = [x[slot * width:(slot + 1) * width] for slot in range(k)]
+                if decode is decode_hobo:
+                    expected = tuple(int(block[::-1], 2) for block in blocks)
+                elif all(block.count("1") == 1 for block in blocks):
+                    expected = tuple(block.index("1") + 1 for block in blocks)
+                else:
+                    expected = None
+                assert decode(x, k) == expected
+                assert decode(np.array(list(x), dtype=int), k) == expected
+
+
+@pytest.mark.parametrize("encode", [encode_onehot, encode_hobo])
+@pytest.mark.parametrize("sequence", [(0, 1, 2), (5, 1, 2), (1, 2, 4), (1, 2), (1, 2, 3, 1)])
+def test_tour_encoders_reject_anything_but_k_locations_in_one_to_k(encode, sequence):
+    # encode_onehot((0, 1, 2), 3) gave 000100011, with an empty first block, and
+    # encode_hobo((5, 1, 2), 3) decoded to (0, 0, 1)
+    with pytest.raises(ValueError, match=r"k = 3 locations in 1\.\.3"):
+        encode(sequence, 3)
 
 
 def test_hobo_bits_and_roundtrip():

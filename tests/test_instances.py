@@ -5,6 +5,7 @@ import pytest
 
 from optbench import (
     MaxCutInstance,
+    TspInstance,
     gen_erdos_renyi,
     gen_regular,
     gen_tsp_circular,
@@ -163,6 +164,39 @@ def test_triangle_inequality(maker):
         for j in range(m):
             for k in range(m):
                 assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_edge_weight_is_rejected_naming_the_edge(tmp_path, weight):
+    # a nan weight ran: the oracle found no argmin and every sampled cost was nan
+    with pytest.raises(ValueError, match=rf"edge \(1,2\) has non-finite weight {weight}"):
+        MaxCutInstance(3, ((0, 1, 1.0), (1, 2, weight)))
+    path = tmp_path / "g.txt"
+    path.write_text(f"3 2\n1 2 1.0\n2 3 {weight}\n")
+    with pytest.raises(ParseError, match=rf"g.txt: edge \(1,2\) has non-finite weight {weight}"):
+        read_edge_list(path)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_a_non_finite_distance_is_rejected_naming_the_entry(value):
+    # an infinite distance made the default A zero and hobo costs 0 * inf = nan;
+    # a nan one was rejected as "must be symmetric"
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, value], [2.0, value, 0.0]])
+    with pytest.raises(ValueError, match=rf"distance \(1,2\) = {value} is not finite"):
+        TspInstance(distances=d)
+
+
+def test_from_coordinates_holds_the_euclidean_distances():
+    for inst in (gen_tsp_planar(6, seed=3), gen_tsp_circular(5, 0.7, seed=4)):
+        c = inst.coordinates
+        euclidean = np.sqrt(((c[:, None, :] - c[None, :, :]) ** 2).sum(axis=-1))
+        assert inst.distances.tobytes() == euclidean.tobytes()
+        again = TspInstance.from_coordinates(c.tolist(), {"label": "x"})
+        assert again.distances.tobytes() == euclidean.tobytes()
+        assert again.metadata == {"label": "x"}
+    assert TspInstance.from_coordinates([[0, 0], [3, 4], [0, 4]]).distances[0, 1] == 5.0
+    with pytest.raises(ValueError, match=r"location 1 has non-finite coordinates \[nan, 0.0\]"):
+        TspInstance.from_coordinates([[0.0, 0.0], [math.nan, 0.0], [1.0, 1.0]])
 
 
 # ----------------------------------------------------------------------

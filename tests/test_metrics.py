@@ -12,6 +12,7 @@ from optbench import (
     feasibility_ratio,
     fob,
     gen_tsp_circular,
+    hit_share,
     pareto_front,
     qaoa_tsp_simulate,
     tsp_combined_error,
@@ -300,6 +301,16 @@ def test_time_to_target_bracket_shared_by_tts_ttt_and_layers():
         total = ledger.total_layers
         assert tts_layers(dist, ledger) == (math.inf if p == 0 else float(total) if p == 1
                                             else float(total * reps))
+
+
+def test_hit_share_weighs_each_draw_by_its_count():
+    sample = make_sample([("00", -2.0)] * 3 + [("01", -1.0)] * 2 + [("11", 0.5)] * 5)
+    assert hit_share(sample, -2.0) == 3 / 10  # the threshold counts as a hit
+    assert hit_share(sample, -1.0 + 1e-9) == 5 / 10
+    assert hit_share(sample, -3.0) == 0.0
+    assert hit_share(sample, math.inf) == 1.0
+    with pytest.raises(ValueError, match="sample set is empty"):
+        hit_share(SampleSet.empty(2), 0.0)
 
 
 def test_zero_solve_time_and_zero_probability_is_infinite_not_nan():

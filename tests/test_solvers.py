@@ -390,11 +390,12 @@ def test_nn_length_is_the_walk_length_of_its_tour_from_location_zero(start):
     assert length == tour_length(inst, tour[zero + 1:] + tour[:zero])
 
 
-def test_nn_visits_a_location_at_infinite_distance():
-    # the strict "< best distance" scan found no such location and appended -1
-    inst = TspInstance(distances=[[0.0, 1.0, math.inf], [1.0, 0.0, math.inf],
-                                  [math.inf, math.inf, 0.0]])
-    assert nearest_neighbor_tsp(inst, start=0) == ((0, 1, 2), math.inf)
+def test_a_location_at_infinite_distance_never_reaches_nn():
+    # an instance with an infinite distance is rejected when it is built, so no
+    # tour rule (nearest neighbour's scan included) meets an infinite leg
+    with pytest.raises(ValueError, match=r"distance \(0,2\) = inf is not finite"):
+        TspInstance(distances=[[0.0, 1.0, math.inf], [1.0, 0.0, math.inf],
+                               [math.inf, math.inf, 0.0]])
 
 
 def test_tsp_exhaustive_three_locations_degenerate():
