@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    GRID_OBJECTIVES,
     ConfigError,
     config_instances,
     emit_report,
@@ -45,8 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = commands.add_parser("tune", help="grid-search solver hyperparameters")
     _add_common(tune)
-    tune.add_argument("--objective", default="tts",
-                      help="grid objective: tts, tts_oh, relative_error or ar_gap")
+    tune.add_argument("--objective", default="tts", choices=GRID_OBJECTIVES, help="grid objective")
 
     run = commands.add_parser("run", help="execute the configured scenario")
     _add_common(run)

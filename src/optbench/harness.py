@@ -62,6 +62,7 @@ from .solvers import (
 )
 
 SECONDS_PER_CNOT_LAYER = 1e-6
+GRID_OBJECTIVES = ("tts", "tts_oh", "relative_error", "ar_gap")  # the metrics tune can score
 
 
 class ConfigError(ValueError):
@@ -294,7 +295,7 @@ def build_instances(section: dict, master_seed: int) -> list:
     if kind == "files":
         pattern = section.get("glob")
         if not pattern:
-            raise ConfigError("instances kind 'files' needs a 'glob' key")
+            raise ConfigError("[instances] section of kind 'files' needs a 'glob' key")
         # generate writes a graph as an edge list, a tour as JSON and a
         # manifest of their hashes; oracle may write its table next to them.
         # Folders the glob matches are not instances.
@@ -529,8 +530,7 @@ def run_classical_solver(spec: SolverSpec, inst: MaxCutInstance, poly: BinaryPol
         watch = Stopwatch()
         x, cost = poly.argmin_exhaustive(**kw)
         t_solve = watch.lap()
-        sample = SampleSet.from_draws(inst.num_nodes, [(x, cost)],
-                                      info={"solver": "exhaustive"})
+        sample = SampleSet.from_draws(poly.num_vars, [(x, cost)], info={"solver": "exhaustive"})
         sample.timing = Timing(0.0, t_solve, watch.lap())
         return sample
     raise ConfigError(f"solver kind {spec.kind!r} is not a sampling solver")
@@ -548,7 +548,7 @@ def _qaoa_metrics(inst: MaxCutInstance, circuit: CompiledProblem, ctx: MetricCon
     gp = GeneratorParams(ramp.theta_beta if theta_beta is None else theta_beta,
                          ramp.theta_gamma if theta_gamma is None else theta_gamma)
     beta, gamma = expand_generator(gp, p)
-    dist = qaoa_qubo_simulate(circuit, beta, gamma, optimal_cost=ctx.optimal_cost)
+    dist = qaoa_qubo_simulate(circuit, beta, gamma)
     layers = tts_layers(dist, layer_ledger("maxcut", inst, p))
     metrics = {"p_star": dist.p_star, "tts": layers * seconds_per_layer,
                "tts_layers": layers, "qaoa_p": p}
@@ -783,7 +783,7 @@ def grid_search(
     """
     if not grid:
         raise ConfigError("parameter grid is empty")
-    if objective not in ("tts", "tts_oh", "relative_error", "ar_gap"):
+    if objective not in GRID_OBJECTIVES:
         raise ConfigError(f"unknown grid objective {objective!r}")
     tuning_ids = {instance_id(inst) for inst in tuning_instances}
     if benchmark_ids is not None:

@@ -429,8 +429,9 @@ class CompiledProblem:
         else:
             self.costs = np.full(extent, problem.constant)
             slots = self.costs.reshape((k,) * k).T  # axis t holds slot t's digit
+            place = {forms.onehot_index(k, t, d + 1): (t, d) for t in range(k) for d in range(k)}
             for term, coeff in problem.terms.items():
-                digit = dict(divmod(var, k) for var in term)
+                digit = dict(map(place.get, term))
                 if term and len(digit) == len(term):  # else two digits of one slot
                     view = slots[(*(digit.get(t, slice(None)) for t in range(k)), ...)]
                     view += coeff
@@ -461,9 +462,9 @@ class CompiledProblem:
         self._decoded = lengths.reshape(-1), (violations == 0).reshape(-1)
         if self.kind == "qubo":  # a state with a block that is not one-hot decodes to no walk
             poly = forms.tsp_onehot_qubo(inst, a=a, b=b)
-            self.costs = np.empty(1 << poly.num_vars)
-            poly._double_fill(self.costs, 0)  # see the module docstring
             self._quadratic = (np.asarray(poly.constant), *poly.quadratic_form())
+            self.costs = np.empty(1 << poly.num_vars)
+            fill_by_doubling(self.costs, *self._quadratic)  # see the module docstring
             return
         costs = a * lengths
         if self.kind != "perm":  # B per hobo violation, 2B per xy clash
@@ -694,8 +695,10 @@ class CompiledProblem:
         whose length is within 1e-9 of l*, the least length among the
         feasible states, which are exactly the k! tours; otherwise states
         whose cost is within 1e-9 of ``optimal_cost`` (by default the least
-        cost).
+        cost).  A stack keeps only what :meth:`gap` reads, so it cannot simulate.
         """
+        if self.costs.ndim > 1:
+            raise ValueError("a stack of problems serves gap only; simulate each problem alone")
         beta, gamma = _check_schedule(beta, gamma)
         psi = self.evolve(beta, gamma)
         if self.half:  # each stored state stands for itself and its complement
@@ -743,6 +746,12 @@ class CompiledProblem:
 # Entry points and one-hot state helpers
 # ----------------------------------------------------------------------
 
+def _run_once(compiled: CompiledProblem, beta, gamma, optimal_cost=None) -> OutputDistribution:
+    dist = compiled.simulate(beta, gamma, optimal_cost)
+    compiled.__dict__.pop("_levels", None)  # a one-run compile's output keeps no phase cache
+    return dist
+
+
 def qaoa_qubo_simulate(
     model: BinaryPolynomial | MaxCutInstance,
     beta,
@@ -752,13 +761,13 @@ def qaoa_qubo_simulate(
 ) -> OutputDistribution:
     """Full-statevector run of a (possibly higher-order) diagonal cost model.
 
-    A flip-symmetric model runs on the half basis (see the module
-    docstring).  ``model`` may also be a Max-Cut instance, run as its cut
-    polynomial, or a problem already compiled for the qubo encoding.
+    A flip-symmetric model runs on the half basis (see the module docstring).
+    ``model`` may also be a Max-Cut instance, run as its cut polynomial, or a
+    problem already compiled for the qubo encoding, which keeps its phase cache.
     """
-    if not isinstance(model, CompiledProblem):
-        model = CompiledProblem("qubo", model, cap=cap)
-    return model.simulate(beta, gamma, optimal_cost)
+    if isinstance(model, CompiledProblem):
+        return model.simulate(beta, gamma, optimal_cost)
+    return _run_once(CompiledProblem("qubo", model, cap=cap), beta, gamma, optimal_cost)
 
 
 def qaoa_tsp_simulate(
@@ -771,11 +780,9 @@ def qaoa_tsp_simulate(
 ) -> OutputDistribution:
     """Run one of the four tour encodings: qubo, hobo, xy or perm."""
     compiled = CompiledProblem(kind, inst, a=a, b=b)
-    if kind == "qubo":  # the plain qubo simulator runs the compiled one-hot QUBO
-        return qaoa_qubo_simulate(compiled, beta, gamma)
-    dist = compiled.simulate(beta, gamma)
-    del compiled._levels  # a one-run compile: its output keeps the tables, not the phase cache
-    return dist
+    if kind == "qubo":  # the plain qubo simulator runs the compiled one-hot QUBO,
+        return qaoa_qubo_simulate(compiled, beta, gamma)  # which builds no phase cache
+    return _run_once(compiled, beta, gamma)
 
 
 def onehot_state_index(sequence, k: int) -> int:
@@ -1047,8 +1054,7 @@ def edge_coloring(inst: MaxCutInstance) -> dict[tuple[int, int], int]:
     for u, v, _ in inst.edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    max_degree = max((len(a) for a in adjacency.values()), default=0)
-    palette = max_degree + 1
+    palette = inst.max_degree() + 1
     color: dict[tuple[int, int], int] = {}
     used: list[dict[int, int]] = [dict() for _ in range(inst.num_nodes)]
 

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from optbench.cli import main
-from optbench.harness import load_config, load_records, parse_experiment
+from optbench.harness import GRID_OBJECTIVES, load_config, load_records, parse_experiment
 
 
 CONFIG = """
@@ -286,6 +287,35 @@ def test_generated_files_run_back(tmp_path):
     assert all(r.status == "ok" for r in records if r.size == 6)
 
 
+def test_a_graph_json_file_runs_as_its_edge_list_twin(tmp_path):
+    # a .json instance file may hold a graph; one 4-cycle written both ways
+    edges = [(1, 2, 1.0), (2, 3, 2.0), (3, 4, 1.0), (1, 4, 0.5)]
+    for folder, name, text in [
+        ("json", "cycle.json", json.dumps({"type": "maxcut", "num_nodes": 4, "edges": [
+            [u - 1, v - 1, w] for u, v, w in edges]})),
+        ("txt", "cycle.txt", "4 4\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges)),
+    ]:
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / name).write_text(text)
+        cfg = tmp_path / f"{folder}.cfg"
+        cfg.write_text(CONFIG.format(out=tmp_path / f"out-{folder}").replace(
+            "kind = regular\nsizes = 6\ncount = 2\ndegree = 3",
+            f"kind = files\nglob = {tmp_path / folder}/*"))
+        assert main(["run", "--config", str(cfg)]) == 0
+
+    def outputs(folder):
+        records = load_records(tmp_path / f"out-{folder}" / "records.jsonl")
+        assert len(records) == 2 and all(r.status == "ok" for r in records)
+        return [{**r.to_dict(), "timing": None, "cpu_time": None, "metrics": {
+            key: value for key, value in r.metrics.items() if key not in ("tts", "tts_oh")}}
+            for r in records]
+
+    from_json = outputs("json")
+    assert from_json == outputs("txt")
+    assert {r["instance_id"] for r in from_json} == {"cycle"}
+    assert {r["best_cost"] for r in from_json} == {-4.5}  # the cut {1, 3} | {2, 4}
+
+
 def test_run_with_no_ok_record_exits_one(tmp_path):
     cfg, out = write_config(tmp_path, FAILING_CONFIG)
     assert main(["run", "--config", str(cfg)]) == 1
@@ -340,8 +370,13 @@ def test_config_without_instances_is_config_error(tmp_path, capsys, command):
     ("kind = regular", "kind = erdos_renyi\ndensity = nan", "density must be finite"),
     ("kind = regular", "kind = tsp_circular\nsigma = inf", "sigma must be finite"),
     ("kind = regular", "kind = tsp_circular\nsigma = nan", "sigma must be finite"),
+    ("kind = regular\n", "", "needs a 'kind' key"),
+    ("kind = regular", "kind = files", "of kind 'files' needs a 'glob' key"),
+    ("sizes = 6\n", "", "needs a 'sizes' key"),
+    ("kind = regular", "kind = ring", "unknown instance kind 'ring'"),
 ], ids=["density", "odd-degree-sum", "tsp-size", "count-zero", "no-sizes", "density-nan",
-        "sigma-inf", "sigma-nan"])
+        "sigma-inf", "sigma-nan", "no-kind", "files-without-glob", "no-sizes-key",
+        "unknown-kind"])
 @pytest.mark.parametrize("command", ["generate", "oracle", "tune", "run"])
 def test_bad_instance_parameters_exit_one_and_write_nothing(tmp_path, capsys, command,
                                                             old, new, message):
@@ -449,6 +484,22 @@ def test_a_misspelt_section_key_exits_one_and_writes_nothing(tmp_path, capsys, c
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, message", [
+    ("tune", "[experiment]\nscenario = tts\nseed = 5\noutput = {out}\n",
+     "config needs an [experiment] section"),
+    ("run", "[experiment]\nscenario = tts\nseed = 5\noutput = {out}\n",
+     "config needs an [experiment] section"),
+    ("tune", "[grid:sa]\nsweeps = 2, 5\n", "config defines no [grid:<solver>] section"),
+], ids=["tune-no-experiment", "run-no-experiment", "tune-no-grid"])
+def test_a_config_without_a_section_its_command_reads_exits_one_and_writes_nothing(
+        tmp_path, capsys, command, section, message):
+    template = (CONFIG + "\n[grid:sa]\nsweeps = 2, 5\n").replace(section, "")
+    cfg, out = write_config(tmp_path, template)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -615,6 +666,18 @@ def test_tune_a_grid_without_a_cell_exits_one_and_writes_nothing(tmp_path, capsy
     assert not out.exists()
 
 
+def test_tune_an_unknown_objective_exits_one_and_writes_nothing(tmp_path, capsys):
+    # the output folder was made before grid_search rejected the objective
+    path = tmp_path / "bench.cfg"
+    path.write_text(GRID_CONFIG)
+    out = tmp_path / "tuned"
+    assert main(["tune", "--config", str(path), "--out", str(out), "--objective", "foo"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'foo'" in err
+    assert all(repr(objective) in err for objective in GRID_OBJECTIVES)
+    assert not out.exists()
+
+
 def test_tune_grid_naming_no_solver_is_config_error(tmp_path, capsys):
     path = tmp_path / "bench.cfg"
     path.write_text(GRID_CONFIG.replace("[grid:sa]", "[grid:annealer]"))
@@ -740,6 +803,12 @@ def test_readme_parameter_table_types_and_defaults_match_the_solvers():
     for kind, name, _, default in rows:
         if defaults[kind][name] is not None:  # else the text says what it means
             assert float(default) == defaults[kind][name], (kind, name)
+
+
+def test_readme_lists_the_grid_objectives():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("`tune --objective NAME`", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`(\w+)`", paragraph) == list(GRID_OBJECTIVES)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

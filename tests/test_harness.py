@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optbench import (BinaryPolynomial, SampleSet, Timing, gen_erdos_renyi, gen_regular, harness,
-                      maxcut_qubo, merge, qaoa)
+from optbench import (BinaryPolynomial, SampleSet, Timing, gen_erdos_renyi, gen_regular,
+                      gen_tsp_planar, harness, maxcut_qubo, merge, qaoa, tsp_exhaustive)
 from optbench.harness import (
     ConfigError,
     ExperimentConfig,
@@ -33,7 +33,7 @@ from optbench.harness import (
     write_instance_files,
 )
 
-from conftest import brute_force_cut
+from conftest import brute_force_cut, reference_tsp_exhaustive
 
 
 def small_instances(n=6, count=4, base_seed=0):
@@ -648,6 +648,28 @@ def test_oracle_table_handles_caps():
     assert rows[0]["status"] == "ok"
     assert "optimal_cost" in rows[0]
     assert rows[1]["status"] == "skipped"
+
+
+def test_oracle_table_rows_of_tours_are_the_exhaustive_tours():
+    tours = [gen_tsp_planar(k + 1, seed) for k in (3, 4) for seed in (0, 1)]
+    rows = oracle_table(tours)
+    assert len(rows) == 4
+    for inst, row in zip(tours, rows):
+        result = tsp_exhaustive(inst)
+        assert row == {"id": instance_id(inst), "hash": instance_hash(inst),
+                       "optimal_tour": list(result.tour),
+                       "optimal_length": result.optimal_length,
+                       "worst_length": result.worst_length, "status": "ok"}
+        tour, optimal, worst = reference_tsp_exhaustive(inst)
+        assert (tuple(row["optimal_tour"]), row["worst_length"]) == (tour, worst)
+        assert row["optimal_length"] == pytest.approx(optimal, rel=1e-12)
+
+
+def test_two_solvers_with_one_name_are_a_config_error():
+    # only the API builds such a roster: a config file holds each [solver:*] section once
+    with pytest.raises(ConfigError, match="solver names must be unique"):
+        ExperimentConfig(scenario="tts", solvers=[SolverSpec("sa", "sa"), SolverSpec("sa", "ts")],
+                         instances=small_instances(count=1))
 
 
 def test_experiment_config_validation():

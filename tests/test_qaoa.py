@@ -656,6 +656,46 @@ def test_one_problem_stack_views_its_cost_table():
     assert np.shares_memory(stacked.costs, part.costs)
 
 
+def test_a_stack_cannot_simulate_and_names_gap():
+    # simulate ran every row and summed their p* into one "distribution" of norm 2
+    parts = [CompiledProblem("qubo", maxcut_qubo(gen_regular(8, 3, seed=s))) for s in (1, 2)]
+    beta, gamma = expand_generator(GeneratorParams.ramp(), 4)
+    for rows in (parts, parts[:1]):
+        stack = CompiledProblem.stack(rows)
+        with pytest.raises(ValueError, match="serves gap only"):
+            stack.simulate(beta, gamma)
+        assert list(stack.gap(beta, gamma)) == [part.gap(beta, gamma) for part in rows]
+
+
+@pytest.mark.parametrize("model", [
+    gen_regular(10, 3, seed=1),
+    maxcut_qubo(gen_erdos_renyi(9, 0.5, seed=3, weights="uniform")),
+    BinaryPolynomial(6, {(0, 1, 2): 1.5, (3,): -0.5, (4, 5): 2.0}),
+], ids=["instance", "weighted-polynomial", "cubic-polynomial"])
+def test_a_wrapper_compile_drops_its_phase_cache_and_a_given_compile_keeps_it(monkeypatch,
+                                                                             model):
+    # the wrapper's own compile held its level index in the output it returned
+    beta, gamma = expand_generator(GeneratorParams.ramp(), 3)
+    dist = qaoa_qubo_simulate(model, beta, gamma)
+    assert "_levels" not in dist._compiled.__dict__
+    indexed = []
+    level_index = qaoa._level_index
+    monkeypatch.setattr(qaoa, "_level_index",
+                        lambda costs: indexed.append(costs.size) or level_index(costs))
+    compiled = CompiledProblem("qubo", model)
+    runs = [qaoa_qubo_simulate(compiled, beta, gamma) for _ in range(2)]
+    assert len(indexed) == 1 and "_levels" in compiled.__dict__
+    assert [run.p_star for run in runs] == [dist.p_star] * 2
+    assert all(run.amplitudes.tobytes() == dist.amplitudes.tobytes() for run in runs)
+
+
+@pytest.mark.parametrize("kind", ["qubo", "hobo", "xy", "perm"])
+def test_a_tour_wrapper_output_keeps_no_phase_cache(kind):
+    beta, gamma = expand_generator(GeneratorParams.ramp(), 3)
+    dist = qaoa_tsp_simulate(gen_tsp_planar(4, seed=2), kind, beta, gamma)
+    assert "_levels" not in dist._compiled.__dict__
+
+
 def test_evolve_gathers_the_cost_phase_without_a_state_sized_index_copy():
     # psi and spare are the only new state-sized arrays; np.take's intp copy
     # of the uint8 level index, 8 bytes per state, would exceed the 1 MiB slack
